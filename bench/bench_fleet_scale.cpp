@@ -1,25 +1,21 @@
 // Fleet-scale hot-loop baseline with --threads and --sessions axes.
 // Steps the 16-machine Figure-1-style site (2 harvesters, 12 forwarders,
-// 2 drones, 48 workers, windthrow hazards on) and reports steps/sec at
-// threads=1 and at the requested shard count, so both the serial hot
-// path and the parallel-stepping speedup show up as numbers future PRs
-// must not lower. The --sessions axis does the same one level up: a
-// FleetService stepping N independent secured worksite sessions, serial
-// vs batched across the pool, reported as session-steps/sec.
+// 2 drones, 48 workers, windthrow hazards on) and a 4x larger preset, and
+// reports their steps/sec. A worksite steps on one thread; parallelism
+// lives one level up, so the --sessions axis measures a FleetService
+// stepping N independent secured worksite sessions, serial vs batched
+// across a pool of --threads shards, as session-steps/sec.
 //
-// Determinism is part of the contract: before timing, a parity
-// cross-check runs the same site serially and sharded and compares
-// metrics bit-for-bit, the full event-bus sequence, and every machine
-// pose. The fleet section extends it per session: every session's
-// deterministic telemetry export must be byte-identical across service
-// thread counts, and session 0 must match a solo run outside any fleet.
-// Any mismatch fails the benchmark (non-zero exit) — a fast wrong
-// simulation is not an optimisation.
+// Determinism is part of the contract: every session's deterministic
+// telemetry export must be byte-identical across service thread counts,
+// and session 0 must match a solo run outside any fleet. The batched
+// line-of-sight resolve is spot-checked against the per-ray path. Any
+// mismatch fails the benchmark (non-zero exit) — a fast wrong simulation
+// is not an optimisation.
 //
 // Lines of the form "BENCH name=value" are machine-readable; CI captures
 // them into BENCH_baseline.json and fails on large regressions
 // (scripts/bench_gate.py).
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +35,7 @@ namespace {
 /// Population/extent preset for the worksite axis. The default preset is
 /// the 16-machine Figure-1-style site every baseline key gates on; the
 /// large preset (4x machines, 4x workers, 4x area) is the fleet-scale
-/// configuration the SoA/work-stealing work targets.
+/// configuration the SoA hot-state work targets.
 struct SitePreset {
   const char* name;
   std::size_t harvesters;
@@ -51,22 +47,6 @@ struct SitePreset {
 };
 constexpr SitePreset kDefaultPreset{"default", 2, 12, 2, 48, 500.0, 8};
 constexpr SitePreset kLargePreset{"large", 4, 48, 8, 192, 1000.0, 16};
-
-// --- FNV-1a digests over simulation outcomes -------------------------------
-
-struct Digest {
-  std::uint64_t h = 1469598103934665603ULL;
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) { bytes(s.data(), s.size()); }
-};
 
 sim::WorksiteConfig site_config(const SitePreset& preset) {
   sim::WorksiteConfig config;
@@ -113,38 +93,12 @@ void populate(sim::Worksite& site, const SitePreset& preset) {
 
 struct RunResult {
   double rate = 0.0;
-  std::uint64_t metrics_digest = 0;
-  std::uint64_t event_digest = 0;
-  std::uint64_t pose_digest = 0;
   sim::Worksite::Metrics metrics;
-  /// Deterministic telemetry export (counters + flight recorder, no wall
-  /// clock) — must be byte-identical across thread counts.
-  std::string telemetry_json;
-  std::vector<std::uint64_t> shard_busy_ns;
-  std::uint64_t parallel_phase_ns = 0;  ///< span wall time of sharded phases
-  /// Dispatch-to-completion wall time summed over the actual parallel
-  /// jobs (ThreadPool job observer): excludes the serial work (effect
-  /// drains, index rebuilds) that runs inside the same phase spans, so it
-  /// is the correct utilization denominator. Always <= parallel_phase_ns.
-  std::uint64_t parallel_wall_ns = 0;
 };
 
-RunResult run_worksite(std::size_t threads, std::uint64_t steps,
-                       const SitePreset& preset = kDefaultPreset,
-                       sim::Scheduling scheduling = sim::Scheduling::kStatic,
+RunResult run_worksite(std::uint64_t steps, const SitePreset& preset,
                        bool write_artifact = false) {
-  sim::WorksiteConfig config = site_config(preset);
-  config.threads = threads;
-  config.scheduling = scheduling;
-  sim::Worksite site{config, 42};
-
-  Digest events;
-  site.bus().subscribe_all([&events](const core::Event& e) {
-    events.str(e.topic);
-    events.str(e.payload);
-    events.u64(e.origin);
-    events.u64(static_cast<std::uint64_t>(e.time));
-  });
+  sim::Worksite site{site_config(preset), 42};
   populate(site, preset);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -154,90 +108,11 @@ RunResult run_worksite(std::size_t threads, std::uint64_t steps,
 
   RunResult r;
   r.rate = static_cast<double>(steps) / secs;
-  r.event_digest = events.h;
   r.metrics = site.metrics();
-
-  Digest m;
-  m.f64(r.metrics.delivered_m3);
-  m.u64(r.metrics.completed_cycles);
-  m.f64(r.metrics.min_human_separation);
-  m.u64(r.metrics.separation_samples);
-  m.u64(r.metrics.route_reuses);
-  m.u64(r.metrics.windthrow_events);
-  m.u64(r.metrics.planner.plans);
-  m.u64(r.metrics.planner.cache_hits);
-  m.f64(site.separation_stats().mean());
-  m.f64(site.separation_stats().stddev());
-  m.u64(site.close_encounters(10.0));
-  r.metrics_digest = m.h;
-
-  Digest poses;
-  for (const sim::Machine* machine : site.machines()) {
-    poses.u64(machine->id().value());
-    poses.f64(machine->position().x);
-    poses.f64(machine->position().y);
-    poses.f64(machine->heading());
-    poses.f64(machine->speed());
-    poses.f64(machine->load_m3());
-    poses.f64(machine->odometer());
-  }
-  for (const sim::Human* human : site.humans()) {
-    poses.f64(human->position().x);
-    poses.f64(human->position().y);
-  }
-  r.pose_digest = poses.h;
-
-  r.telemetry_json = site.telemetry().deterministic_json();
-  const obs::Tracer& tracer = site.telemetry().tracer();
-  for (std::size_t shard = 0; shard < tracer.shard_count(); ++shard) {
-    r.shard_busy_ns.push_back(tracer.shard_busy_ns(shard));
-  }
-  for (std::size_t i = 0; i < tracer.phase_count(); ++i) {
-    const std::string_view name = tracer.phase_name(i);
-    if (name == "worksite.decide" || name == "worksite.integrate" ||
-        name == "worksite.separation") {
-      r.parallel_phase_ns += tracer.stats(i).total_ns;
-    }
-  }
-  r.parallel_wall_ns = tracer.parallel_wall_ns();
   if (write_artifact) {
     obs::write_bench_artifact(site.telemetry(), "bench_fleet_scale");
   }
   return r;
-}
-
-/// Per-shard utilization: busy time each pool worker spent inside sharded
-/// job bodies, as a fraction of the wall time actually spent dispatched
-/// on parallel jobs (parallel_wall_ns, the job-observer sum). The earlier
-/// revision divided by the enclosing phase-span totals, which include the
-/// serial drains/index work running inside the same spans — that
-/// overstated idle fractions; utilization_accounting_ok() pins the fix.
-void print_utilization(const char* label, const RunResult& r) {
-  if (r.shard_busy_ns.size() <= 1 || r.parallel_wall_ns == 0) return;
-  std::printf("  per-shard utilization [%s] (%.1f ms in parallel jobs, "
-              "%.1f ms in parallel phases):\n",
-              label, static_cast<double>(r.parallel_wall_ns) / 1e6,
-              static_cast<double>(r.parallel_phase_ns) / 1e6);
-  for (std::size_t shard = 0; shard < r.shard_busy_ns.size(); ++shard) {
-    const double busy_ms = static_cast<double>(r.shard_busy_ns[shard]) / 1e6;
-    const double frac = static_cast<double>(r.shard_busy_ns[shard]) /
-                        static_cast<double>(r.parallel_wall_ns);
-    std::printf("    shard %2zu: %8.1f ms busy  %5.1f%%\n", shard, busy_ms,
-                100.0 * frac);
-  }
-}
-
-/// Regression assertion for the utilization denominator: the job-observer
-/// wall sum must be a strict subset of the enclosing phase spans (it
-/// excludes their serial segments), and no shard can be busier than the
-/// jobs were long. A violation counts as a parity mismatch — wrong
-/// utilization numbers have steered real scheduling decisions.
-bool utilization_accounting_ok(const RunResult& r) {
-  if (r.parallel_wall_ns > r.parallel_phase_ns) return false;
-  for (const std::uint64_t busy : r.shard_busy_ns) {
-    if (busy > r.parallel_wall_ns) return false;
-  }
-  return true;
 }
 
 // --- fleet-service --sessions axis -----------------------------------------
@@ -446,20 +321,8 @@ int main(int argc, char** argv) {
               kDefaultPreset.drones, kDefaultPreset.workers,
               static_cast<unsigned long long>(steps));
 
-  const RunResult serial = run_worksite(1, steps);
-  std::printf("  threads=1:  %.0f steps/sec\n", serial.rate);
-  const RunResult sharded =
-      run_worksite(threads, steps, kDefaultPreset, sim::Scheduling::kStatic,
-                   /*write_artifact=*/true);
-  std::printf("  threads=%zu: %.0f steps/sec (%.2fx) [static]\n", threads,
-              sharded.rate, sharded.rate / serial.rate);
-  const RunResult stealing =
-      run_worksite(threads, steps, kDefaultPreset, sim::Scheduling::kWorkStealing);
-  std::printf("  threads=%zu: %.0f steps/sec (%.2fx) [work-stealing]\n", threads,
-              stealing.rate, stealing.rate / serial.rate);
-
-  print_utilization("static", sharded);
-  print_utilization("work-stealing", stealing);
+  const RunResult serial = run_worksite(steps, kDefaultPreset, /*write_artifact=*/true);
+  std::printf("  %.0f steps/sec\n", serial.rate);
   std::printf("  cross-check: delivered=%.1fm3 cycles=%llu min_sep=%.2fm"
               " windthrow=%llu reuses=%llu\n",
               serial.metrics.delivered_m3,
@@ -468,78 +331,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(serial.metrics.windthrow_events),
               static_cast<unsigned long long>(serial.metrics.route_reuses));
 
-  // Serial-vs-parallel parity: all three digests must match bit-for-bit.
-  int mismatches = 0;
-  if (serial.metrics_digest != sharded.metrics_digest) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: metrics digest %016llx != %016llx\n",
-                static_cast<unsigned long long>(serial.metrics_digest),
-                static_cast<unsigned long long>(sharded.metrics_digest));
-  }
-  if (serial.event_digest != sharded.event_digest) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: event digest %016llx != %016llx\n",
-                static_cast<unsigned long long>(serial.event_digest),
-                static_cast<unsigned long long>(sharded.event_digest));
-  }
-  if (serial.pose_digest != sharded.pose_digest) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: pose digest %016llx != %016llx\n",
-                static_cast<unsigned long long>(serial.pose_digest),
-                static_cast<unsigned long long>(sharded.pose_digest));
-  }
-  // Telemetry export parity: counters and flight-recorder events must be
-  // byte-identical across thread counts (the wall-clock annex is excluded
-  // from the deterministic export by design).
-  if (serial.telemetry_json != sharded.telemetry_json) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: deterministic telemetry export differs\n");
-  }
-  // Work-stealing parity: the chunked self-scheduled assignment must be as
-  // bit-identical to the serial run as the static one is.
-  if (serial.metrics_digest != stealing.metrics_digest ||
-      serial.event_digest != stealing.event_digest ||
-      serial.pose_digest != stealing.pose_digest ||
-      serial.telemetry_json != stealing.telemetry_json) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: work-stealing run differs from serial\n");
-  }
-  if (!utilization_accounting_ok(sharded) || !utilization_accounting_ok(stealing)) {
-    ++mismatches;
-    std::printf("  ACCOUNTING MISMATCH: parallel-job wall exceeds phase spans"
-                " (utilization denominator regressed)\n");
-  }
-  std::printf("  parity: %d mismatches (threads=1 vs threads=%zu)\n", mismatches,
-              threads);
-
-  // Large preset: the fleet-scale site the SoA layout and work stealing
-  // target. Serial rate gates in the baseline; the parallel run doubles
-  // as an adaptive-mode parity check at scale.
+  // Large preset: the fleet-scale site the SoA hot-state layout targets.
   const std::uint64_t large_steps = quick ? 120 : 600;
   std::printf("\nworksite [large]: %zu machines (%zuh+%zuf+%zud) + %zu workers,"
               " %llu steps\n",
               kLargePreset.harvesters + kLargePreset.forwarders + kLargePreset.drones,
               kLargePreset.harvesters, kLargePreset.forwarders, kLargePreset.drones,
               kLargePreset.workers, static_cast<unsigned long long>(large_steps));
-  const RunResult large_serial = run_worksite(1, large_steps, kLargePreset);
-  std::printf("  threads=1:  %.0f steps/sec\n", large_serial.rate);
-  const RunResult large_sharded =
-      run_worksite(threads, large_steps, kLargePreset, sim::Scheduling::kAdaptive);
-  std::printf("  threads=%zu: %.0f steps/sec (%.2fx) [adaptive]\n", threads,
-              large_sharded.rate, large_sharded.rate / large_serial.rate);
-  print_utilization("large adaptive", large_sharded);
-  if (large_serial.metrics_digest != large_sharded.metrics_digest ||
-      large_serial.event_digest != large_sharded.event_digest ||
-      large_serial.pose_digest != large_sharded.pose_digest ||
-      large_serial.telemetry_json != large_sharded.telemetry_json) {
-    ++mismatches;
-    std::printf("  PARITY MISMATCH: large-preset adaptive run differs from serial\n");
-  }
-  if (!utilization_accounting_ok(large_sharded)) {
-    ++mismatches;
-    std::printf("  ACCOUNTING MISMATCH: large-preset parallel-job wall exceeds"
-                " phase spans\n");
-  }
+  const RunResult large_serial = run_worksite(large_steps, kLargePreset);
+  std::printf("  %.0f steps/sec\n", large_serial.rate);
 
   // Fleet-service axis: N independent secured-worksite sessions batched
   // across the pool, one session per work item. Aggregate throughput is
@@ -573,7 +373,7 @@ int main(int argc, char** argv) {
   }
   std::printf("  parity: %d mismatches (%zu sessions x {threads 1, %zu}, solo"
               " cross-check)\n", fleet_mismatches, sessions, threads);
-  mismatches += fleet_mismatches;
+  int mismatches = fleet_mismatches;
 
   std::printf("\nbatched line-of-sight resolve, perception-shaped bundles:\n");
   const LosResult los = run_los(quick ? 20 : 100);
@@ -582,18 +382,14 @@ int main(int argc, char** argv) {
   std::printf("\nradio medium, jittered broadcast fan-out:\n");
   const RadioResult radio = run_radio(64, quick ? 2000 : 10000);
 
-  // Machine-readable summary for the CI regression gate. Only the serial
-  // rate gates: the parallel rate depends on the runner's core count.
+  // Machine-readable summary for the CI regression gate. Only serial rates
+  // gate: the fleet's parallel rate depends on the runner's core count.
   // "*_exact" metrics are deterministic semantics, not rates: bench_gate.py
   // requires them to match the baseline exactly (full-length run) in both
   // directions, so a behaviour change to the planner cache or the radio
   // loss model cannot hide inside the perf tolerance.
   std::printf("\nBENCH worksite_steps_per_sec=%.0f\n", serial.rate);
-  std::printf("BENCH worksite_steps_per_sec_parallel=%.0f\n", sharded.rate);
-  std::printf("BENCH worksite_steps_per_sec_parallel_ws=%.0f\n", stealing.rate);
   std::printf("BENCH worksite_steps_per_sec_large=%.0f\n", large_serial.rate);
-  std::printf("BENCH worksite_steps_per_sec_large_parallel=%.0f\n",
-              large_sharded.rate);
   std::printf("BENCH los_rays_per_sec=%.0f\n", los.rays_per_sec);
   std::printf("BENCH parity_mismatches=%d\n", mismatches);
   std::printf("BENCH fleet_session_steps_per_sec=%.0f\n", fleet_serial.rate);

@@ -2,11 +2,12 @@
 """Source-level determinism lint for the simulation/service/observability tree.
 
 The repo's replay and semantic-diff gates depend on src/sim, src/service,
-src/obs and src/net being bit-deterministic for a pinned (config, seed)
-(src/net's transport loop is wall-side, but its deadlines must use the
-annotated "wall." convention so accidental clock reads cannot leak into
-exports). This
-lint flags the source patterns that historically break that property:
+src/obs, src/net and src/integration being bit-deterministic for a pinned
+(config, seed) (src/net's transport loop is wall-side, but its deadlines
+must use the annotated "wall." convention so accidental clock reads cannot
+leak into exports; src/integration's SecuredWorksite is the full-stack
+session step the golden exports pin). This lint flags the source patterns
+that historically break that property:
 
   DL001  wall-clock reads: std::chrono::system_clock anywhere; std::time /
          gettimeofday / localtime; steady_clock outside wall-instrumented
@@ -36,7 +37,7 @@ import re
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCAN_DIRS = ("src/sim", "src/service", "src/obs", "src/net")
+SCAN_DIRS = ("src/sim", "src/service", "src/obs", "src/net", "src/integration")
 BASELINE_PATH = REPO_ROOT / ".determinism-lint-baseline.json"
 
 WALL_CLOCK_PATTERNS = (

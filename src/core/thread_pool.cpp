@@ -20,7 +20,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   shard_count_ = threads;
   shard_errors_.assign(shard_count_, nullptr);
-  job_busy_ns_.assign(shard_count_, 0);
   workers_.reserve(shard_count_ > 0 ? shard_count_ - 1 : 0);
   for (std::size_t w = 1; w < shard_count_; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -37,67 +36,20 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_shard(std::size_t shard) {
+  // Contiguous split: shard s covers [s*n/S, (s+1)*n/S). Depends only on
+  // (n, S); empty when n < S for the high shards.
   const std::size_t n = job_n_;
-  if (job_assignment_ == Assignment::kContiguous) {
-    // Contiguous split: shard s covers [s*n/S, (s+1)*n/S). Depends only
-    // on (n, S); empty when n < S for the high shards.
-    const std::size_t s = shard_count_;
-    const std::size_t begin = shard * n / s;
-    const std::size_t end = (shard + 1) * n / s;
-    if (begin >= end) return;
-    const std::uint64_t start_ns = steady_now_ns();
-    try {
-      (*job_fn_)(begin, end, shard);
-    } catch (...) {
-      shard_errors_[shard] = std::current_exception();
-    }
-    const std::uint64_t busy_ns = steady_now_ns() - start_ns;
-    job_busy_ns_[shard] = busy_ns;
-    if (observer_) observer_(shard, busy_ns);
-    return;
-  }
-
-  // Work stealing: claim fixed-size chunks from the shared cursor until
-  // the range is exhausted. The claim order is timing-dependent but each
-  // index is claimed exactly once, and this participant is the only
-  // writer under its shard id, so per-shard scratch stays race-free.
-  const std::size_t chunk = job_chunk_;
-  bool ran = false;
+  const std::size_t s = shard_count_;
+  const std::size_t begin = shard * n / s;
+  const std::size_t end = (shard + 1) * n / s;
+  if (begin >= end) return;
   const std::uint64_t start_ns = steady_now_ns();
   try {
-    for (;;) {
-      const std::size_t c = job_cursor_.fetch_add(1, std::memory_order_relaxed);
-      const std::size_t begin = c * chunk;
-      if (begin >= n) break;
-      ran = true;
-      (*job_fn_)(begin, std::min(n, begin + chunk), shard);
-    }
+    (*job_fn_)(begin, end, shard);
   } catch (...) {
     shard_errors_[shard] = std::current_exception();
   }
-  if (!ran) return;
-  const std::uint64_t busy_ns = steady_now_ns() - start_ns;
-  job_busy_ns_[shard] = busy_ns;
-  if (observer_) observer_(shard, busy_ns);
-}
-
-void ThreadPool::update_imbalance() {
-  // Only jobs where every shard had work under the contiguous split are
-  // meaningful balance samples (n < S legitimately idles high shards).
-  if (job_n_ < shard_count_) return;
-  std::uint64_t sum = 0;
-  std::uint64_t max = 0;
-  for (const std::uint64_t busy : job_busy_ns_) {
-    sum += busy;
-    max = std::max(max, busy);
-  }
-  if (sum == 0) return;
-  const double mean =
-      static_cast<double>(sum) / static_cast<double>(shard_count_);
-  const double ratio = static_cast<double>(max) / mean;
-  imbalance_ewma_ = imbalance_ewma_ == 0.0
-                        ? ratio
-                        : 0.8 * imbalance_ewma_ + 0.2 * ratio;
+  if (observer_) observer_(shard, steady_now_ns() - start_ns);
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
@@ -111,9 +63,9 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       if (stopping_) return;
       seen_generation = job_generation_;
     }
-    // job_fn_/job_n_/job_chunk_/job_assignment_ are written before the
-    // generation bump under the mutex and stay frozen until every shard
-    // reports done, so reading them outside the lock is race-free.
+    // job_fn_/job_n_ are written before the generation bump under the
+    // mutex and stay frozen until every shard reports done, so reading
+    // them outside the lock is race-free.
     run_shard(worker_index);
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -125,29 +77,17 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
 void ThreadPool::parallel_for(std::size_t n, const ShardFn& fn) {
   if (n == 0) return;
   if (shard_count_ <= 1 || workers_.empty()) {
-    const bool observed = observer_ || job_observer_;
-    const std::uint64_t start_ns = observed ? steady_now_ns() : 0;
+    const std::uint64_t start_ns = observer_ ? steady_now_ns() : 0;
     fn(0, n, 0);
-    if (observed) {
-      const std::uint64_t ns = steady_now_ns() - start_ns;
-      if (observer_) observer_(0, ns);
-      if (job_observer_) job_observer_(ns);
-    }
+    if (observer_) observer_(0, steady_now_ns() - start_ns);
     return;
   }
 
-  const std::uint64_t job_start_ns = job_observer_ ? steady_now_ns() : 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job_fn_ = &fn;
     job_n_ = n;
-    job_assignment_ = assignment_;
-    // Chunks of ~n/(4S): fine enough that a slow shard sheds most of its
-    // backlog, coarse enough that the cursor is not contended per item.
-    job_chunk_ = std::max<std::size_t>(1, n / (shard_count_ * 4));
-    job_cursor_.store(0, std::memory_order_relaxed);
     std::fill(shard_errors_.begin(), shard_errors_.end(), nullptr);
-    std::fill(job_busy_ns_.begin(), job_busy_ns_.end(), 0);
     shards_remaining_ = shard_count_ - 1;  // workers; the caller runs shard 0
     ++job_generation_;
   }
@@ -160,8 +100,6 @@ void ThreadPool::parallel_for(std::size_t n, const ShardFn& fn) {
     job_done_.wait(lock, [&] { return shards_remaining_ == 0; });
     job_fn_ = nullptr;
   }
-  if (job_observer_) job_observer_(steady_now_ns() - job_start_ns);
-  update_imbalance();
   // First error in shard order (deterministic regardless of timing).
   for (const std::exception_ptr& err : shard_errors_) {
     if (err) std::rethrow_exception(err);

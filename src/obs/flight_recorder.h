@@ -7,8 +7,8 @@
 //
 // Determinism contract: record() must only be called from serial
 // contexts (effect drains, RadioMedium::step, EventBus handlers, IDS
-// raise, SecuredWorksite cycles). The recorder has no shard lanes on
-// purpose — a deterministic event *order* requires a serial writer.
+// raise, SecuredWorksite cycles) — a deterministic event *order*
+// requires a serial writer.
 #pragma once
 
 #include <cstddef>

@@ -43,76 +43,31 @@ void append_json_string(std::string& out, std::string_view s) {
 
 }  // namespace
 
-Histogram::Histogram(double lo, double hi, std::size_t bins, std::size_t lanes)
-    : lo_(lo), hi_(hi), bins_(bins == 0 ? 1 : bins), lanes_(lanes) {
-  for (Lane& lane : lanes_) lane.counts.assign(bins_, 0);
-}
+Histogram::Histogram(double lo, double hi, std::size_t bins)
+    : lo_(lo), hi_(hi), bins_(bins == 0 ? 1 : bins), counts_(bins_, 0) {}
 
-void Histogram::add(double x, std::size_t shard) {
-  Lane& lane = lanes_[shard];
-  ++lane.count;
-  lane.sum += x;
-  lane.min = std::min(lane.min, x);
-  lane.max = std::max(lane.max, x);
+void Histogram::add(double x) {
+  ++count_;
+  sum_ += x;
+  min_ = std::min(min_, x);
+  max_ = std::max(max_, x);
   if (x < lo_) {
-    ++lane.underflow;
+    ++underflow_;
     return;
   }
   if (x >= hi_) {
-    ++lane.overflow;
+    ++overflow_;
     return;
   }
   auto bin = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) * static_cast<double>(bins_));
   if (bin >= bins_) bin = bins_ - 1;
-  ++lane.counts[bin];
-}
-
-std::uint64_t Histogram::bin_count(std::size_t i) const {
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.counts[i];
-  return total;
-}
-
-std::uint64_t Histogram::underflow() const {
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.underflow;
-  return total;
-}
-
-std::uint64_t Histogram::overflow() const {
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.overflow;
-  return total;
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.count;
-  return total;
-}
-
-double Histogram::sum() const {
-  double total = 0.0;
-  for (const Lane& lane : lanes_) total += lane.sum;
-  return total;
-}
-
-double Histogram::min() const {
-  double m = std::numeric_limits<double>::infinity();
-  for (const Lane& lane : lanes_) m = std::min(m, lane.min);
-  return m;
-}
-
-double Histogram::max() const {
-  double m = -std::numeric_limits<double>::infinity();
-  for (const Lane& lane : lanes_) m = std::max(m, lane.max);
-  return m;
+  ++counts_[bin];
 }
 
 Counter& Registry::counter(std::string_view name) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::unique_ptr<Counter>(new Counter(lanes_)))
+    it = counters_.emplace(std::string(name), std::unique_ptr<Counter>(new Counter()))
              .first;
   }
   return *it->second;
@@ -131,21 +86,10 @@ Histogram& Registry::histogram(std::string_view name, double lo, double hi, std:
   if (it == histograms_.end()) {
     it = histograms_
              .emplace(std::string(name),
-                      std::unique_ptr<Histogram>(new Histogram(lo, hi, bins, lanes_)))
+                      std::unique_ptr<Histogram>(new Histogram(lo, hi, bins)))
              .first;
   }
   return *it->second;
-}
-
-void Registry::ensure_lanes(std::size_t lanes) {
-  if (lanes <= lanes_) return;
-  lanes_ = lanes;
-  for (auto& [name, c] : counters_) c->lanes_.resize(lanes_);
-  for (auto& [name, h] : histograms_) {
-    const std::size_t old = h->lanes_.size();
-    h->lanes_.resize(lanes_);
-    for (std::size_t i = old; i < lanes_; ++i) h->lanes_[i].counts.assign(h->bins_, 0);
-  }
 }
 
 const Counter* Registry::find_counter(std::string_view name) const {

@@ -1,20 +1,11 @@
-// Process-wide metrics registry: named counters, gauges and histograms
-// with O(1) hot-path updates. Instruments carry one accumulator lane per
-// shard so the parallel step phases can update them without locks or
-// atomics; reads merge lanes in ascending lane order, which makes every
-// exported integer quantity invariant under the thread count (uint64
-// addition commutes). Double-valued fields (gauge values, histogram
-// sum/min/max) are exact for the integer-valued samples the simulator
-// feeds them, and min/max are order-free; exports are therefore
-// bit-identical across thread counts for everything the parity tests
-// compare.
+// Metrics registry: named counters, gauges and histograms with O(1)
+// hot-path updates and name-ordered, deterministic JSON export.
 //
-// Threading contract (mirrors the worksite's shard/fork/drain pattern):
-//  - instrument creation (Registry::counter/gauge/histogram) and
-//    ensure_lanes() are serial-phase only;
-//  - add(n, shard) may run concurrently as long as each shard index is
-//    driven by at most one thread at a time (ThreadPool guarantees this);
-//  - value()/merged reads are serial-phase only.
+// Threading contract: a registry is not thread-safe; one thread at a time
+// creates, updates and reads its instruments. That holds by construction:
+// each FleetService session owns a private registry and steps on a single
+// pool worker per batch, and the service updates its own registry only
+// outside parallel_for (DESIGN.md §17).
 #pragma once
 
 #include <cstddef>
@@ -37,30 +28,19 @@ class Registry;
 /// appear in the full artifact (Telemetry::to_json()).
 inline constexpr std::string_view kWallPrefix = "wall.";
 
-/// Monotonic counter. Hot path is a single indexed uint64 add.
+/// Monotonic counter. Hot path is a single uint64 add.
 class Counter {
  public:
-  void add(std::uint64_t n = 1, std::size_t shard = 0) { lanes_[shard].v += n; }
-
-  /// Sum over lanes in ascending lane order (thread-count-invariant).
-  [[nodiscard]] std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Lane& lane : lanes_) total += lane.v;
-    return total;
-  }
+  void add(std::uint64_t n = 1) { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
   friend class Registry;
-  /// Padded to a cache line so adjacent shard lanes never false-share.
-  struct alignas(64) Lane {
-    std::uint64_t v = 0;
-  };
-  explicit Counter(std::size_t lanes) : lanes_(lanes) {}
-  std::vector<Lane> lanes_;
+  Counter() = default;
+  std::uint64_t value_ = 0;
 };
 
-/// Point-in-time double value. Serial contexts only (no shard lanes): the
-/// simulator's gauges are written from drain phases.
+/// Point-in-time double value.
 class Gauge {
  public:
   void set(double v) { value_ = v; }
@@ -78,7 +58,7 @@ class Gauge {
 /// bin = floor((x - lo) / (hi - lo) * bins) clamped to the last bin.
 class Histogram {
  public:
-  void add(double x, std::size_t shard = 0);
+  void add(double x);
 
   [[nodiscard]] double lo() const { return lo_; }
   [[nodiscard]] double hi() const { return hi_; }
@@ -87,32 +67,28 @@ class Histogram {
     return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(bins_);
   }
 
-  /// Merged (lane-order) reads.
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const;
-  [[nodiscard]] std::uint64_t underflow() const;
-  [[nodiscard]] std::uint64_t overflow() const;
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
-  [[nodiscard]] double min() const;  ///< +inf when empty
-  [[nodiscard]] double max() const;  ///< -inf when empty
+  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const { return counts_[i]; }
+  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
+  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] double sum() const { return sum_; }
+  [[nodiscard]] double min() const { return min_; }  ///< +inf when empty
+  [[nodiscard]] double max() const { return max_; }  ///< -inf when empty
 
  private:
   friend class Registry;
-  struct alignas(64) Lane {
-    std::vector<std::uint64_t> counts;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-  };
-  Histogram(double lo, double hi, std::size_t bins, std::size_t lanes);
+  Histogram(double lo, double hi, std::size_t bins);
 
   double lo_;
   double hi_;
   std::size_t bins_;
-  std::vector<Lane> lanes_;
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t underflow_ = 0;
+  std::uint64_t overflow_ = 0;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Name-keyed instrument store. Instruments live behind unique_ptr in a
@@ -120,7 +96,7 @@ class Histogram {
 /// exports iterate in name order (deterministic JSON).
 class Registry {
  public:
-  explicit Registry(std::size_t lanes = 1) : lanes_(lanes == 0 ? 1 : lanes) {}
+  Registry() = default;
 
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
@@ -131,11 +107,6 @@ class Registry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name, double lo, double hi, std::size_t bins);
-
-  /// Grows every instrument (and future ones) to at least `lanes` shard
-  /// lanes. Serial-phase only; existing lane contents are preserved.
-  void ensure_lanes(std::size_t lanes);
-  [[nodiscard]] std::size_t lanes() const { return lanes_; }
 
   /// Deterministic snapshot: {"counters":{...},"gauges":{...},
   /// "histograms":{...}} with name-sorted keys and stable field order.
@@ -161,7 +132,6 @@ class Registry {
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
 
  private:
-  std::size_t lanes_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;

@@ -56,7 +56,7 @@ void append_jsonl_as_array(std::string& out, const std::string& jsonl) {
 }  // namespace
 
 Telemetry::Telemetry(TelemetryConfig config)
-    : registry_(config.lanes), tracer_(config.lanes), recorder_(config.flight_capacity) {}
+    : recorder_(config.flight_capacity) {}
 
 std::string Telemetry::deterministic_json() const {
   // Wall-clock instruments (kWallPrefix) are timing-dependent; keep them

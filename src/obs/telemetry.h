@@ -7,10 +7,12 @@
 //
 // Two export views:
 //  - deterministic_json(): registry snapshot + flight-recorder JSONL.
-//    Bit-identical across thread counts and runs with the same seeds —
-//    the parallel parity tests compare it directly.
+//    Bit-identical across runs with the same seeds, and across FleetService
+//    thread counts — the golden session exports and the fleet parity
+//    tests compare it directly.
 //  - to_json(): the full artifact; adds tracer phases, per-shard busy
-//    time and the wall-clock annex. Machine-dependent by nature.
+//    time of the service pool and the wall-clock annex. Machine-dependent
+//    by nature.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +26,6 @@
 namespace agrarsec::obs {
 
 struct TelemetryConfig {
-  std::size_t lanes = 1;               ///< initial shard lanes (grow via ensure_shards)
   std::size_t flight_capacity = 4096;  ///< flight-recorder ring size
 };
 
@@ -41,12 +42,6 @@ class Telemetry {
   [[nodiscard]] const Tracer& tracer() const { return tracer_; }
   [[nodiscard]] FlightRecorder& recorder() { return recorder_; }
   [[nodiscard]] const FlightRecorder& recorder() const { return recorder_; }
-
-  /// Grows registry lanes and tracer shard lanes together. Serial only.
-  void ensure_shards(std::size_t shards) {
-    registry_.ensure_lanes(shards);
-    tracer_.ensure_shards(shards);
-  }
 
   /// Deterministic view (registry + flight events, no wall clock).
   /// Registry instruments named with kWallPrefix ("wall.") are excluded

@@ -1,10 +1,10 @@
-// Step-phase tracing: lightweight wall-clock spans around the worksite's
-// step phases plus per-shard busy-time lanes fed by the ThreadPool's
-// shard observer. Strictly observation-only — no value read from a timer
-// ever feeds back into simulation state, so determinism is untouched.
-// Timings are wall-clock and therefore machine-dependent; the telemetry
-// exporter keeps them out of the deterministic view (they appear only in
-// the full artifact / wall-clock annex).
+// Phase tracing: lightweight wall-clock spans around the worksite's step
+// phases and FleetService batches, plus per-shard busy-time lanes fed by
+// the service pool's shard observer. Strictly observation-only — no value
+// read from a timer ever feeds back into simulation state, so determinism
+// is untouched. Timings are wall-clock and therefore machine-dependent;
+// the telemetry exporter keeps them out of the deterministic view (they
+// appear only in the full artifact / wall-clock annex).
 #pragma once
 
 #include <cstddef>
@@ -70,18 +70,6 @@ class Tracer {
     if (shards > shard_busy_.size()) shard_busy_.resize(shards);
   }
 
-  /// Accumulates one parallel job's dispatch-to-completion wall time (fed
-  /// by the ThreadPool's job observer, which fires on the calling thread
-  /// — a serial context). This is the exact denominator for per-shard
-  /// utilization: unlike the phase spans, it excludes serial work (effect
-  /// drains, index rebuilds) that runs inside the same phase scope.
-  void add_parallel_wall(std::uint64_t ns) {
-    parallel_wall_ns_ += ns;
-    ++parallel_jobs_;
-  }
-  [[nodiscard]] std::uint64_t parallel_wall_ns() const { return parallel_wall_ns_; }
-  [[nodiscard]] std::uint64_t parallel_jobs() const { return parallel_jobs_; }
-
   [[nodiscard]] std::size_t phase_count() const { return names_.size(); }
   [[nodiscard]] const std::string& phase_name(PhaseId id) const { return names_[id]; }
   [[nodiscard]] const PhaseStats& stats(PhaseId id) const { return stats_[id]; }
@@ -100,8 +88,6 @@ class Tracer {
   std::vector<std::string> names_;
   std::vector<PhaseStats> stats_;
   std::vector<BusyLane> shard_busy_;
-  std::uint64_t parallel_wall_ns_ = 0;
-  std::uint64_t parallel_jobs_ = 0;
 };
 
 }  // namespace agrarsec::obs

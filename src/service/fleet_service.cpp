@@ -25,13 +25,13 @@ FleetService::FleetService(FleetServiceConfig config) : config_(config) {
 
   if (config_.threads != 1) {
     pool_ = std::make_unique<core::ThreadPool>(config_.threads);
-    // Observation-only busy-time tap, per-shard tracer lanes (same
-    // pattern as sim::Worksite).
+    // Observation-only busy-time tap into per-shard tracer lanes, so the
+    // concurrent callbacks never share an accumulator.
     pool_->set_shard_observer([this](std::size_t shard, std::uint64_t busy_ns) {
       telemetry_->tracer().add_shard_busy(shard, busy_ns);
     });
   }
-  telemetry_->ensure_shards(shard_count());
+  telemetry_->tracer().ensure_shards(shard_count());
 }
 
 FleetService::~FleetService() = default;
@@ -46,11 +46,9 @@ std::uint64_t FleetService::derive_session_seed(std::uint64_t fleet_seed,
 }
 
 SessionId FleetService::insert_session(integration::SecuredWorksiteConfig config) {
-  // The session is the unit of parallelism: its worksite must not spin up
-  // a nested pool inside a step_all work item. Its SecuredWorksite
-  // allocates its own telemetry from config.telemetry, so sessions share
-  // nothing observable — that isolation is the determinism contract.
-  config.worksite.threads = 1;
+  // Its SecuredWorksite allocates its own telemetry from
+  // config.telemetry, so sessions share nothing observable — that
+  // isolation is the determinism contract.
   config.worksite.telemetry = nullptr;
 
   const std::lock_guard<std::mutex> lock(mu_);
@@ -101,16 +99,13 @@ void FleetService::step_batch_locked(std::uint64_t steps) {
   for (auto& [id, session] : sessions_) batch_.push_back(session.get());
 
   obs::Tracer::Span span{telemetry_->tracer(), ph_batch_};
-  obs::Counter* session_steps = c_session_steps_;
-  const auto body = [this, steps, session_steps](std::size_t begin, std::size_t end,
-                                                 std::size_t shard) {
+  const auto body = [this, steps](std::size_t begin, std::size_t end, std::size_t) {
     for (std::size_t i = begin; i < end; ++i) {
       Session& session = *batch_[i];
       // The whole session steps on this shard: no other thread touches
       // any of its state for the duration of the batch.
       for (std::uint64_t s = 0; s < steps; ++s) session.site->step();
       session.steps += steps;
-      session_steps->add(steps, shard);
     }
   };
   if (pool_) {
@@ -118,6 +113,8 @@ void FleetService::step_batch_locked(std::uint64_t steps) {
   } else {
     body(0, batch_.size(), 0);
   }
+  // Serial again: the service registry has one writer.
+  c_session_steps_->add(steps * batch_.size());
   h_batch_wall_->add(
       static_cast<double>(obs::Tracer::now_ns() - batch_start_ns) / 1000.0);
 }

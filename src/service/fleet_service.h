@@ -1,12 +1,12 @@
-// FleetService: the multi-worksite session daemon of ROADMAP item 1. The
-// paper (§IV-B) argues that limited connectivity pushes forestry machines
-// into long-running on-site autonomy; covering an operational design
-// domain therefore means running MANY independent worksite configurations
+// FleetService: the multi-worksite session daemon. The paper (§IV-B)
+// argues that limited connectivity pushes forestry machines into
+// long-running on-site autonomy; covering an operational design domain
+// therefore means running MANY independent worksite configurations
 // concurrently, not one. The service owns N SecuredWorksite sessions
 // behind a create/step/teardown/query API and batches session stepping
-// across the core::ThreadPool at one-worksite-per-task granularity
-// (coarse-grained load balance; a session is the unit of parallelism, so
-// its own worksite always runs threads=1).
+// across a core::ThreadPool at one-worksite-per-task granularity. This is
+// the only level of parallelism in the stack: a worksite steps on the
+// thread that runs its session (DESIGN.md §17).
 //
 // Determinism contract (DESIGN.md §12): a session is fully self-contained
 // — its SecuredWorksite owns its RNG streams, radio, PKI and a private
@@ -58,8 +58,8 @@ class FleetService {
 
   // --- session lifecycle ---
   /// Creates a session from an explicit config (config.seed is used as
-  /// given). The session's worksite thread count is forced to 1: sessions
-  /// are the parallel grain, nested pools would only oversubscribe.
+  /// given). The session always gets a private telemetry instance
+  /// (config.worksite.telemetry is ignored).
   SessionId create_session(integration::SecuredWorksiteConfig config);
   /// Creates a session whose seed is derived from (fleet_seed, key) by
   /// stateless fork — the same key always yields the same session stream,
@@ -193,7 +193,7 @@ class FleetService {
 
   obs::Counter* c_created_ = nullptr;
   obs::Counter* c_destroyed_ = nullptr;
-  obs::Counter* c_session_steps_ = nullptr;  ///< bumped per shard lane
+  obs::Counter* c_session_steps_ = nullptr;  ///< added once per batch
   obs::Gauge* g_active_ = nullptr;
   obs::Histogram* h_batch_wall_ = nullptr;  ///< "wall." prefix: full artifact only
   obs::PhaseId ph_batch_ = 0;

@@ -109,127 +109,5 @@ TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
   EXPECT_GE(pool.shard_count(), 1u);
 }
 
-TEST(ThreadPoolTest, WorkStealingCoversEveryIndexExactlyOnce) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool{threads};
-    pool.set_assignment(ThreadPool::Assignment::kWorkStealing);
-    for (const std::size_t n :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{1000}}) {
-      std::vector<std::atomic<int>> hits(n);
-      std::atomic<bool> bad_shard{false};
-      pool.parallel_for(n, [&](std::size_t begin, std::size_t end, std::size_t shard) {
-        if (shard >= pool.shard_count()) bad_shard.store(true);
-        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      });
-      EXPECT_FALSE(bad_shard.load());
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads << " n=" << n
-                                     << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ThreadPoolTest, WorkStealingMatchesContiguousViaSlotBuffers) {
-  // The shard/fork/drain contract: per-index results land in per-index
-  // slots, so the drained output is assignment-invariant. Compute a
-  // per-index function under both modes and compare slot-for-slot.
-  constexpr std::size_t kN = 1537;
-  auto run = [](ThreadPool::Assignment assignment) {
-    ThreadPool pool{8};
-    pool.set_assignment(assignment);
-    std::vector<std::uint64_t> slots(kN, 0);
-    pool.parallel_for(kN, [&slots](std::size_t begin, std::size_t end, std::size_t) {
-      for (std::size_t i = begin; i < end; ++i) {
-        slots[i] = i * 2654435761ULL + 17;
-      }
-    });
-    return slots;
-  };
-  EXPECT_EQ(run(ThreadPool::Assignment::kContiguous),
-            run(ThreadPool::Assignment::kWorkStealing));
-}
-
-TEST(ThreadPoolTest, WorkStealingRethrowsLowestShardError) {
-  ThreadPool pool{4};
-  pool.set_assignment(ThreadPool::Assignment::kWorkStealing);
-  try {
-    pool.parallel_for(100, [](std::size_t, std::size_t, std::size_t shard) {
-      throw std::runtime_error("shard " + std::to_string(shard));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    // Which participants claim chunks is timing-dependent under work
-    // stealing, but the rethrow is always the lowest shard that threw.
-    const std::string what = e.what();
-    ASSERT_EQ(what.rfind("shard ", 0), 0u);
-    EXPECT_LT(std::stoul(what.substr(6)), pool.shard_count());
-  }
-  // The pool must survive a throwing work-stealing job.
-  std::atomic<int> count{0};
-  pool.parallel_for(10, [&count](std::size_t begin, std::size_t end, std::size_t) {
-    count.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPoolTest, JobObserverFiresOncePerJobWithNonzeroWall) {
-  ThreadPool pool{4};
-  std::size_t jobs = 0;
-  std::uint64_t total_wall = 0;
-  pool.set_job_observer([&](std::uint64_t wall_ns) {
-    ++jobs;
-    total_wall += wall_ns;
-  });
-  for (int j = 0; j < 5; ++j) {
-    pool.parallel_for(64, [](std::size_t, std::size_t, std::size_t) {});
-  }
-  EXPECT_EQ(jobs, 5u);
-  EXPECT_GT(total_wall, 0u);
-
-  // A one-index job still dispatches (only shard 0 has work) and counts.
-  pool.parallel_for(1, [](std::size_t, std::size_t, std::size_t) {});
-  EXPECT_EQ(jobs, 6u);
-
-  // Empty jobs dispatch nothing and must not fire the observer.
-  pool.parallel_for(0, [](std::size_t, std::size_t, std::size_t) {});
-  EXPECT_EQ(jobs, 6u);
-}
-
-TEST(ThreadPoolTest, BusyImbalanceSeparatesSkewedFromUniformJobs) {
-  // Heavily skewed per-index cost under contiguous assignment: the last
-  // shard's range does essentially all the work, so the max/mean busy
-  // ratio must converge well above 1. Uniform jobs on an identical pool
-  // must score clearly lower. Comparative, because absolute busy times on
-  // a noisy container carry scheduling jitter.
-  ThreadPool skewed_pool{4};
-  EXPECT_EQ(skewed_pool.busy_imbalance(), 0.0);  // no jobs measured yet
-  for (int j = 0; j < 20; ++j) {
-    skewed_pool.parallel_for(400, [](std::size_t begin, std::size_t end, std::size_t) {
-      volatile double sink = 0.0;
-      for (std::size_t i = begin; i < end; ++i) {
-        if (i >= 300) {  // only the last shard's quarter is expensive
-          for (int k = 0; k < 60000; ++k) sink += static_cast<double>(k);
-        }
-      }
-    });
-  }
-  const double skewed = skewed_pool.busy_imbalance();
-  EXPECT_GT(skewed, 1.5);
-
-  ThreadPool uniform_pool{4};
-  for (int j = 0; j < 20; ++j) {
-    uniform_pool.parallel_for(400, [](std::size_t begin, std::size_t end, std::size_t) {
-      volatile double sink = 0.0;
-      for (std::size_t i = begin; i < end; ++i) {
-        for (int k = 0; k < 15000; ++k) sink += static_cast<double>(k);
-      }
-    });
-  }
-  const double uniform = uniform_pool.busy_imbalance();
-  EXPECT_GE(uniform, 1.0);
-  EXPECT_LT(uniform, skewed);
-}
-
 }  // namespace
 }  // namespace agrarsec::core

@@ -1,7 +1,6 @@
-// Tests for the telemetry subsystem: registry merge determinism across
-// thread counts, histogram edge bins, flight-recorder wraparound, and
-// golden JSON/JSONL output stability (the deterministic export is a
-// parity artifact — its exact bytes are part of the contract).
+// Tests for the telemetry subsystem: histogram edge bins, flight-recorder
+// wraparound, and golden JSON/JSONL output stability (the deterministic
+// export is a parity artifact — its exact bytes are part of the contract).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +8,6 @@
 #include <string>
 
 #include "core/event_bus.h"
-#include "core/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -35,20 +33,6 @@ TEST(CounterTest, GetOrCreateReturnsSameInstrument) {
   EXPECT_EQ(reg.counter("same").value(), 7u);
   EXPECT_EQ(reg.find_counter("same"), &a);
   EXPECT_EQ(reg.find_counter("absent"), nullptr);
-}
-
-TEST(CounterTest, EnsureLanesPreservesCountsAndSumsAcrossLanes) {
-  Registry reg;
-  Counter& c = reg.counter("c");
-  c.add(10);
-  reg.ensure_lanes(4);
-  c.add(5, 3);
-  c.add(1, 1);
-  EXPECT_EQ(c.value(), 16u);
-  // Shrinking is a no-op.
-  reg.ensure_lanes(2);
-  EXPECT_EQ(reg.lanes(), 4u);
-  EXPECT_EQ(c.value(), 16u);
 }
 
 TEST(GaugeTest, SetAndAdd) {
@@ -118,34 +102,6 @@ TEST(RegistryTest, JsonKeysAreNameSorted) {
   reg.counter("alpha").add(2);
   const std::string json = reg.to_json();
   EXPECT_LT(json.find("alpha"), json.find("zeta"));
-}
-
-/// Runs the same sharded workload at a given thread count and returns the
-/// deterministic export. Counters and histogram bins are uint64 lane sums
-/// and the histogram feeds on integer-valued samples, so the export must
-/// be byte-identical for any thread count.
-std::string run_sharded_workload(std::size_t threads) {
-  Telemetry telemetry;
-  core::ThreadPool pool{threads};
-  telemetry.ensure_shards(pool.shard_count());
-  Counter& items = telemetry.registry().counter("work.items");
-  Histogram& values = telemetry.registry().histogram("work.values", 0.0, 64.0, 8);
-  for (int step = 0; step < 20; ++step) {
-    pool.parallel_for(997, [&](std::size_t begin, std::size_t end, std::size_t shard) {
-      for (std::size_t i = begin; i < end; ++i) {
-        items.add(1, shard);
-        values.add(static_cast<double>((i * 37) % 80), shard);
-      }
-    });
-  }
-  telemetry.recorder().record(1, "test", "workload-done");
-  return telemetry.deterministic_json();
-}
-
-TEST(RegistryTest, MergeIsDeterministicAcrossThreadCounts) {
-  const std::string serial = run_sharded_workload(1);
-  EXPECT_EQ(run_sharded_workload(2), serial);
-  EXPECT_EQ(run_sharded_workload(8), serial);
 }
 
 TEST(FlightRecorderTest, RingWraparound) {

@@ -125,38 +125,46 @@ TEST(FleetServiceParallel, BatchInterleavingIsUnobservable) {
   }
 }
 
+// Runs at threads = 8 too: fleet.session_steps is added once after each
+// batch's parallel_for, so the counter must match the per-session totals
+// whichever shards stepped the sessions.
 TEST(FleetService, LifecycleCountsAndQueries) {
-  FleetService fleet{{}};
-  EXPECT_EQ(fleet.session_count(), 0u);
-  EXPECT_EQ(fleet.session(7), nullptr);
-  EXPECT_FALSE(fleet.destroy_session(7));
-  fleet.step_all(5);  // no sessions: a no-op, not a crash
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetServiceConfig config;
+    config.threads = threads;
+    FleetService fleet{config};
+    EXPECT_EQ(fleet.session_count(), 0u);
+    EXPECT_EQ(fleet.session(7), nullptr);
+    EXPECT_FALSE(fleet.destroy_session(7));
+    fleet.step_all(5);  // no sessions: a no-op, not a crash
 
-  const SessionId a = fleet.create_session(session_config(1));
-  const SessionId b = fleet.create_session(session_config(2));
-  EXPECT_NE(a, b);
-  EXPECT_EQ(fleet.session_count(), 2u);
-  EXPECT_EQ(fleet.session_ids(), (std::vector<SessionId>{a, b}));
+    const SessionId a = fleet.create_session(session_config(1));
+    const SessionId b = fleet.create_session(session_config(2));
+    EXPECT_NE(a, b);
+    EXPECT_EQ(fleet.session_count(), 2u);
+    EXPECT_EQ(fleet.session_ids(), (std::vector<SessionId>{a, b}));
 
-  fleet.step_all(3);
-  EXPECT_TRUE(fleet.step_session(a, 2));
-  EXPECT_EQ(fleet.session_steps(a), 5u);
-  EXPECT_EQ(fleet.session_steps(b), 3u);
-  EXPECT_EQ(fleet.total_session_steps(), 8u);
+    fleet.step_all(3);
+    EXPECT_TRUE(fleet.step_session(a, 2));
+    EXPECT_EQ(fleet.session_steps(a), 5u);
+    EXPECT_EQ(fleet.session_steps(b), 3u);
+    EXPECT_EQ(fleet.total_session_steps(), 8u);
 
-  // Destroyed sessions keep counting toward the lifetime total; their id
-  // is never reused.
-  EXPECT_TRUE(fleet.destroy_session(a));
-  EXPECT_EQ(fleet.session(a), nullptr);
-  EXPECT_EQ(fleet.session_count(), 1u);
-  EXPECT_EQ(fleet.total_session_steps(), 8u);
-  const SessionId c = fleet.create_session(session_config(3));
-  EXPECT_NE(c, a);
+    // Destroyed sessions keep counting toward the lifetime total; their id
+    // is never reused.
+    EXPECT_TRUE(fleet.destroy_session(a));
+    EXPECT_EQ(fleet.session(a), nullptr);
+    EXPECT_EQ(fleet.session_count(), 1u);
+    EXPECT_EQ(fleet.total_session_steps(), 8u);
+    const SessionId c = fleet.create_session(session_config(3));
+    EXPECT_NE(c, a);
 
-  const obs::Registry& reg = fleet.telemetry().registry();
-  EXPECT_EQ(reg.find_counter("fleet.sessions_created")->value(), 3u);
-  EXPECT_EQ(reg.find_counter("fleet.sessions_destroyed")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("fleet.session_steps")->value(), 8u);
+    const obs::Registry& reg = fleet.telemetry().registry();
+    EXPECT_EQ(reg.find_counter("fleet.sessions_created")->value(), 3u);
+    EXPECT_EQ(reg.find_counter("fleet.sessions_destroyed")->value(), 1u);
+    EXPECT_EQ(reg.find_counter("fleet.session_steps")->value(), 8u);
+  }
 }
 
 TEST(FleetService, DerivedSeedsAreStableAndDistinct) {

@@ -1,7 +1,7 @@
-// Determinism contract of the sharded step (DESIGN.md §9): threads=N must
-// be bit-identical to threads=1 — same metrics, same event sequence, same
-// poses, same RNG outcomes — plus the per-entity stream and per-clearance
-// planner invariants that make the parallel phases sound.
+// Determinism contract of the worksite step (DESIGN.md §9, §17): the
+// per-entity stream, decide -> slot-ordered drain, drone-follow and
+// per-clearance planner invariants, plus the SoA mirror and spatial-query
+// equivalences the hot phases rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,22 +42,13 @@ struct Snapshot {
   std::vector<std::tuple<double, double, double, double, double>> machine_poses;
   std::vector<std::pair<double, double>> human_poses;
   Worksite::Metrics metrics;
-  double sep_mean = 0.0;
-  double sep_stddev = 0.0;
-  std::uint64_t close_10m = 0;
-  /// Deterministic telemetry export (registry counters + flight events):
-  /// covered by the same bit-identical contract as everything above.
-  std::string telemetry_json;
 };
 
-/// Builds the Figure-1-style mixed fleet, steps `steps` times at the given
-/// shard count, and snapshots everything the parity contract covers.
-Snapshot run_site(std::size_t threads, int steps, bool drone_follow = false,
-                  Scheduling scheduling = Scheduling::kAdaptive) {
+/// Builds the Figure-1-style mixed fleet, steps `steps` times, and
+/// snapshots events, poses and outcome metrics.
+Snapshot run_site(int steps, bool drone_follow) {
   WorksiteConfig config = fig1_site();
-  config.threads = threads;
   config.drone_follow_post_integrate = drone_follow;
-  config.scheduling = scheduling;
   Worksite site{config, 1234};
 
   Snapshot snap;
@@ -88,102 +79,7 @@ Snapshot run_site(std::size_t threads, int steps, bool drone_follow = false,
     snap.human_poses.emplace_back(h->position().x, h->position().y);
   }
   snap.metrics = site.metrics();
-  snap.sep_mean = site.separation_stats().mean();
-  snap.sep_stddev = site.separation_stats().stddev();
-  snap.close_10m = site.close_encounters(10.0);
-  snap.telemetry_json = site.telemetry().deterministic_json();
   return snap;
-}
-
-void expect_identical(const Snapshot& a, const Snapshot& b, std::size_t threads) {
-  SCOPED_TRACE("threads=" + std::to_string(threads));
-  // Event sequence: exact, in order (publishes happen only in the serial
-  // phases, in ascending machine-slot order).
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i], b.events[i]) << "event " << i;
-  }
-  // Poses: bit-identical doubles (same operations in the same order on
-  // every entity, whatever thread stepped it).
-  EXPECT_EQ(a.machine_poses, b.machine_poses);
-  EXPECT_EQ(a.human_poses, b.human_poses);
-  // Metrics, including the float accumulators whose summation order the
-  // drain pins down.
-  EXPECT_EQ(a.metrics.delivered_m3, b.metrics.delivered_m3);
-  EXPECT_EQ(a.metrics.completed_cycles, b.metrics.completed_cycles);
-  EXPECT_EQ(a.metrics.min_human_separation, b.metrics.min_human_separation);
-  EXPECT_EQ(a.metrics.separation_samples, b.metrics.separation_samples);
-  EXPECT_EQ(a.metrics.route_reuses, b.metrics.route_reuses);
-  EXPECT_EQ(a.metrics.windthrow_events, b.metrics.windthrow_events);
-  EXPECT_EQ(a.metrics.planner.plans, b.metrics.planner.plans);
-  EXPECT_EQ(a.metrics.planner.cache_hits, b.metrics.planner.cache_hits);
-  EXPECT_EQ(a.metrics.planner.cache_misses, b.metrics.planner.cache_misses);
-  EXPECT_EQ(a.metrics.planner.invalidations, b.metrics.planner.invalidations);
-  EXPECT_EQ(a.sep_mean, b.sep_mean);
-  EXPECT_EQ(a.sep_stddev, b.sep_stddev);
-  EXPECT_EQ(a.close_10m, b.close_10m);
-  // Telemetry with per-shard counter lanes merges to the same bytes.
-  EXPECT_EQ(a.telemetry_json, b.telemetry_json);
-}
-
-TEST(WorksiteParallel, ThreadCountIsUnobservable) {
-  constexpr int kSteps = 600;  // one sim-minute, enough for full cycles
-  const Snapshot serial = run_site(1, kSteps);
-  ASSERT_FALSE(serial.events.empty());
-  ASSERT_GT(serial.metrics.separation_samples, 0u);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    expect_identical(serial, run_site(threads, kSteps), threads);
-  }
-}
-
-// Work stealing from step one: the chunked self-scheduled assignment must
-// honour the same bit-identical contract as the static split.
-TEST(WorksiteParallel, WorkStealingThreadCountIsUnobservable) {
-  constexpr int kSteps = 600;
-  const Snapshot serial =
-      run_site(1, kSteps, /*drone_follow=*/false, Scheduling::kWorkStealing);
-  ASSERT_FALSE(serial.events.empty());
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    expect_identical(
-        serial,
-        run_site(threads, kSteps, /*drone_follow=*/false, Scheduling::kWorkStealing),
-        threads);
-  }
-}
-
-// The scheduling policy itself (and wherever the adaptive mode's timing-
-// driven switch lands, if it fires) must be unobservable: at a fixed
-// thread count, all three modes produce the same bytes.
-TEST(WorksiteParallel, SchedulingModeIsUnobservable) {
-  constexpr int kSteps = 400;
-  const Snapshot statics =
-      run_site(8, kSteps, /*drone_follow=*/false, Scheduling::kStatic);
-  ASSERT_FALSE(statics.events.empty());
-  expect_identical(
-      statics, run_site(8, kSteps, /*drone_follow=*/false, Scheduling::kWorkStealing),
-      8);
-  expect_identical(
-      statics, run_site(8, kSteps, /*drone_follow=*/false, Scheduling::kAdaptive),
-      8);
-}
-
-TEST(WorksiteParallel, ZeroThreadsMeansHardwareConcurrency) {
-  // threads=0 must resolve and still honour the parity contract.
-  const Snapshot serial = run_site(1, 200);
-  expect_identical(serial, run_site(0, 200), 0);
-}
-
-// The post-integrate follower phase is serial, but the drones it defers
-// are skipped by two parallel phases (decide, integrate) — the parity
-// contract must hold with the flag on too.
-TEST(WorksiteParallel, DroneFollowPostIntegrateThreadCountIsUnobservable) {
-  constexpr int kSteps = 300;
-  const Snapshot serial = run_site(1, kSteps, /*drone_follow=*/true);
-  ASSERT_FALSE(serial.events.empty());
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    expect_identical(serial, run_site(threads, kSteps, /*drone_follow=*/true),
-                     threads);
-  }
 }
 
 // The flag only re-times the drone's orbit update: everything else on the
@@ -192,8 +88,8 @@ TEST(WorksiteParallel, DroneFollowPostIntegrateThreadCountIsUnobservable) {
 // anchor pose).
 TEST(WorksiteParallel, DroneFollowFlagOnlyAffectsDroneTrajectory) {
   constexpr int kSteps = 300;
-  const Snapshot off = run_site(1, kSteps, /*drone_follow=*/false);
-  const Snapshot on = run_site(1, kSteps, /*drone_follow=*/true);
+  const Snapshot off = run_site(kSteps, /*drone_follow=*/false);
+  const Snapshot on = run_site(kSteps, /*drone_follow=*/true);
   ASSERT_EQ(off.events.size(), on.events.size());
   EXPECT_EQ(off.human_poses, on.human_poses);
   EXPECT_EQ(off.metrics.delivered_m3, on.metrics.delivered_m3);
@@ -204,86 +100,6 @@ TEST(WorksiteParallel, DroneFollowFlagOnlyAffectsDroneTrajectory) {
     EXPECT_EQ(off.machine_poses[i], on.machine_poses[i]) << "machine " << i;
   }
   EXPECT_NE(off.machine_poses[5], on.machine_poses[5]);
-}
-
-// The follower phase shards across the pool when several drones are
-// anchored on non-drones: a multi-drone site must stay bit-identical
-// across thread counts with the flag on (regression for the serial ->
-// sharded follow_drones change).
-TEST(WorksiteParallel, MultiDroneFollowPostIntegrateParity) {
-  constexpr int kSteps = 300;
-  auto run_multi_drone = [](std::size_t threads) {
-    WorksiteConfig config = fig1_site();
-    config.threads = threads;
-    config.drone_follow_post_integrate = true;
-    Worksite site{config, 99};
-    Snapshot snap;
-    site.bus().subscribe_all([&snap](const core::Event& e) {
-      snap.events.push_back({e.topic, e.payload, e.origin, e.time});
-    });
-    site.add_harvester("h1", {250, 250});
-    std::vector<MachineId> forwarders;
-    for (int i = 0; i < 6; ++i) {
-      forwarders.push_back(
-          site.add_forwarder("f" + std::to_string(i), {60.0 + 18.0 * i, 60.0}));
-    }
-    for (int i = 0; i < 6; ++i) {
-      const MachineId drone =
-          site.add_drone("d" + std::to_string(i), {50.0 + 25.0 * i, 40.0});
-      site.set_drone_orbit(drone, forwarders[i], 20.0 + 2.0 * i);
-    }
-    for (int i = 0; i < 4; ++i) {
-      const core::Vec2 anchor{120.0 + 40.0 * i, 150.0};
-      site.add_worker("w" + std::to_string(i), anchor, anchor);
-    }
-    for (int i = 0; i < kSteps; ++i) site.step();
-    for (const Machine* m : site.machines()) {
-      snap.machine_poses.emplace_back(m->position().x, m->position().y,
-                                      m->heading(), m->speed(), m->load_m3());
-    }
-    snap.metrics = site.metrics();
-    snap.telemetry_json = site.telemetry().deterministic_json();
-    return snap;
-  };
-  const Snapshot serial = run_multi_drone(1);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const Snapshot sharded = run_multi_drone(threads);
-    ASSERT_EQ(serial.events.size(), sharded.events.size());
-    for (std::size_t i = 0; i < serial.events.size(); ++i) {
-      EXPECT_EQ(serial.events[i], sharded.events[i]) << "event " << i;
-    }
-    EXPECT_EQ(serial.machine_poses, sharded.machine_poses);
-    EXPECT_EQ(serial.telemetry_json, sharded.telemetry_json);
-  }
-}
-
-// A drone anchored on another drone forces the serial follower fallback
-// (the chained read depends on slot order); the site must still step and
-// stay deterministic across thread counts.
-TEST(WorksiteParallel, DroneOnDroneAnchorFallsBackSerially) {
-  auto run_chained = [](std::size_t threads) {
-    WorksiteConfig config = fig1_site();
-    config.threads = threads;
-    config.drone_follow_post_integrate = true;
-    config.windthrow_rate_per_hour = 0.0;
-    Worksite site{config, 17};
-    const MachineId f = site.add_forwarder("f1", {60, 60});
-    const MachineId d1 = site.add_drone("d1", {50, 40});
-    const MachineId d2 = site.add_drone("d2", {70, 40});
-    site.set_drone_orbit(d1, f, 25.0);
-    site.set_drone_orbit(d2, d1, 15.0);  // drone-on-drone chain
-    site.route_machine(f, {300, 300});
-    for (int i = 0; i < 200; ++i) site.step();
-    std::vector<std::pair<double, double>> poses;
-    for (const Machine* m : site.machines()) {
-      poses.emplace_back(m->position().x, m->position().y);
-    }
-    return poses;
-  };
-  const auto serial = run_chained(1);
-  EXPECT_EQ(serial, run_chained(2));
-  EXPECT_EQ(serial, run_chained(8));
 }
 
 // humans_within_slots is the allocation-free twin of humans_within: same
@@ -430,6 +246,39 @@ TEST(WorksiteDroneFollow, PostIntegrateFollowerReadsPostStepPose) {
         core::Vec2{std::cos(phase), std::sin(phase)} * 25.0;
     EXPECT_EQ(trace.drone_waypoint[i].x, expected.x) << "step " << i;
     EXPECT_EQ(trace.drone_waypoint[i].y, expected.y) << "step " << i;
+  }
+}
+
+// Drone-on-drone chain: the follower phase walks drones in ascending slot
+// order, so a drone anchored on an earlier-slot drone targets that drone's
+// POST-step pose (already decided and stepped this step) plus its orbit
+// offset.
+TEST(WorksiteDroneFollow, ChainedDroneReadsEarlierDronePostStepPose) {
+  WorksiteConfig config = fig1_site();
+  config.windthrow_rate_per_hour = 0.0;
+  config.drone_follow_post_integrate = true;
+  Worksite site{config, 17};
+  const MachineId f = site.add_forwarder("f1", {60, 60});
+  const MachineId lead = site.add_drone("d1", {50, 40});
+  const MachineId chained = site.add_drone("d2", {390, 390});  // far: never arrives
+  site.set_drone_orbit(lead, f, 25.0);
+  site.set_drone_orbit(chained, lead, 15.0);
+  site.route_machine(f, {300, 300});
+
+  double phase = 0.0;
+  for (int i = 0; i < 25; ++i) {
+    const core::Vec2 lead_pre = site.machine(lead)->position();
+    site.step();
+    const core::Vec2 lead_post = site.machine(lead)->position();
+    // The lead must move every step, or pre == post and the check is void.
+    ASSERT_NE(lead_pre.x, lead_post.x) << "step " << i;
+    phase += 0.35 * static_cast<double>(config.step) / core::kSecond;
+    const core::Vec2 expected =
+        lead_post + core::Vec2{std::cos(phase), std::sin(phase)} * 15.0;
+    const auto wp = site.machine(chained)->current_waypoint();
+    ASSERT_TRUE(wp.has_value()) << "step " << i;
+    EXPECT_EQ(wp->x, expected.x) << "step " << i;
+    EXPECT_EQ(wp->y, expected.y) << "step " << i;
   }
 }
 

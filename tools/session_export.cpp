@@ -29,9 +29,9 @@ using namespace agrarsec;
 namespace {
 
 /// The pinned session configuration: mirror of the bench fleet-session
-/// shape (thin stand, busy handling) with the worksite's parallel phases
-/// driven through the service pool at threads=2, so the export also
-/// witnesses the thread-count-invariance contract end to end.
+/// shape (thin stand, busy handling), stepped through a service pool at
+/// threads=2, so the export also witnesses the thread-count-invariance
+/// contract end to end.
 integration::SecuredWorksiteConfig pinned_session_config() {
   integration::SecuredWorksiteConfig config;
   config.worksite.forest.trees_per_hectare = 120;
