@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 
-#include "analysis/json.h"
+#include "core/json.h"
 
 namespace agrarsec::analysis {
+
+using core::Json;
 
 std::vector<Diagnostic> Analyzer::analyze(const Model& model) const {
   return analyze(model, nullptr);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 
-#include "analysis/json.h"
+#include "core/json.h"
 
 namespace agrarsec::analysis {
+
+using core::Json;
 
 Baseline Baseline::from(const std::vector<Diagnostic>& diagnostics) {
   Baseline baseline;

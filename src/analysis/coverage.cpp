@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "analysis/json.h"
 #include "analysis/rules.h"
+#include "core/json.h"
 
 namespace agrarsec::analysis {
+
+using core::Json;
 
 const std::vector<ExecutableScenario>& scenario_registry() {
   static const std::vector<ExecutableScenario> kScenarios = {

@@ -1,11 +1,62 @@
-#include "analysis/json.h"
+#include "core/json.h"
 
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
-namespace agrarsec::analysis {
+namespace agrarsec::core {
+
+void append_json_string(std::string& out, std::string_view s) {
+  out.push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char esc[8];
+          std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned>(c));
+          out += esc;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+}
+
+void append_json_number(std::string& out, double v) {
+  // Precision 17 always round-trips; shorter precisions are tried first
+  // so 0.1 prints as "0.1" rather than "0.10000000000000001".
+  char buf[64];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  out += buf;
+}
+
+void append_jsonl_as_array(std::string& out, std::string_view jsonl) {
+  out.push_back('[');
+  bool first = true;
+  std::size_t pos = 0;
+  while (pos < jsonl.size()) {
+    std::size_t nl = jsonl.find('\n', pos);
+    if (nl == std::string_view::npos) nl = jsonl.size();
+    if (nl > pos) {
+      if (!first) out.push_back(',');
+      first = false;
+      out.append(jsonl, pos, nl - pos);
+    }
+    pos = nl + 1;
+  }
+  out.push_back(']');
+}
 
 Json Json::boolean(bool value) {
   Json j;
@@ -61,42 +112,6 @@ const Json* Json::find(std::string_view key) const {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, double v) {
-  // Integral values print without a decimal point (baseline versions,
-  // counts); everything else uses shortest round-trip-ish %.17g.
-  if (std::floor(v) == v && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    out += buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
-  }
-}
-
 void append_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
   out += '\n';
@@ -109,8 +124,15 @@ void Json::serialize_to(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::kNull: out += "null"; return;
     case Kind::kBool: out += bool_ ? "true" : "false"; return;
-    case Kind::kNumber: append_number(out, number_); return;
-    case Kind::kString: append_escaped(out, string_); return;
+    case Kind::kNumber:
+      // Integral values (counts, versions) print without a decimal point.
+      if (std::floor(number_) == number_ && std::abs(number_) < 1e15) {
+        out += std::to_string(static_cast<long long>(number_));
+      } else {
+        append_json_number(out, number_);
+      }
+      return;
+    case Kind::kString: append_json_string(out, string_); return;
     case Kind::kArray: {
       if (items_.empty()) {
         out += "[]";
@@ -135,7 +157,7 @@ void Json::serialize_to(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i != 0) out += ',';
         append_indent(out, indent, depth + 1);
-        append_escaped(out, members_[i].first);
+        append_json_string(out, members_[i].first);
         out += indent > 0 ? ": " : ":";
         members_[i].second.serialize_to(out, indent, depth + 1);
       }
@@ -270,8 +292,16 @@ class Parser {
       return std::nullopt;
     }
     char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == Json::kMaxDepth) {  // refuse before recursing deeper
+        fail("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+        return std::nullopt;
+      }
+      ++depth_;
+      auto value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') {
       ++pos_;
       auto body = parse_string_body();
@@ -349,6 +379,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers currently open
   std::string error_;
 };
 
@@ -358,4 +389,4 @@ std::optional<Json> Json::parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);
 }
 
-}  // namespace agrarsec::analysis
+}  // namespace agrarsec::core

@@ -1,9 +1,11 @@
-// Minimal deterministic JSON reader/writer for the analyzer's machine
-// interfaces (diagnostic reports and baseline files). Objects preserve
-// insertion order, so serialization is a pure function of construction
-// order — the property the byte-identical --format=json guarantee and the
-// baseline round-trip rest on. Parsing accepts standard JSON (no comments,
-// no trailing commas); numbers are doubles.
+// The stack's one JSON layer: every exporter (analyzer reports, telemetry,
+// console and HTTP bodies) writes through the three append_* helpers, and
+// every reader (baseline files, JSON-RPC) parses through Json. Json
+// objects preserve insertion order, so serialization is a pure function
+// of construction order — the property the analyzer's byte-identical
+// --format=json guarantee and the baseline round-trip rest on. Parsing
+// accepts standard JSON (no comments, no trailing commas, nesting at most
+// kMaxDepth deep); numbers are doubles.
 #pragma once
 
 #include <cstdint>
@@ -13,10 +15,30 @@
 #include <utility>
 #include <vector>
 
-namespace agrarsec::analysis {
+namespace agrarsec::core {
+
+/// Appends `s` as a quoted JSON string: `"` and `\` backslash-escaped,
+/// \n \r \t by name, every other byte below 0x20 as \u00XX, all other
+/// bytes verbatim.
+void append_json_string(std::string& out, std::string_view s);
+
+/// Appends `v` in the shortest `%.*g` form (precision 1..17) that parses
+/// back to exactly `v`: 12.5 -> "12.5", 0.1 -> "0.1", 50 -> "5e+01". The
+/// bytes are frozen: the golden session exports contain them and
+/// fleetbench's expected digests hash them.
+void append_json_number(std::string& out, double v);
+
+/// Appends newline-separated JSON lines as one JSON array of those lines,
+/// verbatim. Blank lines are skipped; the final newline is optional.
+void append_jsonl_as_array(std::string& out, std::string_view jsonl);
 
 class Json {
  public:
+  /// Deepest container nesting parse() accepts. Parsing recurses once per
+  /// level, and the console parses untrusted frames of up to 1 MiB on its
+  /// control thread, so the bound keeps hostile input off the stack.
+  static constexpr int kMaxDepth = 64;
+
   enum class Kind : std::uint8_t {
     kNull = 0,
     kBool = 1,
@@ -54,6 +76,8 @@ class Json {
   }
 
   /// Pretty serialization with `indent` spaces per level (0 = compact).
+  /// Integral numbers below 1e15 in magnitude print as integers; every
+  /// other number goes through append_json_number.
   [[nodiscard]] std::string serialize(int indent = 2) const;
 
   /// Strict parse; on failure returns nullopt and (when non-null) fills
@@ -72,4 +96,4 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;
 };
 
-}  // namespace agrarsec::analysis
+}  // namespace agrarsec::core

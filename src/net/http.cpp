@@ -7,6 +7,8 @@
 #include <chrono>
 #include <memory>
 
+#include "core/json.h"
+
 namespace agrarsec::net {
 
 namespace {
@@ -51,18 +53,6 @@ std::string_view status_reason(int status) {
     case 501: return "Not Implemented";
     case 503: return "Service Unavailable";
     default: return "Error";
-  }
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-    }
   }
 }
 
@@ -162,11 +152,11 @@ HttpResponse HttpResponse::error(int status, std::string_view code,
                                  std::string_view message) {
   HttpResponse r;
   r.status = status;
-  r.body = "{\"error\":\"";
-  append_json_escaped(r.body, code);
-  r.body += "\",\"message\":\"";
-  append_json_escaped(r.body, message);
-  r.body += "\"}";
+  r.body = "{\"error\":";
+  core::append_json_string(r.body, code);
+  r.body += ",\"message\":";
+  core::append_json_string(r.body, message);
+  r.body += "}";
   r.close_connection = status >= 400;
   return r;
 }

@@ -78,6 +78,8 @@ struct HttpResponse {
   [[nodiscard]] std::string serialize_stream_head() const;
   static HttpResponse json(std::string body);
   static HttpResponse text(int status, std::string body);
+  /// {"error":<code>,"message":<message>}, both escaped by
+  /// core::append_json_string (control bytes included).
   static HttpResponse error(int status, std::string_view code,
                             std::string_view message);
   /// text/event-stream response driven by `pump`.

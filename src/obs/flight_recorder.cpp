@@ -1,34 +1,11 @@
 #include "obs/flight_recorder.h"
 
-#include <cstdio>
-
+#include "core/json.h"
 #include "obs/trace.h"
 
 namespace agrarsec::obs {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-          out += esc;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 /// The one serializer for a flight event line — to_jsonl() and
 /// read_since() both render through it, so streamed payloads are
@@ -37,15 +14,15 @@ void append_event_line(std::string& out, const FlightEvent& e) {
   out += "{\"seq\":" + std::to_string(e.seq);
   out += ",\"t\":" + std::to_string(e.time);
   out += ",\"cat\":";
-  append_json_string(out, e.category);
+  core::append_json_string(out, e.category);
   out += ",\"code\":";
-  append_json_string(out, e.code);
+  core::append_json_string(out, e.code);
   out += ",\"subject\":" + std::to_string(e.subject);
   if (e.a != 0) out += ",\"a\":" + std::to_string(e.a);
   if (e.b != 0) out += ",\"b\":" + std::to_string(e.b);
   if (!e.detail.empty()) {
     out += ",\"detail\":";
-    append_json_string(out, e.detail);
+    core::append_json_string(out, e.detail);
   }
   out += "}\n";
 }

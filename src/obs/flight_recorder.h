@@ -1,7 +1,8 @@
 // Flight recorder: a bounded ring of structured events (plan/replan,
 // cache hit/miss, radio drop/collision, IDS alert, handshake outcome,
 // audit append) for post-mortem inspection. Events carry sim-time stamps
-// and dump as deterministic JSONL — stable field order, oldest first;
+// and dump as deterministic JSONL — stable field order, oldest first,
+// strings escaped by core::append_json_string;
 // the wall-clock capture timestamp is kept out of the main dump and only
 // appears in an optional annex keyed by sequence number.
 //

@@ -1,47 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+
+#include "core/json.h"
 
 namespace agrarsec::obs {
-
-namespace {
-
-/// Shortest round-trip formatting for doubles (%.17g is always exact; try
-/// shorter forms first so gauges like 12.5 print as "12.5").
-std::string format_double(double v) {
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-          out += esc;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-}  // namespace
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), bins_(bins == 0 ? 1 : bins), counts_(bins_, 0) {}
@@ -108,7 +71,7 @@ std::string Registry::to_json(std::string_view exclude_prefix) const {
     if (excluded(name)) continue;
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, name);
+    core::append_json_string(out, name);
     out.push_back(':');
     out += std::to_string(c->value());
   }
@@ -118,9 +81,9 @@ std::string Registry::to_json(std::string_view exclude_prefix) const {
     if (excluded(name)) continue;
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, name);
+    core::append_json_string(out, name);
     out.push_back(':');
-    out += format_double(g->value());
+    core::append_json_number(out, g->value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -128,8 +91,11 @@ std::string Registry::to_json(std::string_view exclude_prefix) const {
     if (excluded(name)) continue;
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, name);
-    out += ":{\"lo\":" + format_double(h->lo()) + ",\"hi\":" + format_double(h->hi());
+    core::append_json_string(out, name);
+    out += ":{\"lo\":";
+    core::append_json_number(out, h->lo());
+    out += ",\"hi\":";
+    core::append_json_number(out, h->hi());
     out += ",\"bins\":[";
     for (std::size_t i = 0; i < h->bins(); ++i) {
       if (i != 0) out.push_back(',');
@@ -139,9 +105,12 @@ std::string Registry::to_json(std::string_view exclude_prefix) const {
     out += ",\"overflow\":" + std::to_string(h->overflow());
     out += ",\"count\":" + std::to_string(h->count());
     if (h->count() > 0) {
-      out += ",\"sum\":" + format_double(h->sum());
-      out += ",\"min\":" + format_double(h->min());
-      out += ",\"max\":" + format_double(h->max());
+      out += ",\"sum\":";
+      core::append_json_number(out, h->sum());
+      out += ",\"min\":";
+      core::append_json_number(out, h->min());
+      out += ",\"max\":";
+      core::append_json_number(out, h->max());
     }
     out.push_back('}');
   }

@@ -1,5 +1,6 @@
 // Metrics registry: named counters, gauges and histograms with O(1)
-// hot-path updates and name-ordered, deterministic JSON export.
+// hot-path updates and name-ordered, deterministic JSON export (names and
+// numbers written through core/json.h).
 //
 // Threading contract: a registry is not thread-safe; one thread at a time
 // creates, updates and reads its instruments. That holds by construction:

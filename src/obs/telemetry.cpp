@@ -9,51 +9,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/json.h"
+
 namespace agrarsec::obs {
-
-namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-          out += esc;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-/// Embeds a JSONL blob as a JSON array of raw object lines.
-void append_jsonl_as_array(std::string& out, const std::string& jsonl) {
-  out.push_back('[');
-  bool first = true;
-  std::size_t pos = 0;
-  while (pos < jsonl.size()) {
-    std::size_t nl = jsonl.find('\n', pos);
-    if (nl == std::string::npos) nl = jsonl.size();
-    if (nl > pos) {
-      if (!first) out.push_back(',');
-      first = false;
-      out.append(jsonl, pos, nl - pos);
-    }
-    pos = nl + 1;
-  }
-  out.push_back(']');
-}
-
-}  // namespace
 
 Telemetry::Telemetry(TelemetryConfig config)
     : recorder_(config.flight_capacity) {}
@@ -64,7 +22,7 @@ std::string Telemetry::deterministic_json() const {
   std::string out = "{\"metrics\":";
   out += registry_.to_json(kWallPrefix);
   out += ",\"flight\":";
-  append_jsonl_as_array(out, recorder_.to_jsonl());
+  core::append_jsonl_as_array(out, recorder_.to_jsonl());
   out += ",\"flight_total\":" + std::to_string(recorder_.total_recorded());
   out += ",\"flight_dropped\":" + std::to_string(recorder_.dropped());
   out.push_back('}');
@@ -75,7 +33,7 @@ std::string Telemetry::to_json() const {
   std::string out = "{\"metrics\":";
   out += registry_.to_json();
   out += ",\"flight\":";
-  append_jsonl_as_array(out, recorder_.to_jsonl());
+  core::append_jsonl_as_array(out, recorder_.to_jsonl());
   out += ",\"flight_total\":" + std::to_string(recorder_.total_recorded());
   out += ",\"flight_dropped\":" + std::to_string(recorder_.dropped());
   out += ",\"phases\":{";
@@ -83,7 +41,7 @@ std::string Telemetry::to_json() const {
   for (PhaseId id = 0; id < tracer_.phase_count(); ++id) {
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, tracer_.phase_name(id));
+    core::append_json_string(out, tracer_.phase_name(id));
     const Tracer::PhaseStats& s = tracer_.stats(id);
     out += ":{\"calls\":" + std::to_string(s.calls);
     out += ",\"total_ns\":" + std::to_string(s.total_ns);
@@ -96,7 +54,7 @@ std::string Telemetry::to_json() const {
     out += std::to_string(tracer_.shard_busy_ns(s));
   }
   out += "],\"wall_annex\":";
-  append_jsonl_as_array(out, recorder_.wall_annex_jsonl());
+  core::append_jsonl_as_array(out, recorder_.wall_annex_jsonl());
   out.push_back('}');
   return out;
 }

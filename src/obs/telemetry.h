@@ -6,7 +6,8 @@
 // SecuredWorksite owns the shared instance for the full stack.
 //
 // Two export views:
-//  - deterministic_json(): registry snapshot + flight-recorder JSONL.
+//  - deterministic_json(): registry snapshot + the flight-recorder JSONL
+//    spliced in as an array (core::append_jsonl_as_array).
 //    Bit-identical across runs with the same seeds, and across FleetService
 //    thread counts — the golden session exports and the fleet parity
 //    tests compare it directly.

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 
-#include "analysis/json.h"
+#include "core/json.h"
 #include "obs/trace.h"
 #include "secure/handshake.h"
 
@@ -50,25 +52,13 @@ std::span<const std::uint8_t> console_aad() {
           kConsoleAad.size()};
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-    }
-  }
-}
-
 std::string rpc_error(std::uint64_t id, std::string_view code,
                       std::string_view message) {
-  std::string out = "{\"id\":" + std::to_string(id) + ",\"error\":{\"code\":\"";
-  append_json_escaped(out, code);
-  out += "\",\"message\":\"";
-  append_json_escaped(out, message);
-  out += "\"}}";
+  std::string out = "{\"id\":" + std::to_string(id) + ",\"error\":{\"code\":";
+  core::append_json_string(out, code);
+  out += ",\"message\":";
+  core::append_json_string(out, message);
+  out += "}}";
   return out;
 }
 
@@ -77,16 +67,35 @@ std::string rpc_result(std::uint64_t id, std::string_view result_json) {
          std::string(result_json) + "}";
 }
 
-/// Numeric param with default; nullopt when present but not a number.
-std::optional<double> param_number(const analysis::Json* params,
-                                   std::string_view key, double fallback) {
-  if (params == nullptr || !params->is(analysis::Json::Kind::kObject)) {
-    return fallback;
-  }
-  const analysis::Json* v = params->find(key);
+/// Numeric member `key` of `object` with default (also when `object` is
+/// absent or not an object); nullopt when present but not a number.
+std::optional<double> number_or(const core::Json* object, std::string_view key,
+                                double fallback) {
+  const core::Json* v =
+      object != nullptr && object->is(core::Json::Kind::kObject) ? object->find(key)
+                                                                 : nullptr;
   if (v == nullptr) return fallback;
-  if (!v->is(analysis::Json::Kind::kNumber)) return std::nullopt;
+  if (!v->is(core::Json::Kind::kNumber)) return std::nullopt;
   return v->as_number();
+}
+
+/// Integers beyond 2^53 are not all exact doubles; no id or param needs them.
+constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+
+/// Integer member with default: nullopt unless the value (`fallback` when
+/// absent) is an integral number in [lo, hi], so a fallback outside the
+/// range makes the member required. The range check runs on the double
+/// before the conversion, because converting an out-of-range double to an
+/// integer type is undefined behaviour.
+std::optional<std::int64_t> integer_or(const core::Json* object, std::string_view key,
+                                       std::int64_t fallback, std::int64_t lo,
+                                       std::int64_t hi) {
+  const auto v = number_or(object, key, static_cast<double>(fallback));
+  if (!v || *v < static_cast<double>(lo) || *v > static_cast<double>(hi) ||
+      std::trunc(*v) != *v) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(*v);
 }
 
 bool parse_session_id(std::string_view text, SessionId& out) {
@@ -298,9 +307,9 @@ std::string ConsoleService::ids_json() const {
     out += std::to_string(sensor_.total_alerts());
     for (const std::string_view rule :
          {"control-bruteforce", "control-flood", "control-replay-burst"}) {
-      out += ",\"";
-      out += rule;
-      out += "\":" + std::to_string(sensor_.alert_count(std::string(rule)));
+      out.push_back(',');
+      core::append_json_string(out, rule);
+      out += ":" + std::to_string(sensor_.alert_count(std::string(rule)));
     }
   }
   out += "},\"control\":{\"sessions_established\":" +
@@ -413,22 +422,22 @@ void ConsoleService::handle_control_connection(net::TcpStream stream) {
 
 std::string ConsoleService::dispatch(std::string_view plaintext) {
   std::string parse_error;
-  const auto parsed = analysis::Json::parse(plaintext, &parse_error);
-  if (!parsed || !parsed->is(analysis::Json::Kind::kObject)) {
+  const auto parsed = core::Json::parse(plaintext, &parse_error);
+  if (!parsed || !parsed->is(core::Json::Kind::kObject)) {
     return rpc_error(0, "parse_error", parse_error.empty() ? "not an object"
                                                            : parse_error);
   }
-  std::uint64_t id = 0;
-  if (const analysis::Json* idv = parsed->find("id");
-      idv != nullptr && idv->is(analysis::Json::Kind::kNumber)) {
-    id = static_cast<std::uint64_t>(idv->as_number());
+  const auto request_id = integer_or(&*parsed, "id", 0, 0, kMaxExactInteger);
+  if (!request_id) {
+    return rpc_error(0, "bad_request", "id must be a non-negative integer");
   }
-  const analysis::Json* methodv = parsed->find("method");
-  if (methodv == nullptr || !methodv->is(analysis::Json::Kind::kString)) {
+  const auto id = static_cast<std::uint64_t>(*request_id);
+  const core::Json* methodv = parsed->find("method");
+  if (methodv == nullptr || !methodv->is(core::Json::Kind::kString)) {
     return rpc_error(id, "bad_request", "missing method");
   }
   const std::string& method = methodv->as_string();
-  const analysis::Json* params = parsed->find("params");
+  const core::Json* params = parsed->find("params");
 
   if (method == "ping") return rpc_result(id, "{\"pong\":true}");
   if (method == "pause") {
@@ -440,41 +449,38 @@ std::string ConsoleService::dispatch(std::string_view plaintext) {
     return rpc_result(id, "{\"paused\":false}");
   }
   if (method == "step") {
-    const auto steps = param_number(params, "steps", 1.0);
-    if (!steps || *steps < 1.0 || *steps > 100000.0) {
-      return rpc_error(id, "bad_param", "steps must be in [1, 100000]");
+    const auto steps = integer_or(params, "steps", 1, 1, 100000);
+    if (!steps) {
+      return rpc_error(id, "bad_param", "steps must be an integer in [1, 100000]");
     }
     const std::size_t stepped =
         fleet_.control_step(static_cast<std::uint64_t>(*steps));
     return rpc_result(id, "{\"sessions_stepped\":" + std::to_string(stepped) + "}");
   }
   if (method == "inject-attack") {
-    const auto session = param_number(params, "session", -1.0);
-    const auto x = param_number(params, "x", 0.0);
-    const auto y = param_number(params, "y", 0.0);
-    const auto level = param_number(params, "level", 2.0);
-    if (!session || !x || !y || !level || *session < 0.0) {
-      return rpc_error(id, "bad_param", "need numeric session/x/y/level");
+    const auto session = integer_or(params, "session", -1, 0, kMaxExactInteger);
+    const auto x = number_or(params, "x", 0.0);
+    const auto y = number_or(params, "y", 0.0);
+    const auto level = integer_or(params, "level", 2, std::numeric_limits<int>::min(),
+                                  std::numeric_limits<int>::max());
+    if (!session || !x || !y || !level) {
+      return rpc_error(id, "bad_param", "need integer session/level, numeric x/y");
     }
     if (!fleet_.inject_attack(static_cast<SessionId>(*session), *x, *y,
                               static_cast<int>(*level))) {
       return rpc_error(id, "unknown_session",
-                       "no such session: " + std::to_string(
-                                                static_cast<SessionId>(*session)));
+                       "no such session: " + std::to_string(*session));
     }
     return rpc_result(id, "{\"injected\":true}");
   }
   if (method == "export") {
-    const auto session = param_number(params, "session", -1.0);
-    if (!session || *session < 0.0) {
-      return rpc_error(id, "bad_param", "need numeric session");
-    }
+    const auto session = integer_or(params, "session", -1, 0, kMaxExactInteger);
+    if (!session) return rpc_error(id, "bad_param", "need integer session");
     const std::string artifact =
-        fleet_.export_session_json(static_cast<SessionId>(*session));
+        fleet_.session_deterministic_json(static_cast<SessionId>(*session));
     if (artifact.empty()) {
       return rpc_error(id, "unknown_session",
-                       "no such session: " + std::to_string(
-                                                static_cast<SessionId>(*session)));
+                       "no such session: " + std::to_string(*session));
     }
     return rpc_result(id, artifact);  // artifact is itself a JSON object
   }
@@ -513,12 +519,15 @@ core::Result<ConsoleClient> ConsoleClient::connect(std::uint16_t control_port,
 
 core::Result<std::string> ConsoleClient::call(std::string_view method,
                                               std::string_view params_json) {
-  std::string request = "{\"id\":" + std::to_string(next_id_++) +
-                        ",\"method\":\"";
-  append_json_escaped(request, method);
-  request += "\",\"params\":";
+  std::string request = "{\"id\":" + std::to_string(next_id_++) + ",\"method\":";
+  core::append_json_string(request, method);
+  request += ",\"params\":";
   request += params_json;
   request += "}";
+  return call_raw(request);
+}
+
+core::Result<std::string> ConsoleClient::call_raw(std::string_view request) {
   const secure::Record sealed =
       session_.seal(core::from_string(request), console_aad());
   if (!net::write_frame(stream_, sealed.encode(), timeout_ms_)) {

@@ -28,6 +28,10 @@
 //    replay window now tolerates reordering. JSON-RPC-style plaintext:
 //      {"id":1,"method":"pause","params":{}}
 //    answered with {"id":1,"result":...} or {"id":1,"error":{...}}.
+//    Requests parse through core::Json, which rejects nesting deeper than
+//    Json::kMaxDepth; an id or integer param (session, level, steps) that
+//    is not an integral number in range is refused (bad_request under id
+//    0, or bad_param) before anything converts it.
 //    An unauthenticated or malformed record is dropped (counted, never
 //    dispatched), so byte flips on the wire cannot mutate fleet state.
 //
@@ -196,6 +200,10 @@ class ConsoleClient {
   /// returns the response plaintext (a JSON object).
   core::Result<std::string> call(std::string_view method,
                                  std::string_view params_json = "{}");
+  /// Sends `request` sealed, verbatim (no id is added), and returns the
+  /// response plaintext — how the tests put malformed JSON-RPC through an
+  /// authenticated channel.
+  core::Result<std::string> call_raw(std::string_view request);
 
   /// Sends raw bytes as one frame, bypassing the record layer — the
   /// torture tests use this to prove malformed input cannot crash or

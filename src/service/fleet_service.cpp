@@ -1,5 +1,6 @@
 #include "service/fleet_service.h"
 
+#include "core/json.h"
 #include "core/rng.h"
 
 namespace agrarsec::service {
@@ -268,28 +269,6 @@ std::string FleetService::utilization_json() const {
   return out;
 }
 
-namespace {
-
-/// Renders newline-terminated JSONL event lines as a JSON array body.
-void append_jsonl_as_array(std::string& out, const std::string& jsonl) {
-  out.push_back('[');
-  std::size_t pos = 0;
-  bool first = true;
-  while (pos < jsonl.size()) {
-    std::size_t nl = jsonl.find('\n', pos);
-    if (nl == std::string::npos) nl = jsonl.size();
-    if (nl > pos) {
-      if (!first) out.push_back(',');
-      first = false;
-      out.append(jsonl, pos, nl - pos);
-    }
-    pos = nl + 1;
-  }
-  out.push_back(']');
-}
-
-}  // namespace
-
 FleetService::FlightChunk FleetService::flight_read(SessionId id,
                                                     std::uint64_t cursor,
                                                     std::size_t max_events) const {
@@ -317,38 +296,19 @@ std::string FleetService::flight_since_json(SessionId id, std::uint64_t cursor,
   out += ",\"dropped\":" + std::to_string(chunk.dropped);
   out += ",\"next_cursor\":" + std::to_string(chunk.next_cursor);
   out += ",\"events\":";
-  append_jsonl_as_array(out, chunk.jsonl);
+  core::append_jsonl_as_array(out, chunk.jsonl);
   out += "}";
   return out;
 }
 
 std::string FleetService::flight_tail_json(SessionId id,
                                            std::size_t max_events) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return {};
-  const obs::FlightRecorder& recorder = it->second->site->telemetry().recorder();
-  // Tail = a cursor read starting max_events before the newest event; the
-  // lines come from the same serializer as the polled JSONL export.
-  const std::uint64_t total = recorder.total_recorded();
-  const std::uint64_t start =
-      total > max_events ? total - max_events : 0;
-  std::string jsonl;
-  const auto result = recorder.read_since(start, max_events, jsonl);
-  std::string out = "{\"session\":" + std::to_string(id);
-  out += ",\"total_recorded\":" + std::to_string(total);
-  out += ",\"next_cursor\":" + std::to_string(result.next_cursor);
-  out += ",\"events\":";
-  append_jsonl_as_array(out, jsonl);
-  out += "}";
-  return out;
-}
-
-std::string FleetService::export_session_json(SessionId id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return {};
-  return it->second->site->telemetry().deterministic_json();
+  // A zero-event read only learns the total (0 for an unknown id, which
+  // flight_since_json then reports). Events recorded between the two
+  // reads are left to the returned next_cursor.
+  const std::uint64_t total = flight_read(id, 0, 0).total_recorded;
+  return flight_since_json(id, total > max_events ? total - max_events : 0,
+                           max_events);
 }
 
 }  // namespace agrarsec::service

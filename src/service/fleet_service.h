@@ -109,10 +109,11 @@ class FleetService {
   [[nodiscard]] std::string sessions_json() const;
   /// Per-shard busy-time table of the service pool.
   [[nodiscard]] std::string utilization_json() const;
-  /// Tail of one session's flight recorder as a JSON array (newest-last,
-  /// at most `max_events` events; empty string when the id is unknown).
-  /// Also carries "next_cursor" — pass it to flight_since_json (or back to
-  /// /flight/<id>?cursor=) to resume without overlapping tails.
+  /// Tail of one session's flight recorder: flight_since_json from cursor
+  /// max(total_recorded - max_events, 0), so the newest (at most)
+  /// `max_events` events in the same response shape. Pass its
+  /// "next_cursor" to flight_since_json (or back to /flight/<id>?cursor=)
+  /// to resume without overlapping tails.
   [[nodiscard]] std::string flight_tail_json(SessionId id,
                                              std::size_t max_events = 64) const;
 
@@ -135,9 +136,6 @@ class FleetService {
   ///  "events":[...]} (empty string when the id is unknown).
   [[nodiscard]] std::string flight_since_json(SessionId id, std::uint64_t cursor,
                                               std::size_t max_events = 64) const;
-  /// Locked variant of session_deterministic_json for the console's
-  /// export verb.
-  [[nodiscard]] std::string export_session_json(SessionId id) const;
 
   // --- queries ---
   [[nodiscard]] std::size_t session_count() const;
@@ -154,7 +152,8 @@ class FleetService {
   /// Security counters summed over live sessions in ascending id order.
   [[nodiscard]] integration::SecurityMetrics aggregate_security_metrics() const;
   /// Per-session deterministic export (empty string when unknown) — the
-  /// artifact the fleet determinism suite compares byte-for-byte.
+  /// artifact the fleet determinism suite compares byte-for-byte and the
+  /// console's export verb returns.
   [[nodiscard]] std::string session_deterministic_json(SessionId id) const;
 
   /// Service-level telemetry: fleet counters, batch phase spans, shard

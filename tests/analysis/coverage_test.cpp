@@ -10,12 +10,14 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/coverage.h"
-#include "analysis/json.h"
+#include "core/json.h"
 #include "ids/rule_table.h"
 #include "risk/catalog.h"
 
 namespace agrarsec::analysis {
 namespace {
+
+using core::Json;
 
 std::vector<Diagnostic> of_rule(const std::vector<Diagnostic>& diagnostics,
                                 const std::string& rule) {

@@ -178,6 +178,11 @@ TEST(HttpResponseTest, SerializeCarriesLengthAndConnection) {
   EXPECT_NE(err.serialize().find("Connection: close"), std::string::npos);
 }
 
+TEST(HttpResponseTest, ErrorBodyEscapesControlBytesInsteadOfDroppingThem) {
+  EXPECT_EQ(HttpResponse::error(400, "bad", "a\tb\x01").body,
+            "{\"error\":\"bad\",\"message\":\"a\\tb\\u0001\"}");
+}
+
 // --- server over a real loopback socket ------------------------------------
 
 /// Reads until the peer closes or `timeout_ms` passes; returns all bytes.

@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/bytes.h"
@@ -189,7 +190,7 @@ TEST(ConsoleControl, InjectAttackAndExport) {
   auto exported =
       client.value().call("export", "{\"session\":" + std::to_string(id) + "}");
   ASSERT_TRUE(exported.ok());
-  const std::string expected = fleet.export_session_json(id);
+  const std::string expected = fleet.session_deterministic_json(id);
   const std::string prefix = "{\"id\":2,\"result\":";
   ASSERT_EQ(exported.value().substr(0, prefix.size()), prefix);
   EXPECT_EQ(exported.value().substr(prefix.size(),
@@ -215,7 +216,7 @@ TEST(ConsoleControl, MalformedRecordTortureNeverCrashesOrMutates) {
   ASSERT_TRUE(client.ok());
 
   const std::string before_sessions = fleet.sessions_json();
-  const std::string before_export = fleet.export_session_json(id);
+  const std::string before_export = fleet.session_deterministic_json(id);
   const bool before_paused = fleet.paused();
 
   // Torture loop: garbage frames, truncated records, and well-formed
@@ -257,7 +258,7 @@ TEST(ConsoleControl, MalformedRecordTortureNeverCrashesOrMutates) {
 
   // ...and nothing about the fleet changed.
   EXPECT_EQ(fleet.sessions_json(), before_sessions);
-  EXPECT_EQ(fleet.export_session_json(id), before_export);
+  EXPECT_EQ(fleet.session_deterministic_json(id), before_export);
   EXPECT_EQ(fleet.paused(), before_paused);
   EXPECT_EQ(console.commands_dispatched(), 1u);  // only the ping
 }
@@ -293,6 +294,85 @@ TEST(ConsoleControl, ClientRejectsWrongConsoleSubject) {
   auto client = ConsoleClient::connect(console.control_port(), f.operator_id,
                                        f.trust, client_drbg, "console-impostor");
   EXPECT_FALSE(client.ok());
+}
+
+TEST(ConsoleControl, DeeplyNestedRequestGetsParseErrorAndChannelSurvives) {
+  ConsoleFixture f;
+  FleetService fleet = ConsoleFixture::make_fleet();
+  ConsoleService console{fleet, f.console_id, f.trust, 28};
+  ASSERT_TRUE(console.start().ok());
+
+  crypto::Drbg client_drbg{37, "operator"};
+  auto client = ConsoleClient::connect(console.control_port(), f.operator_id,
+                                       f.trust, client_drbg);
+  ASSERT_TRUE(client.ok());
+
+  // ~100 KB, well inside the 1 MiB frame limit: an unbounded recursive
+  // parser overflows the control thread's stack on it.
+  auto nested = client.value().call_raw(std::string(100000, '['));
+  ASSERT_TRUE(nested.ok()) << nested.error().to_string();
+  EXPECT_NE(nested.value().find("\"code\":\"parse_error\""), std::string::npos)
+      << nested.value();
+
+  // Same control connection, next request: still served.
+  auto pong = client.value().call("ping");
+  ASSERT_TRUE(pong.ok()) << pong.error().to_string();
+  EXPECT_NE(pong.value().find("\"pong\":true"), std::string::npos);
+}
+
+TEST(ConsoleControl, NonIntegralOrOutOfRangeIntegersRefused) {
+  ConsoleFixture f;
+  FleetService fleet = ConsoleFixture::make_fleet();
+  const SessionId id = add_session(fleet, 0);
+  ConsoleService console{fleet, f.console_id, f.trust, 29};
+  ASSERT_TRUE(console.start().ok());
+
+  crypto::Drbg client_drbg{38, "operator"};
+  auto client = ConsoleClient::connect(console.control_port(), f.operator_id,
+                                       f.trust, client_drbg);
+  ASSERT_TRUE(client.ok());
+
+  // Each request carries an id, session, level or steps that is not an
+  // integral number in range: converting it unchecked would be undefined
+  // behaviour or a silent truncation.
+  const auto attack = [](const std::string& id, const std::string& params) {
+    return R"({"id":)" + id + R"(,"method":"inject-attack","params":{"x":50,"y":50,)" +
+           params + "}}";
+  };
+  const std::string session = "\"session\":" + std::to_string(id);
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {attack("-1", session), "bad_request"},
+      {attack("1e300", session), "bad_request"},
+      {R"({"id":1.5,"method":"ping"})", "bad_request"},
+      {attack("7", R"("session":1e300)"), "bad_param"},
+      {attack("7", R"("session":-1)"), "bad_param"},
+      {attack("7", R"("session":0.5)"), "bad_param"},
+      {attack("7", session + R"(,"level":1e10)"), "bad_param"},
+      {attack("7", session + R"(,"level":2.5)"), "bad_param"},
+      {R"({"id":7,"method":"export","params":{"session":1e300}})", "bad_param"},
+      {R"({"id":7,"method":"step","params":{"steps":2.5}})", "bad_param"},
+  };
+  for (const auto& [request, code] : refused) {
+    auto reply = client.value().call_raw(request);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    EXPECT_NE(reply.value().find("\"code\":\"" + code + "\""), std::string::npos)
+        << request << " -> " << reply.value();
+    // A malformed id is answered under id 0; a bad param keeps the id.
+    const char* id_prefix = code == "bad_request" ? "{\"id\":0," : "{\"id\":7,";
+    EXPECT_TRUE(reply.value().starts_with(id_prefix)) << reply.value();
+  }
+
+  bool injected = false;
+  fleet.telemetry().recorder().for_each([&injected](const obs::FlightEvent& e) {
+    injected = injected || e.code == "attack-injected";
+  });
+  EXPECT_FALSE(injected);
+  EXPECT_EQ(fleet.session_steps(id), 0u);
+
+  // The same request with in-range integers goes through.
+  auto ok = client.value().call_raw(attack("7", session + R"(,"level":2)"));
+  ASSERT_TRUE(ok.ok()) << ok.error().to_string();
+  EXPECT_EQ(ok.value(), R"({"id":7,"result":{"injected":true}})");
 }
 
 // --- streaming plane --------------------------------------------------------
@@ -351,6 +431,8 @@ TEST(ConsoleHttp, FlightCursorPollsDoNotOverlap) {
   auto tail = http_get_local(console.http_port(), base + "?n=4");
   ASSERT_TRUE(tail.ok());
   EXPECT_NE(tail.value().find("\"next_cursor\":"), std::string::npos);
+  // Tail and cursor polls share one response shape.
+  EXPECT_NE(tail.value().find("\"dropped\":0"), std::string::npos);
   console.stop();
 }
 
@@ -606,7 +688,7 @@ std::map<std::uint64_t, std::string> run_with_console(std::size_t threads,
   console.stop();
 
   std::map<std::uint64_t, std::string> exports;
-  for (const auto& [key, id] : ids) exports[key] = fleet.export_session_json(id);
+  for (const auto& [key, id] : ids) exports[key] = fleet.session_deterministic_json(id);
   return exports;
 }
 
@@ -623,7 +705,7 @@ TEST(ConsoleParallel, ExportsBitIdenticalWithConsoleAttached) {
     for (std::uint64_t key = 0; key < 4; ++key) ids[key] = add_session(fleet, key);
     fleet.step_all(30);
     for (const auto& [key, id] : ids) {
-      reference[key] = fleet.export_session_json(id);
+      reference[key] = fleet.session_deterministic_json(id);
     }
   }
   ASSERT_EQ(reference.size(), 4u);
