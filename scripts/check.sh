@@ -61,11 +61,15 @@ if [[ "${1:-}" == "--full-asan" ]]; then
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 else
   # The suites covering the spatial index, radio heap, event bus and
-  # worksite compaction paths, plus the console's JSON-RPC decoder fed
-  # hostile input: nesting past Json::kMaxDepth and integer params out of
-  # range (the float-cast-overflow shape).
-  cmake --build build-asan -j "$JOBS" --target core_test net_test sim_test service_test
+  # worksite compaction paths, the crypto primitives (empty-span inputs
+  # included), plus the console's JSON-RPC decoder fed hostile input:
+  # nesting past Json::kMaxDepth and integer params out of range (the
+  # float-cast-overflow shape). UBSan findings abort (AGRARSEC_SANITIZE
+  # builds with -fno-sanitize-recover), so any one fails this leg.
+  cmake --build build-asan -j "$JOBS" --target core_test crypto_test net_test sim_test \
+    service_test
   ./build-asan/tests/core_test
+  ./build-asan/tests/crypto_test
   ./build-asan/tests/net_test
   ./build-asan/tests/sim_test
   run_filtered ./build-asan/tests/service_test \

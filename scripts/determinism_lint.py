@@ -20,17 +20,21 @@ that historically break that property:
          export or accumulation driven by it is nondeterministic.
 
 Findings are suppressed by .determinism-lint-baseline.json (keys are
-"RULE path symbol", line-number free so they survive unrelated edits);
-stale suppressions are warned. Mirrors the agrarsec-lint workflow:
+"RULE path symbol", line-number free so they survive unrelated edits).
+The baseline can only shrink: a suppression that no finding uses any more
+fails the gate, so the change that fixes a finding also deletes its
+entry. Mirrors the agrarsec-lint workflow:
 
     python3 scripts/determinism_lint.py --write-baseline   # bless
     python3 scripts/determinism_lint.py                    # gate (CI)
 
 Exit codes: 0 = clean (or baseline written), 1 = findings above the
-baseline, 2 = usage/IO error.
+baseline or stale baseline entries, 2 = usage/IO error.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -121,6 +125,28 @@ def load_baseline(path: pathlib.Path):
     return set(data["suppressions"])
 
 
+def gate(findings, suppressed) -> int:
+    """Prints live findings and stale suppressions; returns the exit code."""
+    live = [f for f in findings if finding_key(f) not in suppressed]
+    stale = sorted(suppressed - {finding_key(f) for f in findings})
+    for key in stale:
+        print(f"determinism_lint: stale baseline entry: {key}", file=sys.stderr)
+    for rule, rel, symbol, number, text in live:
+        print(f"{rel}:{number}: {rule} [{symbol}] {text}")
+    if live:
+        print(f"determinism_lint: {len(live)} finding(s) above baseline",
+              file=sys.stderr)
+    if stale:
+        print(f"determinism_lint: {len(stale)} stale baseline entr"
+              f"{'y' if len(stale) == 1 else 'ies'}; delete them from the "
+              "baseline", file=sys.stderr)
+    if live or stale:
+        return 1
+    print(f"determinism_lint: clean ({len(findings)} suppressed, "
+          f"{len(suppressed)} baselined)")
+    return 0
+
+
 def write_baseline(path: pathlib.Path, findings) -> None:
     keys = sorted({finding_key(f) for f in findings})
     path.write_text(
@@ -167,6 +193,19 @@ def self_test() -> int:
             print("self-test: wall-instrumented steady_clock flagged",
                   file=sys.stderr)
             failures += 1
+    # Stale: a suppression that no finding uses fails the gate, while the
+    # same suppression covering a live finding passes it.
+    finding = ("DL003", "src/sim/case.cpp", "m_", 2, "for (auto& kv : m_)")
+    key = finding_key(finding)
+    for findings, expected in (([], 1), ([finding], 0)):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = gate(findings, {key})
+        if code != expected:
+            print(f"self-test: gate with {len(findings)} finding(s) and one "
+                  f"suppression exited {code}, expected {expected}",
+                  file=sys.stderr)
+            failures += 1
     print("determinism_lint self-test: "
           + ("PASS" if failures == 0 else f"{failures} FAILURES"))
     return 0 if failures == 0 else 1
@@ -208,21 +247,7 @@ def main() -> int:
         print(f"determinism_lint: {error}", file=sys.stderr)
         return 2
 
-    live = [f for f in findings if finding_key(f) not in suppressed]
-    used = {finding_key(f) for f in findings}
-    for stale in sorted(suppressed - used):
-        print(f"determinism_lint: stale baseline entry: {stale}",
-              file=sys.stderr)
-
-    for rule, rel, symbol, number, text in live:
-        print(f"{rel}:{number}: {rule} [{symbol}] {text}")
-    if live:
-        print(f"determinism_lint: {len(live)} finding(s) above baseline",
-              file=sys.stderr)
-        return 1
-    print(f"determinism_lint: clean ({len(findings)} suppressed, "
-          f"{len(suppressed)} baselined)")
-    return 0
+    return gate(findings, suppressed)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
   if (key.size() > Sha256::kBlockSize) {
     const auto digest = Sha256::hash(key);
     std::memcpy(block_key.data(), digest.data(), digest.size());
-  } else {
+  } else if (!key.empty()) {
+    // An empty span may carry a null data(); memcpy forbids null even for
+    // zero bytes.
     std::memcpy(block_key.data(), key.data(), key.size());
   }
 

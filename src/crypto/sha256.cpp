@@ -37,6 +37,9 @@ void Sha256::reset() {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null data(); memcpy forbids null even for
+  // zero bytes.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {

@@ -54,6 +54,9 @@ void Sha512::reset() {
 }
 
 void Sha512::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null data(); memcpy forbids null even for
+  // zero bytes.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {

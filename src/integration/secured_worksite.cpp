@@ -434,22 +434,19 @@ void SecuredWorksite::track_ground_truth(core::SimTime now) {
     bool any_in_critical = false;
     // Indexed range query instead of a scan over every human on site: only
     // people inside the zones carry per-step bookkeeping. Anyone farther
-    // out is handled by the deactivation sweep below. The loop streams
-    // the worksite's SoA hot state (slots, not Human*) — between steps
-    // the mirror matches the entities bit-for-bit.
+    // out is handled by the deactivation sweep below.
     const double zone_radius =
         std::max(config_.monitor.warning_zone_m, config_.monitor.critical_zone_m);
-    const sim::HumanHotState& people = worksite_->human_hot();
-    worksite_->humans_within_slots(forwarder->position(), zone_radius, zone_slots_);
-    for (const std::uint32_t slot : zone_slots_) {
-      const core::Vec2 hpos = people.position(slot);
+    worksite_->humans_within(forwarder->position(), zone_radius, zone_people_);
+    for (const sim::Human* person : zone_people_) {
+      const core::Vec2 hpos = person->position();
       const double d = core::distance(hpos, forwarder->position());
       const bool in_critical = d <= config_.monitor.critical_zone_m;
       const bool in_warning = d <= config_.monitor.warning_zone_m;
       any_in_critical |= in_critical;
       if (!in_warning) continue;  // deactivation handled by the sweep
 
-      EncounterState& state = unit->encounters[people.id[slot]];
+      EncounterState& state = unit->encounters[person->id().value()];
 
       // Per-step coverage: is this person represented in this machine's
       // fused picture right now?
@@ -469,7 +466,7 @@ void SecuredWorksite::track_ground_truth(core::SimTime now) {
         } else {
           switch (worksite_->terrain().occlusion_cause(
               forwarder->position(), forwarder->sensor_agl(), hpos,
-              people.height[slot] * 0.7)) {
+              person->height() * 0.7)) {
             case sim::Terrain::OcclusionCause::kBoulder:
               condition = "occlusion-boulder";
               break;

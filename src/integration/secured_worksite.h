@@ -11,6 +11,10 @@
 //   their fusion -> each safety monitor decides (e-stop / degrade /
 //   normal) -> telemetry heartbeats -> IDS taps every frame -> radio
 //   applies channel effects/attacks.
+// Ground truth (encounters, coverage, SOTIF blind-step causes) is then
+// read from the worksite's Human entities through the same range query
+// (Worksite::humans_within) and sight-line path (Terrain::occlusion_cause)
+// that perception uses (DESIGN.md §19).
 //
 // Supports a fleet: `forwarder_count` autonomous forwarders, each with
 // its own perception, fusion, safety monitor, identity and (in secure
@@ -300,9 +304,9 @@ class SecuredWorksite {
 
   std::uint64_t drone_sequence_ = 0;
 
-  /// Zone-query scratch for track_ground_truth (human slots into the
-  /// worksite's SoA hot state; allocation-free after warmup).
-  std::vector<std::uint32_t> zone_slots_;
+  /// Zone-query scratch for track_ground_truth (allocation-free after
+  /// warmup).
+  std::vector<const sim::Human*> zone_people_;
 
   static constexpr double kTrackAssociationM = 4.0;
 };

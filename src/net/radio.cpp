@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace agrarsec::net {
 
@@ -92,56 +93,21 @@ bool RadioMedium::dropped(const Frame& frame) {
   return false;
 }
 
-namespace {
-
-/// Packs the signed grid cell coordinates of `pos` into one map key.
-std::uint64_t grid_key(core::Vec2 pos, double cell, int dx = 0, int dy = 0) {
-  const auto cx = static_cast<std::int64_t>(std::floor(pos.x / cell)) + dx;
-  const auto cy = static_cast<std::int64_t>(std::floor(pos.y / cell)) + dy;
-  return (static_cast<std::uint64_t>(cx) << 32) ^
-         (static_cast<std::uint64_t>(cy) & 0xffffffffULL);
-}
-
-}  // namespace
-
 void RadioMedium::build_broadcast_snapshot() {
   // Constant-position-within-step assumption: node poses are sampled ONCE
   // here, at the top of RadioMedium::step(), and every broadcast delivered
   // during the step — whatever its deliver_at time within the step window —
   // ranges against these frozen positions. That matches the simulator's
   // kinematics (machines integrate once per 100 ms step, so positions
-  // genuinely do not change between step boundaries) and keeps range
-  // checks O(1) per candidate off one grid build. If sub-step mobility is
-  // ever modelled (continuous integration, faster platforms), delivery
-  // must re-sample poses per deliver_at instead of reusing this snapshot.
+  // genuinely do not change between step boundaries) and samples each
+  // position callback once per step instead of once per frame. If sub-step
+  // mobility is ever modelled (continuous integration, faster platforms),
+  // delivery must re-sample poses per deliver_at instead of reusing this
+  // snapshot.
   bcast_nodes_.clear();
-  bcast_grid_.clear();
-  const double cell = std::max(config_.max_range_m, 1e-6);
   for (const NodeId id : sorted_ids_) {
-    const Endpoint& ep = endpoints_.find(id)->second;
-    const core::Vec2 pos = ep.position();
-    bcast_grid_[grid_key(pos, cell)].push_back(
-        static_cast<std::uint32_t>(bcast_nodes_.size()));
-    bcast_nodes_.push_back(BcastNode{id, pos});
+    bcast_nodes_.push_back(BcastNode{id, endpoints_.find(id)->second.position()});
   }
-}
-
-const std::vector<std::uint32_t>& RadioMedium::broadcast_candidates(
-    core::Vec2 src_pos) {
-  bcast_candidates_.clear();
-  const double cell = std::max(config_.max_range_m, 1e-6);
-  for (int dx = -1; dx <= 1; ++dx) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      const auto it = bcast_grid_.find(grid_key(src_pos, cell, dx, dy));
-      if (it == bcast_grid_.end()) continue;
-      bcast_candidates_.insert(bcast_candidates_.end(), it->second.begin(),
-                               it->second.end());
-    }
-  }
-  // Cells were visited in arbitrary neighbourhood order; restore the
-  // ascending-id order the fan-out (and its RNG stream) is defined in.
-  std::sort(bcast_candidates_.begin(), bcast_candidates_.end());
-  return bcast_candidates_;
 }
 
 DeliveryOutcome RadioMedium::judge(const Frame& frame, const core::Vec2& src_pos,
@@ -181,35 +147,33 @@ void RadioMedium::step(core::SimTime now) {
 
   // Collision detection: two due frames on the same channel whose send
   // times fall within the collision window interfere (simplified CSMA
-  // failure model; the window is small relative to the sim step).
-  // Bucketing by channel and sweeping a window over send times replaces
-  // the old all-pairs scan across the whole batch; the marked set is
-  // identical (the pair predicate is symmetric and per-channel).
+  // failure model; the window is small relative to the sim step). One
+  // sort on (channel, sent_at) lets each frame's forward sweep stop at the
+  // first frame on another channel or past the window. The pair predicate
+  // is symmetric, so the marked set does not depend on how ties sort.
   std::vector<bool> collided(due.size(), false);
-  std::unordered_map<std::uint32_t, std::vector<std::size_t>> by_channel;
-  for (std::size_t i = 0; i < due.size(); ++i) {
-    by_channel[due[i].frame.channel].push_back(i);
-  }
-  for (auto& [channel, idxs] : by_channel) {
-    if (idxs.size() < 2) continue;
-    std::sort(idxs.begin(), idxs.end(), [&](std::size_t a, std::size_t b) {
-      return due[a].frame.sent_at < due[b].frame.sent_at;
-    });
-    for (std::size_t u = 0; u < idxs.size(); ++u) {
-      for (std::size_t v = u + 1; v < idxs.size(); ++v) {
-        const double gap = static_cast<double>(due[idxs[v]].frame.sent_at -
-                                               due[idxs[u]].frame.sent_at);
-        if (gap > config_.collision_window_ms) break;  // sorted: no later hit
-        if (due[idxs[u]].frame.src == due[idxs[v]].frame.src) continue;
-        collided[idxs[u]] = collided[idxs[v]] = true;
-      }
+  std::vector<std::size_t> order(due.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const Frame& fa = due[a].frame;
+    const Frame& fb = due[b].frame;
+    if (fa.channel != fb.channel) return fa.channel < fb.channel;
+    return fa.sent_at < fb.sent_at;
+  });
+  for (std::size_t u = 0; u < order.size(); ++u) {
+    const Frame& first = due[order[u]].frame;
+    for (std::size_t v = u + 1; v < order.size(); ++v) {
+      const Frame& second = due[order[v]].frame;
+      if (second.channel != first.channel) break;
+      const double gap = static_cast<double>(second.sent_at - first.sent_at);
+      if (gap > config_.collision_window_ms) break;  // sorted: no later hit
+      if (second.src == first.src) continue;
+      collided[order[u]] = collided[order[v]] = true;
     }
   }
 
-  // Broadcast fan-out uses a per-step snapshot + uniform grid (cell size
-  // max_range_m): only nodes in the 3x3 neighbourhood of the sender can be
-  // in range, the rest are counted out-of-range in bulk. Positions do not
-  // change within a sim step, so one snapshot serves every due broadcast.
+  // Broadcast fan-out ranges against one per-step position snapshot
+  // (positions do not change within a sim step).
   const bool any_broadcast =
       std::any_of(due.begin(), due.end(),
                   [](const Pending& p) { return !p.frame.dst.valid(); });
@@ -252,23 +216,10 @@ void RadioMedium::step(core::SimTime now) {
       if (dst_it == endpoints_.end()) continue;
       deliver_to(frame.dst, dst_it->second.position());
     } else {
-      const std::vector<std::uint32_t>& candidates = broadcast_candidates(src_pos);
-      std::size_t reached = 0;  // candidates judged (sender excluded)
-      bool src_in_snapshot = false;
-      for (const std::uint32_t idx : candidates) {
-        const BcastNode& node = bcast_nodes_[idx];
-        if (node.id == frame.src) {
-          src_in_snapshot = true;
-          continue;
-        }
-        ++reached;
-        deliver_to(node.id, node.pos);
+      // Every other snapshot node is judged, in ascending id order.
+      for (const BcastNode& node : bcast_nodes_) {
+        if (node.id != frame.src) deliver_to(node.id, node.pos);
       }
-      // Everyone outside the neighbourhood is provably beyond max_range_m;
-      // judge() rejects out-of-range before drawing any randomness, so
-      // counting them here (instead of judging each) is bit-identical.
-      c_outcomes_[static_cast<std::size_t>(DeliveryOutcome::kOutOfRange)]->add(
-          (bcast_nodes_.size() - (src_in_snapshot ? 1 : 0)) - reached);
     }
   }
 }

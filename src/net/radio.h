@@ -5,6 +5,11 @@
 // de-authentication/drop attacks. There is no roadside infrastructure —
 // all traffic is machine-to-machine within the site (Table I: remote and
 // isolated locations).
+//
+// A broadcast judges every other attached node, in ascending id order,
+// against one per-step position snapshot; co-channel collisions are found
+// by one sort of the step's due frames on (channel, sent_at) (DESIGN.md
+// §19).
 #pragma once
 
 #include <array>
@@ -159,12 +164,8 @@ class RadioMedium {
     NodeId id;
     core::Vec2 pos;
   };
-  /// Rebuilds bcast_nodes_ / bcast_grid_ for the current step.
+  /// Rebuilds bcast_nodes_ (ascending id) for the current step.
   void build_broadcast_snapshot();
-  /// Indices into bcast_nodes_ within the 3x3 grid neighbourhood of
-  /// `src_pos` (cell size = max_range_m, so anything outside the
-  /// neighbourhood is provably out of range), ascending id order.
-  const std::vector<std::uint32_t>& broadcast_candidates(core::Vec2 src_pos);
 
   core::Rng rng_;
   RadioConfig config_;
@@ -173,14 +174,10 @@ class RadioMedium {
   /// delivery (and therefore RNG consumption) order is deterministic
   /// instead of following unordered_map iteration order.
   std::vector<NodeId> sorted_ids_;
-  // Per-step broadcast scratch, reused across frames to stay allocation-free
-  // in the hot loop. The grid prunes fan-out from O(all nodes) to the
-  // neighbourhood actually within radio range; judge() rejects out-of-range
-  // destinations before consuming any randomness, so pruning them (counted
-  // in bulk as kOutOfRange) leaves every surviving outcome bit-identical.
+  /// Per-step broadcast snapshot, reused across steps. Every broadcast
+  /// judges every other node in it; judge() returns kOutOfRange before
+  /// drawing any randomness, so distant nodes cost a distance check.
   std::vector<BcastNode> bcast_nodes_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> bcast_grid_;
-  std::vector<std::uint32_t> bcast_candidates_;
   /// Min-heap on (deliver_at, seq) via LaterDelivery. A plain FIFO deque
   /// here once caused head-of-line blocking: latency jitter makes
   /// deliver_at non-monotone in send order, and a front frame with a high

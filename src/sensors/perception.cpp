@@ -52,18 +52,10 @@ std::vector<Detection> PerceptionSensor::sense(const sim::Worksite& site,
   const double origin_agl = carrier.sensor_agl();
 
   if (!attack_.blind) {
-    // Pass 1 — candidate collection against the SoA hot state: indexed
-    // range query (same candidate set and ascending-id visit order as the
-    // old scan over humans(), so the RNG stream is unchanged), FOV
-    // filter, and the frame's sight-line bundle. No RNG is drawn here.
-    const sim::HumanHotState& people = site.human_hot();
-    site.humans_within_slots(origin, effective_range, slot_scratch_);
-    dist_scratch_.clear();
-    ray_scratch_.clear();
-    std::size_t kept = 0;
+    site.humans_within(origin, effective_range, candidates_);
     const bool fov_limited = config_.fov_rad < 2.0 * std::numbers::pi - 1e-6;
-    for (const std::uint32_t slot : slot_scratch_) {
-      const core::Vec2 hpos = people.position(slot);
+    for (const sim::Human* human : candidates_) {
+      const core::Vec2 hpos = human->position();
       if (fov_limited) {
         // FOV check (forward-looking cameras; spinning lidar is 2*pi).
         const core::Vec2 delta = hpos - origin;
@@ -72,31 +64,20 @@ std::vector<Detection> PerceptionSensor::sense(const sim::Worksite& site,
           continue;
         }
       }
-      slot_scratch_[kept++] = slot;
-      dist_scratch_.push_back(core::distance(origin, hpos));
       // Sight line to the human's torso height.
-      ray_scratch_.push_back({hpos, people.height[slot] * 0.7});
-    }
-    slot_scratch_.resize(kept);
-
-    // Pass 2 — one batched LOS resolve for the whole frame.
-    site.terrain().occlusion_cause_batch(origin, origin_agl, ray_scratch_,
-                                         cause_scratch_);
-
-    // Pass 3 — per-candidate detection rolls, ascending id order.
-    for (std::size_t i = 0; i < slot_scratch_.size(); ++i) {
-      if (cause_scratch_[i] != sim::Terrain::OcclusionCause::kNone) continue;
-      const std::uint32_t slot = slot_scratch_[i];
-      const core::Vec2 hpos = people.position(slot);
+      if (!site.terrain().line_of_sight(origin, origin_agl, hpos,
+                                        human->height() * 0.7)) {
+        continue;
+      }
 
       // Distance-decaying per-frame detection probability.
-      const double range_frac = dist_scratch_[i] / effective_range;
+      const double range_frac = core::distance(origin, hpos) / effective_range;
       double p = config_.base_detect_prob * (1.0 - 0.5 * range_frac * range_frac);
       p -= wx.extra_miss_probability;
       if (!rng.chance(std::max(0.0, p))) continue;
 
       Detection d;
-      d.target = HumanId{people.id[slot]};
+      d.target = human->id();
       d.position = hpos + core::Vec2{rng.normal(0, config_.position_noise_m),
                                      rng.normal(0, config_.position_noise_m)};
       d.confidence =

@@ -59,13 +59,11 @@ class PerceptionSensor {
   /// with 3D line of sight from the sensor origin. Each visible human is
   /// detected with a distance-decaying probability.
   ///
-  /// Implementation streams the worksite's SoA hot state and resolves all
-  /// of the frame's sight lines through Terrain::occlusion_cause_batch
-  /// (one bundle per frame) — bit-identical to the per-ray scan it
-  /// replaced: the range/FOV/LOS filters draw no randomness, and the
-  /// per-candidate RNG rolls still happen in ascending human-id order.
-  /// Uses mutable per-frame scratch, so a sensor instance is not
-  /// thread-safe (matches the rest of the simulation core).
+  /// One loop over Worksite::humans_within (ascending human id): the
+  /// range, FOV and line-of-sight checks draw no randomness, so the
+  /// detection rolls consume the stream in ascending-id order. Uses
+  /// mutable candidate scratch, so a sensor instance is not thread-safe
+  /// (matches the rest of the simulation core).
   [[nodiscard]] std::vector<Detection> sense(const sim::Worksite& site,
                                              const sim::Machine& carrier,
                                              core::SimTime now, core::Rng& rng) const;
@@ -74,13 +72,8 @@ class PerceptionSensor {
   SensorId id_;
   PerceptionConfig config_;
   SensorAttack attack_;
-  // Per-frame scratch (allocation-free after warmup): candidate human
-  // slots surviving range+FOV, their precomputed distances, the bundled
-  // sight lines and their resolved causes.
-  mutable std::vector<std::uint32_t> slot_scratch_;
-  mutable std::vector<double> dist_scratch_;
-  mutable std::vector<sim::Terrain::LosTarget> ray_scratch_;
-  mutable std::vector<sim::Terrain::OcclusionCause> cause_scratch_;
+  /// Range-query scratch (allocation-free after warmup).
+  mutable std::vector<const sim::Human*> candidates_;
 };
 
 }  // namespace agrarsec::sensors

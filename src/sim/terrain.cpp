@@ -180,10 +180,10 @@ bool Terrain::segment_blocked(core::Vec2 a, core::Vec2 b, double margin) const {
   return hit;
 }
 
-Terrain::OcclusionCause Terrain::occlusion_cause_from(core::Vec2 from_xy,
-                                                      double z_from,
-                                                      core::Vec2 to_xy,
-                                                      double to_agl) const {
+Terrain::OcclusionCause Terrain::occlusion_cause(core::Vec2 from_xy, double from_agl,
+                                                 core::Vec2 to_xy,
+                                                 double to_agl) const {
+  const double z_from = ground_height(from_xy) + from_agl;
   const double z_to = ground_height(to_xy) + to_agl;
   const double planar_len = core::distance(from_xy, to_xy);
   if (planar_len < 1e-9) return OcclusionCause::kNone;
@@ -231,56 +231,6 @@ Terrain::OcclusionCause Terrain::occlusion_cause_from(core::Vec2 from_xy,
     if (ray_z < ground_height(at) - 1e-9) return OcclusionCause::kTerrain;
   }
   return OcclusionCause::kNone;
-}
-
-Terrain::OcclusionCause Terrain::occlusion_cause(core::Vec2 from_xy, double from_agl,
-                                                 core::Vec2 to_xy,
-                                                 double to_agl) const {
-  return occlusion_cause_from(from_xy, ground_height(from_xy) + from_agl, to_xy,
-                              to_agl);
-}
-
-void Terrain::occlusion_cause_batch(core::Vec2 from_xy, double from_agl,
-                                    const LosTarget* targets, std::size_t count,
-                                    OcclusionCause* out) const {
-  if (count == 0) return;
-  // One origin ground sample serves the whole bundle (same expression as
-  // the per-ray path, so z_from is bit-identical).
-  const double z_from = ground_height(from_xy) + from_agl;
-  if (count == 1) {
-    out[0] = occlusion_cause_from(from_xy, z_from, targets[0].to_xy,
-                                  targets[0].to_agl);
-    return;
-  }
-
-  // Evaluate in direction-sorted order: consecutive rays then sweep
-  // adjacent corridors of the CSR grid, so the cell rows and obstacle
-  // records a walk touches are still cache-hot for the next ray. Results
-  // land at their original index; each ray's answer is independent of the
-  // evaluation order, so the sort is invisible to callers.
-  batch_order_.resize(count);
-  batch_key_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    batch_order_[i] = static_cast<std::uint32_t>(i);
-    const core::Vec2 d = targets[i].to_xy - from_xy;
-    batch_key_[i] = std::atan2(d.y, d.x);
-  }
-  std::sort(batch_order_.begin(), batch_order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return batch_key_[a] < batch_key_[b];
-            });
-  for (const std::uint32_t idx : batch_order_) {
-    out[idx] = occlusion_cause_from(from_xy, z_from, targets[idx].to_xy,
-                                    targets[idx].to_agl);
-  }
-}
-
-void Terrain::occlusion_cause_batch(core::Vec2 from_xy, double from_agl,
-                                    const std::vector<LosTarget>& targets,
-                                    std::vector<OcclusionCause>& out) const {
-  out.resize(targets.size());
-  occlusion_cause_batch(from_xy, from_agl, targets.data(), targets.size(),
-                        out.data());
 }
 
 bool Terrain::blocked(core::Vec2 p, double radius) const {

@@ -2,7 +2,9 @@
 // discrete obstacles (tree stems, boulders, brush). The central query is
 // 3D line-of-sight, which is exactly what the paper's Figure 2 use case
 // is about: terrain obstacles occlude the forwarder's ground-level view
-// of people, while an elevated drone viewpoint clears them.
+// of people, while an elevated drone viewpoint clears them. One per-ray
+// path, occlusion_cause, answers every sight-line question (DESIGN.md
+// §19); a CSR obstacle grid keeps each ray's candidate walk local.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +61,13 @@ class Terrain {
   [[nodiscard]] double ground_height(core::Vec2 p) const;
 
   /// What (if anything) blocks the 3D sight line between two points given
-  /// with heights *above ground* at their planar positions.
+  /// with heights *above ground* at their planar positions. This is the
+  /// one line-of-sight path: perception, ground-truth blind-step
+  /// attribution and line_of_sight() all resolve sight lines through it.
+  /// The first blocking obstacle in ascending obstacle-index order names
+  /// the cause; terrain is checked only when no obstacle blocks. Uses the
+  /// mutable query scratch, so it is not thread-safe, like every other
+  /// terrain query.
   enum class OcclusionCause : std::uint8_t {
     kNone = 0,
     kTree = 1,
@@ -69,32 +77,6 @@ class Terrain {
   };
   [[nodiscard]] OcclusionCause occlusion_cause(core::Vec2 from_xy, double from_agl,
                                                core::Vec2 to_xy, double to_agl) const;
-
-  /// One bundled sight line for occlusion_cause_batch: target planar
-  /// position plus its height above local ground.
-  struct LosTarget {
-    core::Vec2 to_xy;
-    double to_agl = 0.0;
-  };
-
-  /// Batched line-of-sight: resolves the occlusion cause of `count` rays
-  /// that share one origin (a sensor frame) into out[i], each exactly
-  /// equal to occlusion_cause(from_xy, from_agl, targets[i]...) — the
-  /// equivalence test in tests/sim/occlusion_batch_test.cpp pins this
-  /// bit-for-bit, degenerate rays included. The batch amortises what the
-  /// per-ray entry point redoes every call: the origin's ground height is
-  /// sampled once per bundle, the candidate walk reuses one shared
-  /// stamp/scratch state with no per-ray allocation, and rays are
-  /// evaluated in direction-sorted order so consecutive CSR grid walks
-  /// revisit warm cells. Uses the mutable query scratch — not
-  /// thread-safe, like every other terrain query.
-  void occlusion_cause_batch(core::Vec2 from_xy, double from_agl,
-                             const LosTarget* targets, std::size_t count,
-                             OcclusionCause* out) const;
-  /// Vector convenience overload; resizes `out` to targets.size().
-  void occlusion_cause_batch(core::Vec2 from_xy, double from_agl,
-                             const std::vector<LosTarget>& targets,
-                             std::vector<OcclusionCause>& out) const;
 
   /// 3D line-of-sight between two points given with heights *above ground*
   /// at their respective planar positions. Checks both obstacle occlusion
@@ -127,16 +109,9 @@ class Terrain {
   void build_index();
   /// Stamp-walk of the 3x3 cell neighbourhoods crossed by [a, b] into
   /// candidate_scratch_ (deduped, sorted ascending) — the shared
-  /// candidate-collection core of obstacles_near_segment and the
-  /// occlusion paths.
+  /// candidate-collection core of obstacles_near_segment and
+  /// occlusion_cause.
   void collect_segment_candidates(core::Vec2 a, core::Vec2 b) const;
-  /// Per-ray occlusion body with the origin's absolute height precomputed
-  /// (z_from = ground_height(from_xy) + from_agl). Shared by the single
-  /// and batched entry points so their results are identical by
-  /// construction.
-  [[nodiscard]] OcclusionCause occlusion_cause_from(core::Vec2 from_xy, double z_from,
-                                                    core::Vec2 to_xy,
-                                                    double to_agl) const;
   /// Dense-grid slot for a raw cell coordinate (the traverse_grid
   /// convention: floor(v / cell_size)); out-of-range coordinates clamp to
   /// the border, which only widens candidate sets — the exact distance
@@ -173,9 +148,6 @@ class Terrain {
   mutable std::vector<std::uint64_t> visit_stamp_;
   mutable std::uint64_t stamp_gen_ = 0;
   mutable std::vector<std::uint32_t> candidate_scratch_;
-  /// Batch scratch: ray evaluation order + angular sort keys.
-  mutable std::vector<std::uint32_t> batch_order_;
-  mutable std::vector<double> batch_key_;
 };
 
 }  // namespace agrarsec::sim

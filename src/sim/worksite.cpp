@@ -120,8 +120,6 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   base->set_telemetry(&reg);
   planner_ = base.get();
   planners_.emplace(clearance_key(planner_config.clearance_m), std::move(base));
-
-  if (config_.exact_separation_samples) separation_exact_.emplace();
 }
 
 double Worksite::machine_clearance(const Machine& machine) {
@@ -190,12 +188,6 @@ MachineId Worksite::register_machine(std::unique_ptr<Machine> machine) {
     machine_slot_by_id_.resize(id.value() + 1, kNoSlot);
   }
   machine_slot_by_id_[id.value()] = slot;
-  machine_hot_.x.push_back(machine->position().x);
-  machine_hot_.y.push_back(machine->position().y);
-  machine_hot_.heading.push_back(machine->heading());
-  machine_hot_.speed.push_back(machine->speed());
-  machine_hot_.id.push_back(id.value());
-  machine_hot_.kind.push_back(machine->kind());
   if (machine->kind() == MachineKind::kDrone) drone_slots_.push_back(slot);
   machines_.push_back(std::move(machine));
   effects_.resize(machines_.size());
@@ -244,10 +236,6 @@ HumanId Worksite::add_worker(const std::string& name, core::Vec2 position,
   humans_.push_back(std::make_unique<Human>(
       id, name, position, work_anchor, config,
       core::Rng::fork_stream(seed_, kHumanStreamDomain, id.value())));
-  human_hot_.x.push_back(position.x);
-  human_hot_.y.push_back(position.y);
-  human_hot_.height.push_back(humans_.back()->height());
-  human_hot_.id.push_back(id.value());
   human_index_.insert(id.value(), position);
   return id;
 }
@@ -298,28 +286,14 @@ const Human* Worksite::human(HumanId id) const {
   return slot == kNoSlot ? nullptr : humans_[slot].get();
 }
 
-std::vector<const Human*> Worksite::humans_within(core::Vec2 center,
-                                                  double radius) const {
+void Worksite::humans_within(core::Vec2 center, double radius,
+                             std::vector<const Human*>& out) const {
   human_index_.query_radius(center, radius, query_buffer_);
-  std::vector<const Human*> out;
-  out.reserve(query_buffer_.size());
+  out.clear();
   // Ascending id == insertion order, so downstream per-candidate RNG
   // consumption matches a brute-force scan over humans() exactly.
   for (const std::uint64_t id : query_buffer_) {
     out.push_back(humans_[human_slot_by_id_[id]].get());
-  }
-  return out;
-}
-
-void Worksite::humans_within_slots(core::Vec2 center, double radius,
-                                   std::vector<std::uint32_t>& out) const {
-  human_index_.query_radius(center, radius, query_buffer_);
-  out.clear();
-  out.reserve(query_buffer_.size());
-  // Same set and ascending-id order as humans_within; slots index the
-  // SoA mirrors directly.
-  for (const std::uint64_t id : query_buffer_) {
-    out.push_back(static_cast<std::uint32_t>(human_slot_by_id_[id]));
   }
 }
 
@@ -624,31 +598,8 @@ void Worksite::follow_drones() {
   }
 }
 
-void Worksite::refresh_hot_state() {
-  for (std::size_t slot = 0; slot < machines_.size(); ++slot) {
-    const Machine& m = *machines_[slot];
-    machine_hot_.x[slot] = m.position().x;
-    machine_hot_.y[slot] = m.position().y;
-    machine_hot_.heading[slot] = m.heading();
-    machine_hot_.speed[slot] = m.speed();
-  }
-  for (std::size_t slot = 0; slot < humans_.size(); ++slot) {
-    const Human& h = *humans_[slot];
-    human_hot_.x[slot] = h.position().x;
-    human_hot_.y[slot] = h.position().y;
-  }
-}
-
 std::uint64_t Worksite::close_encounters(double threshold_m) const {
   if (threshold_m <= 0.0) return 0;
-  if (separation_exact_) {
-    // Exact audit path: scan the retained samples; agrees with the
-    // histogram whenever threshold_m lands on a bin edge.
-    const auto& samples = separation_exact_->samples();
-    return static_cast<std::uint64_t>(
-        std::count_if(samples.begin(), samples.end(),
-                      [threshold_m](double d) { return d < threshold_m; }));
-  }
   // Bin counts up to the threshold (rounded up to the next bin edge),
   // plus the overflow bucket when the threshold exceeds the tracked range.
   std::uint64_t n = separation_hist_.underflow();
@@ -732,38 +683,35 @@ void Worksite::step() {
   }
 
   {
-    // Index write-phase: fold the new human poses into the grid, drop
-    // exhausted piles, refresh the SoA mirrors (all pose mutations for
-    // this step are behind us now, so the mirrors match the entities
-    // bit-for-bit until the next step).
+    // Index write-phase: fold the new human poses into the grid and drop
+    // exhausted piles (all pose mutations for this step are behind us).
     obs::Tracer::Span span = tracer.scoped(ph_index_);
     for (const auto& h : humans_) {
       human_index_.update(h->id().value(), h->position());
     }
     compact_piles();
-    refresh_hot_state();
   }
 
   {
     // Separation sampling: moving forwarders against nearby humans, read
-    // from the SoA mirrors refreshed just above. Samples fold into
+    // from the entities' post-step poses. Samples fold into
     // min/stats/histograms in slot order, then query (ascending human id)
     // order, which fixes the floating-point accumulation order.
     obs::Tracer::Span span = tracer.scoped(ph_separation_);
     const double radius = config_.separation_tracking_m;
-    for (std::size_t slot = 0; slot < machines_.size(); ++slot) {
-      if (machine_hot_.kind[slot] != MachineKind::kForwarder) continue;
-      if (machine_hot_.speed[slot] < 0.3) continue;
-      const core::Vec2 mpos = machine_hot_.position(slot);
+    for (const auto& m : machines_) {
+      if (m->kind() != MachineKind::kForwarder) continue;
+      if (m->speed() < 0.3) continue;
+      const core::Vec2 mpos = m->position();
       c_sep_queries_->add();
       human_index_.query_radius(mpos, radius, query_buffer_);
       for (const std::uint64_t id : query_buffer_) {
-        const double d = core::distance(mpos, human_hot_.position(human_slot_by_id_[id]));
+        const double d =
+            core::distance(mpos, humans_[human_slot_by_id_[id]]->position());
         min_separation_ = std::min(min_separation_, d);
         separation_stats_.add(d);
         separation_hist_.add(d);
         h_separation_->add(d);
-        if (separation_exact_) separation_exact_->add(d);
       }
     }
   }

@@ -12,6 +12,11 @@
 // and all shared side effects (event-bus publishes, planner calls, pile
 // mutations) are buffered per machine and drained in ascending slot
 // (= id) order.
+//
+// The Machine and Human entities are the one pose store (DESIGN.md §19):
+// separation sampling, perception and ground-truth zone tracking all
+// read them directly, and find nearby people through the one uniform-grid
+// human index (humans_within, outside the worksite).
 #pragma once
 
 #include <deque>
@@ -44,38 +49,6 @@ struct LogPile {
   std::uint64_t id = 0;
 };
 
-/// Structure-of-arrays mirror of the machines' hot read state (DESIGN.md
-/// §14). The entities in machines_ stay authoritative — external holders
-/// of Machine& (SafetyMonitor) rely on pointer stability — but the phases
-/// that only *read* poses at fleet scale (separation sampling, sensing,
-/// zone tracking) stream these contiguous arrays instead of chasing one
-/// heap allocation per entity. Values are bit-copies of the entity state,
-/// refreshed every step after the last pose mutation, so consumers get
-/// results identical to reading the entities. Indexed by machine slot.
-struct MachineHotState {
-  std::vector<double> x, y;
-  std::vector<double> heading;
-  std::vector<double> speed;
-  std::vector<std::uint64_t> id;     ///< written at spawn, immutable
-  std::vector<MachineKind> kind;     ///< written at spawn, immutable
-  [[nodiscard]] std::size_t size() const { return x.size(); }
-  [[nodiscard]] core::Vec2 position(std::size_t slot) const {
-    return {x[slot], y[slot]};
-  }
-};
-
-/// Structure-of-arrays mirror of the humans' hot read state, indexed by
-/// human slot (= id - 1; humans are append-only).
-struct HumanHotState {
-  std::vector<double> x, y;
-  std::vector<double> height;        ///< written at spawn, immutable
-  std::vector<std::uint64_t> id;     ///< written at spawn, immutable
-  [[nodiscard]] std::size_t size() const { return x.size(); }
-  [[nodiscard]] core::Vec2 position(std::size_t slot) const {
-    return {x[slot], y[slot]};
-  }
-};
-
 struct WorksiteConfig {
   ForestConfig forest;
   core::Vec2 landing_area{30, 30};
@@ -92,11 +65,6 @@ struct WorksiteConfig {
   double separation_tracking_m = 50.0;
   /// Histogram resolution for close_encounters() queries (metres).
   double separation_bin_m = 0.1;
-  /// Also retain every separation sample in an exact core::SampleSet.
-  /// close_encounters() then answers *any* threshold exactly instead of
-  /// rounding up to the next histogram bin edge — audit-query precision
-  /// at the cost of unbounded sample retention; leave off in long runs.
-  bool exact_separation_samples = false;
   /// Windthrow hazards: expected events per simulated hour at weather
   /// factor 1 (scaled by windthrow_weather_factor; storms fell trees,
   /// clear days rarely do). 0 disables the model. Each event blocks a
@@ -168,25 +136,14 @@ class Worksite {
   [[nodiscard]] const std::vector<LogPile>& piles() const { return piles_; }
 
   /// Humans within `radius` of `center` (exact Euclidean, boundary
-  /// inclusive), in ascending id order — identical set and order to a
-  /// brute-force scan over humans(). Backed by the uniform-grid index;
-  /// this is the query perception and separation tracking run per step.
-  [[nodiscard]] std::vector<const Human*> humans_within(core::Vec2 center,
-                                                        double radius) const;
-
-  /// Allocation-free variant of humans_within for the hot read paths:
-  /// fills `out` with human *slots* (ascending, same set/order) for use
-  /// against human_hot(). Serial contexts only (shares the worksite's
-  /// query scratch, like humans_within).
-  void humans_within_slots(core::Vec2 center, double radius,
-                           std::vector<std::uint32_t>& out) const;
-
-  /// SoA mirrors of the hot per-entity read state, valid from spawn and
-  /// refreshed every step() after the last pose mutation (so between
-  /// steps — where sensing and monitoring run — they match the entities
-  /// bit-for-bit).
-  [[nodiscard]] const MachineHotState& machine_hot() const { return machine_hot_; }
-  [[nodiscard]] const HumanHotState& human_hot() const { return human_hot_; }
+  /// inclusive) into `out`, replacing its contents, in ascending id order
+  /// — identical set and order to a brute-force scan over humans().
+  /// Backed by the uniform-grid index; this is the query perception and
+  /// ground-truth zone tracking run per frame. `out` is caller scratch, so
+  /// the query allocates nothing after warmup. Serial contexts only (the
+  /// index query shares the worksite's scratch buffer).
+  void humans_within(core::Vec2 center, double radius,
+                     std::vector<const Human*>& out) const;
 
   /// Forwarder mission status (only meaningful for forwarders).
   [[nodiscard]] ForwarderTask task(MachineId id) const;
@@ -260,9 +217,7 @@ class Worksite {
   /// Count of recorded separation samples below `threshold_m`. Answered
   /// from the streaming histogram at separation_bin_m resolution
   /// (thresholds are rounded up to the next bin edge), O(bins) instead of
-  /// a scan over every sample ever recorded — unless
-  /// config.exact_separation_samples is set, in which case the retained
-  /// sample set is scanned and the count is exact at any threshold.
+  /// a scan over every sample ever recorded; exact at bin edges.
   [[nodiscard]] std::uint64_t close_encounters(double threshold_m) const;
   /// Streaming moments (mean/stddev/min/max) over all separation samples.
   [[nodiscard]] const core::RunningStats& separation_stats() const {
@@ -270,10 +225,6 @@ class Worksite {
   }
   [[nodiscard]] const core::Histogram& separation_histogram() const {
     return separation_hist_;
-  }
-  /// Retained samples (nullptr unless config.exact_separation_samples).
-  [[nodiscard]] const core::SampleSet* separation_samples() const {
-    return separation_exact_ ? &*separation_exact_ : nullptr;
   }
 
  private:
@@ -333,12 +284,9 @@ class Worksite {
   /// anchored on an earlier-slot drone therefore reads that drone's
   /// already-stepped pose.
   void follow_drones();
-  /// Copies the entities' post-step poses into the SoA mirrors
-  /// (contiguous writes, runs inside the index phase).
-  void refresh_hot_state();
 
-  /// Shared tail of the add_* spawners: slot bookkeeping, SoA append,
-  /// drone work-list, effect-buffer growth.
+  /// Shared tail of the add_* spawners: slot bookkeeping, drone
+  /// work-list, effect-buffer growth.
   MachineId register_machine(std::unique_ptr<Machine> machine);
   /// route_machine body shared with the public id-based overload.
   void route_machine(Machine& machine, core::Vec2 goal);
@@ -393,11 +341,6 @@ class Worksite {
   /// Per-machine effect slots, written by decide and applied by the drain.
   std::vector<MachineEffects> effects_;
 
-  // SoA mirrors of the hot read state (see MachineHotState); refreshed by
-  // refresh_hot_state() once per step.
-  MachineHotState machine_hot_;
-  HumanHotState human_hot_;
-
   IdAllocator<MachineId> machine_ids_;
   IdAllocator<HumanId> human_ids_;
 
@@ -432,7 +375,6 @@ class Worksite {
   double min_separation_ = 1e9;
   core::RunningStats separation_stats_;
   core::Histogram separation_hist_;
-  std::optional<core::SampleSet> separation_exact_;
 };
 
 }  // namespace agrarsec::sim

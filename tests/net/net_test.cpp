@@ -1,6 +1,9 @@
 // Radio medium, message codecs and attacker primitives.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/attacker.h"
 #include "net/message.h"
 #include "net/radio.h"
@@ -63,9 +66,9 @@ TEST(Radio, BroadcastReachesAllOthers) {
 }
 
 TEST(Radio, BroadcastCountsPrunedNodesAsOutOfRange) {
-  // The grid-pruned broadcast fan-out must keep outcome accounting exact:
-  // nodes skipped because they cannot be in range are still counted as
-  // kOutOfRange, identically to judging each one.
+  // A broadcast judges every other attached node: nodes beyond
+  // max_range_m, however far, are each counted as kOutOfRange and only
+  // in-range nodes receive the frame.
   RadioMedium medium{core::Rng{5}, TwoNodes::perfect_config()};
   std::size_t delivered_cb = 0;
   const auto attach_at = [&](std::uint64_t id, core::Vec2 pos) {
@@ -75,9 +78,9 @@ TEST(Radio, BroadcastCountsPrunedNodesAsOutOfRange) {
   attach_at(1, {0, 0});  // sender
   attach_at(2, {100, 0});          // in range
   attach_at(3, {400, 0});          // in range (max_range_m = 600)
-  attach_at(4, {5000, 0});         // far: pruned by the grid
-  attach_at(5, {0, 9000});         // far: pruned by the grid
-  attach_at(6, {700, 0});          // neighbouring cell but beyond range
+  attach_at(4, {5000, 0});         // far beyond range
+  attach_at(5, {0, 9000});         // far beyond range
+  attach_at(6, {700, 0});          // just beyond range
 
   Frame f;
   f.src = NodeId{1};
@@ -87,8 +90,7 @@ TEST(Radio, BroadcastCountsPrunedNodesAsOutOfRange) {
 
   EXPECT_EQ(delivered_cb, 2u);
   EXPECT_EQ(medium.count(DeliveryOutcome::kDelivered), 2u);
-  // All three unreachable nodes counted, whether individually judged
-  // (node 6, in the 3x3 neighbourhood) or pruned in bulk (nodes 4, 5).
+  // All three unreachable nodes counted, near miss and far alike.
   EXPECT_EQ(medium.count(DeliveryOutcome::kOutOfRange), 3u);
 }
 
@@ -294,6 +296,53 @@ TEST(Radio, CollisionOnSameChannelCloseInTime) {
   net.pump(100);
   EXPECT_TRUE(net.received_b.empty());
   EXPECT_GE(net.medium.count(DeliveryOutcome::kCollision), 1u);
+}
+
+TEST(Radio, CollisionMarksOnlySameChannelPairsInWindow) {
+  // Collisions pair frames due in the same step on the same channel from
+  // different senders whose send times lie within collision_window_ms
+  // (inclusive). Three senders on two channels, interleaved in send time:
+  //   A ch1 src1 t=0   collides with C (gap 3)
+  //   B ch2 src2 t=1   same sender as D: no collision
+  //   C ch1 src3 t=3   collides with A, and with G (gap 5, on the edge)
+  //   D ch2 src2 t=4   E is 6 ms later, just past the 5 ms window
+  //   G ch1 src2 t=8   collides with C
+  //   E ch2 src3 t=10  nothing on ch2 within 5 ms from another sender
+  const RadioConfig config = TwoNodes::perfect_config();  // loss 0, no jitter
+  ASSERT_EQ(config.collision_window_ms, 5.0);
+  ASSERT_EQ(config.collision_probability, 1.0);
+  RadioMedium medium{core::Rng{11}, config};
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    medium.attach(NodeId{id}, [id] { return core::Vec2{10.0 * static_cast<double>(id), 0}; },
+                  [](const Frame&, core::SimTime) {});
+  }
+  std::vector<std::string> received;
+  medium.attach(NodeId{4}, [] { return core::Vec2{50, 0}; },
+                [&](const Frame& f, core::SimTime) {
+                  received.emplace_back(f.payload.begin(), f.payload.end());
+                });
+
+  struct Send {
+    const char* label;
+    std::uint32_t channel;
+    std::uint64_t src;
+    core::SimTime at;
+  };
+  const Send sends[] = {{"A", 1, 1, 0}, {"B", 2, 2, 1}, {"C", 1, 3, 3},
+                        {"D", 2, 2, 4}, {"G", 1, 2, 8}, {"E", 2, 3, 10}};
+  for (const Send& send : sends) {
+    Frame f;
+    f.src = NodeId{send.src};
+    f.dst = NodeId{4};
+    f.channel = send.channel;
+    f.payload = core::from_string(send.label);
+    medium.send(f, send.at);
+  }
+  medium.step(100);  // one step: every frame is due in the same batch
+
+  EXPECT_EQ(received, (std::vector<std::string>{"B", "D", "E"}));
+  EXPECT_EQ(medium.count(DeliveryOutcome::kCollision), 3u);
+  EXPECT_EQ(medium.count(DeliveryOutcome::kDelivered), 3u);
 }
 
 TEST(Radio, DueFrameNotBlockedByEarlierSendWithLaterDeadline) {

@@ -1,10 +1,71 @@
-// Occlusion-cause attribution (feeds the SOTIF census).
+// Occlusion-cause attribution (feeds the SOTIF census), plus exactness
+// of the one sight-line path against a brute-force reference over
+// randomized obstacle/hill fields and degenerate rays: zero-length rays,
+// from == to with differing heights, endpoints on cell boundaries, and
+// drone-altitude rays that take the hills-height-sum terrain skip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "core/rng.h"
 #include "sim/terrain.h"
 
 namespace agrarsec::sim {
 namespace {
+
+using Cause = Terrain::OcclusionCause;
+
+/// Reference resolve with neither acceleration of occlusion_cause: every
+/// obstacle in index order instead of the CSR grid walk, and terrain
+/// sampled on every ray instead of skipping rays that clear the summed
+/// hill heights. Same predicates otherwise.
+Cause brute_force_cause(const Terrain& t, core::Vec2 from, double from_agl,
+                        core::Vec2 to, double to_agl) {
+  const double z_from = t.ground_height(from) + from_agl;
+  const double z_to = t.ground_height(to) + to_agl;
+  const double len = core::distance(from, to);
+  if (len < 1e-9) return Cause::kNone;
+  const core::Vec2 dir = (to - from) * (1.0 / len);
+  for (const Obstacle& o : t.obstacles()) {
+    if (core::point_segment_distance(o.footprint.center, from, to) > o.footprint.radius) {
+      continue;
+    }
+    const double s = std::clamp((o.footprint.center - from).dot(dir), 0.0, len);
+    if (s < 0.5 || s > len - 0.5) continue;
+    const double ray_z = z_from + (z_to - z_from) * (s / len);
+    if (ray_z < t.ground_height(from + dir * s) + o.height_m) {
+      switch (o.kind) {
+        case ObstacleKind::kTree: return Cause::kTree;
+        case ObstacleKind::kBoulder: return Cause::kBoulder;
+        case ObstacleKind::kBrush: return Cause::kBrush;
+      }
+    }
+  }
+  const int samples = std::max(2, static_cast<int>(len / 5.0));
+  for (int i = 1; i < samples; ++i) {
+    const double s = static_cast<double>(i) / samples;
+    const double ray_z = z_from + (z_to - z_from) * s;
+    if (ray_z < t.ground_height(from + (to - from) * s) - 1e-9) return Cause::kTerrain;
+  }
+  return Cause::kNone;
+}
+
+struct Ray {
+  core::Vec2 to;
+  double to_agl;
+};
+
+void expect_matches_brute_force(const Terrain& terrain, core::Vec2 from, double agl,
+                                const std::vector<Ray>& rays, const char* label) {
+  for (std::size_t i = 0; i < rays.size(); ++i) {
+    EXPECT_EQ(terrain.occlusion_cause(from, agl, rays[i].to, rays[i].to_agl),
+              brute_force_cause(terrain, from, agl, rays[i].to, rays[i].to_agl))
+        << label << ": ray " << i << " from (" << from.x << "," << from.y
+        << ") agl " << agl << " to (" << rays[i].to.x << "," << rays[i].to.y
+        << ") agl " << rays[i].to_agl;
+  }
+}
 
 Obstacle make(ObstacleKind kind, core::Vec2 at, double radius, double height) {
   Obstacle o;
@@ -66,6 +127,102 @@ TEST(OcclusionCause, ElevatedViewClearsAll) {
                   {Hill{{100, 0}, 4.0, 30.0}}};
   EXPECT_EQ(t.occlusion_cause({0, 0}, 60.0, {100, 0}, 1.2),
             Terrain::OcclusionCause::kNone);
+}
+
+TEST(OcclusionCause, MatchesBruteForceOverRandomizedFields) {
+  // Several stand densities, including obstacle-free (pure terrain) and
+  // hill-free (pure obstacles): each generated field gets frames of
+  // random rays from ground-mast and drone-altitude origins.
+  struct FieldSpec {
+    double trees_per_ha;
+    double brush_per_ha;
+    std::size_t hills;
+    std::uint64_t seed;
+  };
+  const FieldSpec specs[] = {
+      {400.0, 40.0, 6, 1},   // dense managed stand
+      {80.0, 10.0, 6, 2},    // sparse
+      {0.0, 0.0, 6, 3},      // terrain-only occlusion
+      {400.0, 40.0, 0, 4},   // obstacle-only (flat ground)
+      {1000.0, 120.0, 12, 5} // degenerate thicket
+  };
+  std::size_t blocked = 0;
+  std::size_t rays_cast = 0;
+  for (const FieldSpec& spec : specs) {
+    ForestConfig forest;
+    forest.bounds = {{0, 0}, {200, 200}};
+    forest.trees_per_hectare = spec.trees_per_ha;
+    forest.brush_per_hectare = spec.brush_per_ha;
+    forest.boulders_per_hectare = spec.trees_per_ha > 0 ? 8.0 : 0.0;
+    forest.hill_count = spec.hills;
+    core::Rng terrain_rng{spec.seed};
+    const Terrain terrain = Terrain::generate(forest, terrain_rng);
+
+    core::Rng rng{spec.seed * 7919 + 13};
+    for (int frame = 0; frame < 8; ++frame) {
+      const core::Vec2 from{rng.uniform(5.0, 195.0), rng.uniform(5.0, 195.0)};
+      const double agl = frame % 2 == 0 ? rng.uniform(1.0, 3.5)   // mast
+                                        : rng.uniform(25.0, 60.0);  // drone
+      std::vector<Ray> rays;
+      for (int i = 0; i < 48; ++i) {
+        rays.push_back({{rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)},
+                        rng.uniform(0.0, 2.5)});
+      }
+      expect_matches_brute_force(terrain, from, agl, rays, "random field");
+      for (const Ray& ray : rays) {
+        ++rays_cast;
+        if (terrain.occlusion_cause(from, agl, ray.to, ray.to_agl) != Cause::kNone) {
+          ++blocked;
+        }
+      }
+    }
+  }
+  // Both outcomes must occur, or the comparison proves little.
+  EXPECT_GT(blocked, 0u);
+  EXPECT_LT(blocked, rays_cast);
+}
+
+TEST(OcclusionCause, DegenerateRaysMatchBruteForce) {
+  ForestConfig forest;
+  forest.bounds = {{0, 0}, {200, 200}};
+  core::Rng terrain_rng{42};
+  const Terrain terrain = Terrain::generate(forest, terrain_rng);
+
+  const core::Vec2 from{55.0, 85.0};
+  std::vector<Ray> rays;
+  // from == to, equal heights (planar length exactly zero).
+  rays.push_back({from, 1.7});
+  // from == to, differing heights (still zero planar length).
+  rays.push_back({from, 40.0});
+  rays.push_back({from, 0.0});
+  // Sub-epsilon planar offset (the < 1e-9 early-out boundary).
+  rays.push_back({{from.x + 1e-12, from.y}, 1.7});
+  rays.push_back({{from.x, from.y + 1e-10}, 1.7});
+  // Endpoints exactly on cell-size multiples (grid cell 10 m): axis-
+  // aligned rays that ride cell boundaries the whole way.
+  rays.push_back({{50.0, 85.0}, 1.7});
+  rays.push_back({{150.0, 85.0}, 1.7});
+  rays.push_back({{55.0, 200.0}, 1.7});
+  rays.push_back({{60.0, 90.0}, 1.7});
+  // Long diagonal corner-to-corner and out-of-frame-corner rays.
+  rays.push_back({{0.0, 0.0}, 1.7});
+  rays.push_back({{200.0, 200.0}, 0.5});
+  rays.push_back({{200.0, 0.0}, 2.0});
+  // Target at drone altitude (upward ray clears all hills -> sampling
+  // skip) and at ground level.
+  rays.push_back({{120.0, 40.0}, 55.0});
+  rays.push_back({{120.0, 40.0}, 0.0});
+  expect_matches_brute_force(terrain, from, 1.9, rays, "degenerate, mast origin");
+  expect_matches_brute_force(terrain, from, 45.0, rays, "degenerate, drone origin");
+  // Origin itself on a cell boundary.
+  expect_matches_brute_force(terrain, {60.0, 90.0}, 2.2, rays,
+                             "degenerate, boundary origin");
+  // Zero planar length never occludes, whatever the heights.
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(terrain.occlusion_cause(from, 1.9, rays[i].to, rays[i].to_agl),
+              Cause::kNone)
+        << "ray " << i;
+  }
 }
 
 }  // namespace
