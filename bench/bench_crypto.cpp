@@ -105,6 +105,15 @@ void BM_X25519Shared(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519Shared);
 
+void BM_Ed25519Keypair(benchmark::State& state) {
+  crypto::Drbg drbg{3, "ed"};
+  const auto seed = drbg.generate32();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::ed25519_keypair(seed));
+  }
+}
+BENCHMARK(BM_Ed25519Keypair);
+
 void BM_Ed25519Sign(benchmark::State& state) {
   crypto::Drbg drbg{3, "ed"};
   const auto kp = crypto::ed25519_keypair(drbg.generate32());

@@ -87,10 +87,13 @@ echo "== sanitizers: TSan over the threaded paths =="
 # net_test torture suite and the ConsoleStream/ConsoleSensor suites add
 # the poll-driven HTTP server under concurrent clients, SSE subscribers
 # against a stepping fleet, and the control-plane IDS sensor written by
-# the control thread while /ids reads it.
+# the control thread while /ids reads it. Ed25519Concurrency runs alone in
+# its process, so the lazily built Ed25519 base-point table is first used
+# by four threads at once.
 cmake -B build-tsan -S . -DAGRARSEC_TSAN=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
-cmake --build build-tsan -j "$JOBS" --target core_test net_test service_test
+cmake --build build-tsan -j "$JOBS" --target core_test crypto_test net_test service_test
 run_filtered ./build-tsan/tests/core_test 'ThreadPool*:LogThreadSafety*'
+run_filtered ./build-tsan/tests/crypto_test 'Ed25519Concurrency*'
 run_filtered ./build-tsan/tests/net_test 'HttpServerTorture*'
 run_filtered ./build-tsan/tests/service_test 'FleetServiceParallel*:ConsoleParallel*:ConsoleStream*:ConsoleSensor*'
 

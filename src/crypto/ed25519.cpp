@@ -1,23 +1,38 @@
 #include "crypto/ed25519.h"
 
-#include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include "crypto/field25519.h"
 #include "crypto/sha512.h"
 
 namespace agrarsec::crypto {
 
+namespace detail {
+thread_local PointOpCount ed25519_point_ops;
+}  // namespace detail
+
 namespace {
 
 using detail::Fe;
 
-// --- Edwards curve points, extended coordinates (X:Y:Z:T), x*y = T*Z. ---
+// --- Edwards curve points. ---
 
+/// Extended coordinates (X:Y:Z:T): x = X/Z, y = Y/Z, x*y = T/Z.
 struct GePoint {
   Fe x, y, z, t;
+};
+
+/// Affine point prepared for mixed addition: (y+x, y-x, 2dxy). The
+/// base-point table holds these.
+struct GePrecomp {
+  Fe yplusx, yminusx, xy2d;
+};
+
+/// Projective point prepared for addition: (Y+X, Y-X, Z, 2dT).
+struct GeCached {
+  Fe yplusx, yminusx, z, t2d;
 };
 
 // d = -121665/121666 mod p.
@@ -49,25 +64,10 @@ GePoint ge_base() {
   return p;
 }
 
-/// Unified point addition (RFC 8032 §5.1.4 formulas, extended coords).
-GePoint ge_add(const GePoint& p, const GePoint& q) {
-  Fe a, b, c, d, e, f, g, h, t;
-  detail::fe_sub(t, p.y, p.x);
-  detail::fe_carry(t);
-  Fe t2;
-  detail::fe_sub(t2, q.y, q.x);
-  detail::fe_carry(t2);
-  detail::fe_mul(a, t, t2);                    // A = (Y1-X1)(Y2-X2)
-  detail::fe_add(t, p.y, p.x);
-  detail::fe_carry(t);
-  detail::fe_add(t2, q.y, q.x);
-  detail::fe_carry(t2);
-  detail::fe_mul(b, t, t2);                    // B = (Y1+X1)(Y2+X2)
-  detail::fe_mul(c, p.t, q.t);
-  detail::fe_mul(c, c, kD2);                   // C = 2 d T1 T2
-  detail::fe_mul(d, p.z, q.z);
-  detail::fe_add(d, d, d);                     // D = 2 Z1 Z2
-  detail::fe_carry(d);
+/// Shared tail of the unified addition (RFC 8032 §5.1.4, extended coords),
+/// given A = (Y1-X1)(Y2-X2), B = (Y1+X1)(Y2+X2), C = 2d T1 T2, D = 2 Z1 Z2.
+GePoint ge_add_finish(const Fe& a, const Fe& b, const Fe& c, const Fe& d) {
+  Fe e, f, g, h;
   detail::fe_sub(e, b, a);                     // E = B - A
   detail::fe_carry(e);
   detail::fe_sub(f, d, c);                     // F = D - C
@@ -82,31 +82,91 @@ GePoint ge_add(const GePoint& p, const GePoint& q) {
   detail::fe_mul(r.y, g, h);
   detail::fe_mul(r.t, e, h);
   detail::fe_mul(r.z, f, g);
+  ++detail::ed25519_point_ops.adds;
   return r;
 }
 
-GePoint ge_double(const GePoint& p) { return ge_add(p, p); }
+/// Y1 + X1 and Y1 - X1, the first step of both additions.
+void ge_sum_diff(Fe& ypx, Fe& ymx, const GePoint& p) {
+  detail::fe_add(ypx, p.y, p.x);
+  detail::fe_carry(ypx);
+  detail::fe_sub(ymx, p.y, p.x);
+  detail::fe_carry(ymx);
+}
 
-GePoint ge_neg(const GePoint& p) {
+/// p + q.
+GePoint ge_add(const GePoint& p, const GeCached& q) {
+  Fe ypx, ymx, a, b, c, d;
+  ge_sum_diff(ypx, ymx, p);
+  detail::fe_mul(a, ymx, q.yminusx);
+  detail::fe_mul(b, ypx, q.yplusx);
+  detail::fe_mul(c, p.t, q.t2d);
+  detail::fe_mul(d, p.z, q.z);
+  detail::fe_add(d, d, d);
+  detail::fe_carry(d);
+  return ge_add_finish(a, b, c, d);
+}
+
+/// p + q for an affine q (Z2 = 1): one multiplication fewer.
+GePoint ge_madd(const GePoint& p, const GePrecomp& q) {
+  Fe ypx, ymx, a, b, c, d;
+  ge_sum_diff(ypx, ymx, p);
+  detail::fe_mul(a, ymx, q.yminusx);
+  detail::fe_mul(b, ypx, q.yplusx);
+  detail::fe_mul(c, p.t, q.xy2d);
+  detail::fe_add(d, p.z, p.z);
+  detail::fe_carry(d);
+  return ge_add_finish(a, b, c, d);
+}
+
+/// 2p with the dedicated doubling (4 squarings + 4 multiplications instead
+/// of the addition's 9 multiplications).
+GePoint ge_double(const GePoint& p) {
+  Fe xx, yy, zz2, s, ss, g, h, e, f;
+  detail::fe_sq(xx, p.x);
+  detail::fe_sq(yy, p.y);
+  detail::fe_sq(zz2, p.z);
+  detail::fe_add(zz2, zz2, zz2);               // 2 Z^2
+  detail::fe_carry(zz2);
+  detail::fe_add(s, p.x, p.y);
+  detail::fe_carry(s);
+  detail::fe_sq(ss, s);                        // (X + Y)^2
+  detail::fe_add(g, yy, xx);                   // G = YY + XX
+  detail::fe_carry(g);
+  detail::fe_sub(h, yy, xx);                   // H = YY - XX
+  detail::fe_carry(h);
+  detail::fe_sub(e, ss, g);                    // E = 2XY
+  detail::fe_carry(e);
+  detail::fe_sub(f, zz2, h);                   // F = 2Z^2 - H
+  detail::fe_carry(f);
+
   GePoint r;
-  detail::fe_neg(r.x, p.x);
-  r.y = p.y;
-  r.z = p.z;
-  detail::fe_neg(r.t, p.t);
+  detail::fe_mul(r.x, e, f);
+  detail::fe_mul(r.y, g, h);
+  detail::fe_mul(r.t, e, g);
+  detail::fe_mul(r.z, h, f);
+  ++detail::ed25519_point_ops.doubles;
   return r;
 }
 
-/// scalar (little-endian 32 bytes) * point, simple double-and-add MSB-first.
-/// Not constant-time; adequate for the simulated ECUs (constant-time
-/// scalar-base multiplication would use a fixed window table).
-GePoint ge_scalar_mul(std::span<const std::uint8_t> scalar, const GePoint& p) {
-  GePoint r = ge_identity();
-  for (int i = 255; i >= 0; --i) {
-    r = ge_double(r);
-    if ((scalar[static_cast<std::size_t>(i / 8)] >> (i & 7)) & 1) {
-      r = ge_add(r, p);
-    }
-  }
+GeCached ge_to_cached(const GePoint& p) {
+  GeCached r;
+  ge_sum_diff(r.yplusx, r.yminusx, p);
+  r.z = p.z;
+  detail::fe_mul(r.t2d, p.t, kD2);
+  return r;
+}
+
+/// -q: swaps y+x with y-x and negates 2dxy.
+GePrecomp ge_neg(const GePrecomp& q) {
+  GePrecomp r{q.yminusx, q.yplusx, {}};
+  detail::fe_neg(r.xy2d, q.xy2d);
+  return r;
+}
+
+GeCached ge_neg(const GeCached& q) {
+  GeCached r{q.yminusx, q.yplusx, q.z, {}};
+  detail::fe_neg(r.t2d, q.t2d);
   return r;
 }
 
@@ -171,164 +231,205 @@ bool ge_frombytes(GePoint& p, const std::uint8_t in[32]) {
   return true;
 }
 
+// --- Fixed-window base-point multiplication. ---
+
+/// Row j holds (k+1) * 16^(2j) * B for k = 0..7: 256 affine entries, 30 KB.
+using BaseRow = std::array<GePrecomp, 8>;
+using BaseTable = std::array<BaseRow, 32>;
+
+BaseTable build_base_table() {
+  std::array<GePoint, 256> points;
+  GePoint row_base = ge_base();
+  for (std::size_t j = 0; j < 32; ++j) {
+    const GeCached q = ge_to_cached(row_base);
+    points[8 * j] = row_base;
+    for (std::size_t k = 1; k < 8; ++k) points[8 * j + k] = ge_add(points[8 * j + k - 1], q);
+    for (int i = 0; i < 8; ++i) row_base = ge_double(row_base);  // * 16^2
+  }
+
+  // One field inversion for all 256 Z coordinates (Montgomery's trick):
+  // prefix[i] = Z_0 ... Z_i, so 1/Z_i = prefix[i-1] / prefix[i].
+  std::array<Fe, 256> prefix;
+  prefix[0] = points[0].z;
+  for (std::size_t i = 1; i < 256; ++i) detail::fe_mul(prefix[i], prefix[i - 1], points[i].z);
+  Fe inv;  // 1 / prefix[i] for the current i
+  detail::fe_invert(inv, prefix[255]);
+
+  BaseTable table;
+  for (std::size_t i = 256; i-- > 0;) {
+    Fe zinv = inv;
+    if (i > 0) {
+      detail::fe_mul(zinv, inv, prefix[i - 1]);
+      detail::fe_mul(inv, inv, points[i].z);
+    }
+    Fe x, y;
+    detail::fe_mul(x, points[i].x, zinv);
+    detail::fe_mul(y, points[i].y, zinv);
+    GePrecomp& entry = table[i / 8][i % 8];
+    detail::fe_add(entry.yplusx, y, x);
+    detail::fe_carry(entry.yplusx);
+    detail::fe_sub(entry.yminusx, y, x);
+    detail::fe_carry(entry.yminusx);
+    detail::fe_mul(entry.xy2d, x, y);
+    detail::fe_mul(entry.xy2d, entry.xy2d, kD2);
+  }
+  return table;
+}
+
+const BaseTable& base_table() {
+  static const BaseTable table = build_base_table();
+  return table;
+}
+
+/// Signed radix-16 digits of a 32-byte little-endian scalar whose top byte
+/// is at most 127: a = sum e[i] 16^i with every e[i] in [-8, 8].
+/// Branch-free.
+void recode_radix16(std::int8_t e[64], const std::uint8_t a[32]) {
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = static_cast<std::int8_t>(a[i] & 15);
+    e[2 * i + 1] = static_cast<std::int8_t>(a[i] >> 4);
+  }
+  int carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    const int v = e[i] + carry;  // 0..16
+    carry = (v + 8) >> 4;
+    e[i] = static_cast<std::int8_t>(v - carry * 16);
+  }
+  e[63] = static_cast<std::int8_t>(e[63] + carry);
+}
+
+/// b * row[0] for b in [-8, 8], in constant time: every entry of the row is
+/// read and masked in, and the negation is a masked select too.
+GePrecomp select(const BaseRow& row, std::int8_t b) {
+  const auto ub = static_cast<std::uint8_t>(b);
+  const std::uint64_t negative = ub >> 7;
+  const std::uint64_t babs = static_cast<std::uint8_t>((ub ^ (0 - negative)) + negative);
+
+  GePrecomp t{detail::fe_one(), detail::fe_one(), detail::fe_zero()};
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const std::uint64_t match = ((babs ^ (k + 1)) - 1) >> 63;  // babs == k + 1
+    detail::fe_cmov(t.yplusx, row[k].yplusx, match);
+    detail::fe_cmov(t.yminusx, row[k].yminusx, match);
+    detail::fe_cmov(t.xy2d, row[k].xy2d, match);
+  }
+  const GePrecomp minus_t = ge_neg(t);
+  detail::fe_cmov(t.yplusx, minus_t.yplusx, negative);
+  detail::fe_cmov(t.yminusx, minus_t.yminusx, negative);
+  detail::fe_cmov(t.xy2d, minus_t.xy2d, negative);
+  return t;
+}
+
+/// [a]B for a[31] <= 127 in constant time: 64 selects, 64 mixed additions
+/// and 4 doublings for every a. Odd digits go first and are scaled by 16,
+/// so 32 table rows cover all 64 digit positions.
+GePoint ge_scalarmult_base(const std::uint8_t a[32]) {
+  std::int8_t e[64];
+  recode_radix16(e, a);
+  const BaseTable& table = base_table();
+  GePoint h = ge_identity();
+  for (int i = 1; i < 64; i += 2) h = ge_madd(h, select(table[i / 2], e[i]));
+  for (int i = 0; i < 4; ++i) h = ge_double(h);
+  for (int i = 0; i < 64; i += 2) h = ge_madd(h, select(table[i / 2], e[i]));
+  return h;
+}
+
 // --- Scalar arithmetic modulo the group order L. ---
 // L = 2^252 + 27742317777372353535851937790883648493.
 
-// Minimal big-unsigned helpers over base-2^32 little-endian vectors, only
-// what mod-L arithmetic needs. Sizes are tiny (<= 16 words), so schoolbook
-// algorithms are plenty.
-using Big = std::vector<std::uint32_t>;
-
-Big big_from_bytes_le(std::span<const std::uint8_t> bytes) {
-  Big out((bytes.size() + 3) / 4, 0);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    out[i / 4] |= static_cast<std::uint32_t>(bytes[i]) << (8 * (i % 4));
-  }
-  while (out.size() > 1 && out.back() == 0) out.pop_back();
-  return out;
-}
-
-void big_to_bytes32_le(const Big& x, std::uint8_t out[32]) {
-  std::memset(out, 0, 32);
-  for (std::size_t i = 0; i < x.size() && i * 4 < 32; ++i) {
-    for (std::size_t b = 0; b < 4 && i * 4 + b < 32; ++b) {
-      out[i * 4 + b] = static_cast<std::uint8_t>(x[i] >> (8 * b));
-    }
-  }
-}
-
-int big_cmp(const Big& a, const Big& b) {
-  std::size_t na = a.size(), nb = b.size();
-  while (na > 1 && a[na - 1] == 0) --na;
-  while (nb > 1 && b[nb - 1] == 0) --nb;
-  if (na != nb) return na < nb ? -1 : 1;
-  for (std::size_t i = na; i-- > 0;) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  return 0;
-}
-
-Big big_add(const Big& a, const Big& b) {
-  Big out(std::max(a.size(), b.size()) + 1, 0);
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    std::uint64_t s = carry;
-    if (i < a.size()) s += a[i];
-    if (i < b.size()) s += b[i];
-    out[i] = static_cast<std::uint32_t>(s);
-    carry = s >> 32;
-  }
-  while (out.size() > 1 && out.back() == 0) out.pop_back();
-  return out;
-}
-
-/// a - b; requires a >= b.
-Big big_sub(const Big& a, const Big& b) {
-  Big out(a.size(), 0);
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::int64_t d = static_cast<std::int64_t>(a[i]) - borrow -
-                     (i < b.size() ? static_cast<std::int64_t>(b[i]) : 0);
-    if (d < 0) {
-      d += std::int64_t{1} << 32;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out[i] = static_cast<std::uint32_t>(d);
-  }
-  while (out.size() > 1 && out.back() == 0) out.pop_back();
-  return out;
-}
-
-Big big_mul(const Big& a, const Big& b) {
-  Big out(a.size() + b.size(), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      std::uint64_t cur = out[i + j] + static_cast<std::uint64_t>(a[i]) * b[j] + carry;
-      out[i + j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    std::size_t k = i + b.size();
-    while (carry != 0) {
-      std::uint64_t cur = out[k] + carry;
-      out[k] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-      ++k;
-    }
-  }
-  while (out.size() > 1 && out.back() == 0) out.pop_back();
-  return out;
-}
-
-Big big_shift_words(const Big& a, std::size_t words) {
-  Big out(a.size() + words, 0);
-  std::copy(a.begin(), a.end(), out.begin() + static_cast<std::ptrdiff_t>(words));
-  return out;
-}
-
-const Big& big_l() {
-  // L little-endian.
-  static const Big l = [] {
-    const std::uint8_t bytes[32] = {
-        0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
-        0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
-    return big_from_bytes_le(bytes);
-  }();
-  return l;
-}
-
-/// x mod L via binary long division (shift-and-subtract on word blocks).
-Big big_mod_l(Big x) {
-  const Big& l = big_l();
-  if (big_cmp(x, l) < 0) return x;
-  // Find the highest word offset such that l << offset <= x, then subtract
-  // the largest multiples. Classic schoolbook; inputs are <= 64 bytes.
-  while (big_cmp(x, l) >= 0) {
-    std::size_t shift = x.size() > l.size() ? x.size() - l.size() : 0;
-    Big shifted = big_shift_words(l, shift);
-    while (shift > 0 && big_cmp(shifted, x) > 0) {
-      --shift;
-      shifted = big_shift_words(l, shift);
-    }
-    // Subtract shifted * q where q reduces the leading words; do it simply:
-    // subtract the largest power-of-two multiple repeatedly.
-    Big multiple = shifted;
-    Big doubled = big_add(multiple, multiple);
-    while (big_cmp(doubled, x) <= 0) {
-      multiple = doubled;
-      doubled = big_add(multiple, multiple);
-    }
-    x = big_sub(x, multiple);
-  }
-  return x;
-}
-
 using Scalar = std::array<std::uint8_t, 32>;
 
-Scalar scalar_mod_l(std::span<const std::uint8_t> bytes) {
-  Big x = big_from_bytes_le(bytes);
-  x = big_mod_l(std::move(x));
-  Scalar out{};
-  big_to_bytes32_le(x, out.data());
+/// L little-endian.
+constexpr std::uint8_t kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
+                                 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+                                 0,    0,    0,    0,    0,    0,    0,    0,
+                                 0,    0,    0,    0,    0,    0,    0,    0x10};
+
+/// Reduces x = sum x[i] 2^(8i) (limbs below 2^22) modulo L into canonical
+/// bytes, on fixed-width stack limbs with no data-dependent branch
+/// (TweetNaCl's modL). Each top limb folds down through
+/// 2^256 = 16 * 2^252 = -16 (L - 2^252) mod L; a final pass subtracts the
+/// multiple of L left above 2^252 and adds L back if that went negative.
+Scalar mod_l(std::int64_t x[64]) {
+  for (int i = 63; i >= 32; --i) {
+    std::int64_t carry = 0;
+    int j = i - 32;
+    for (; j < i - 12; ++j) {
+      x[j] += carry - 16 * x[i] * kL[j - (i - 32)];
+      carry = (x[j] + 128) >> 8;
+      x[j] -= carry * 256;
+    }
+    x[j] += carry;
+    x[i] = 0;
+  }
+  std::int64_t carry = 0;
+  for (int j = 0; j < 32; ++j) {
+    x[j] += carry - (x[31] >> 4) * kL[j];
+    carry = x[j] >> 8;
+    x[j] &= 255;
+  }
+  for (int j = 0; j < 32; ++j) x[j] -= carry * kL[j];
+  Scalar out;
+  for (int i = 0; i < 32; ++i) {
+    x[i + 1] += x[i] >> 8;
+    out[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(x[i] & 255);
+  }
   return out;
+}
+
+/// A 512-bit little-endian value (a SHA-512 digest) mod L.
+Scalar sc_reduce(const Sha512::Digest& in) {
+  std::int64_t x[64];
+  for (std::size_t i = 0; i < 64; ++i) x[i] = in[i];
+  return mod_l(x);
 }
 
 /// (a * b + c) mod L.
-Scalar scalar_muladd(const Scalar& a, const Scalar& b, const Scalar& c) {
-  Big prod = big_mul(big_from_bytes_le(a), big_from_bytes_le(b));
-  Big sum = big_add(prod, big_from_bytes_le(c));
-  sum = big_mod_l(std::move(sum));
-  Scalar out{};
-  big_to_bytes32_le(sum, out.data());
-  return out;
+Scalar sc_muladd(const Scalar& a, const Scalar& b, const Scalar& c) {
+  std::int64_t x[64] = {};
+  for (std::size_t i = 0; i < 32; ++i) x[i] = c[i];
+  for (std::size_t i = 0; i < 32; ++i) {
+    for (std::size_t j = 0; j < 32; ++j) x[i + j] += std::int64_t{a[i]} * b[j];
+  }
+  return mod_l(x);
 }
 
+/// s < L, comparing little-endian bytes from the top. S is public, so this
+/// may exit early.
 bool scalar_is_canonical(std::span<const std::uint8_t> s) {
-  Big x = big_from_bytes_le(s);
-  return big_cmp(x, big_l()) < 0;
+  for (std::size_t i = 32; i-- > 0;) {
+    if (s[i] != kL[i]) return s[i] < kL[i];
+  }
+  return false;
+}
+
+/// [s]B - [k]A in one Straus pass over both scalars' signed radix-16 digits:
+/// the four doublings per digit are shared. Variable-time (zero digits are
+/// skipped, tables are indexed by digit), which is fine because s, k and A
+/// are all public in verification.
+GePoint ge_double_scalarmult_vartime(const Scalar& s, const Scalar& k, const GePoint& a) {
+  std::array<GeCached, 8> a_multiples;  // (j + 1) * A
+  GePoint multiple = a;
+  a_multiples[0] = ge_to_cached(a);
+  for (std::size_t j = 1; j < 8; ++j) {
+    multiple = ge_add(multiple, a_multiples[0]);
+    a_multiples[j] = ge_to_cached(multiple);
+  }
+  std::int8_t es[64], ek[64];
+  recode_radix16(es, s.data());
+  recode_radix16(ek, k.data());
+  const BaseRow& b_multiples = base_table()[0];  // (j + 1) * B
+
+  GePoint h = ge_identity();
+  for (int i = 63; i >= 0; --i) {
+    if (i != 63) {
+      for (int d = 0; d < 4; ++d) h = ge_double(h);
+    }
+    if (es[i] > 0) h = ge_madd(h, b_multiples[es[i] - 1]);
+    if (es[i] < 0) h = ge_madd(h, ge_neg(b_multiples[-es[i] - 1]));
+    if (ek[i] > 0) h = ge_add(h, ge_neg(a_multiples[ek[i] - 1]));
+    if (ek[i] < 0) h = ge_add(h, a_multiples[-ek[i] - 1]);
+  }
+  return h;
 }
 
 struct ExpandedKey {
@@ -354,16 +455,15 @@ Ed25519PublicKey ed25519_public_key(std::span<const std::uint8_t> seed) {
     throw std::invalid_argument("ed25519: seed must be 32 bytes");
   }
   const ExpandedKey key = expand_seed(seed);
-  const GePoint a_point = ge_scalar_mul(key.a, ge_base());
   Ed25519PublicKey out{};
-  ge_tobytes(out.data(), a_point);
+  ge_tobytes(out.data(), ge_scalarmult_base(key.a.data()));
   return out;
 }
 
 Ed25519KeyPair ed25519_keypair(std::span<const std::uint8_t> seed) {
   Ed25519KeyPair kp{};
+  kp.public_key = ed25519_public_key(seed);  // validates the size before the copy
   std::memcpy(kp.seed.data(), seed.data(), kEd25519SeedSize);
-  kp.public_key = ed25519_public_key(seed);
   return kp;
 }
 
@@ -375,22 +475,21 @@ Ed25519Signature ed25519_sign(const Ed25519KeyPair& keypair,
   Sha512 h;
   h.update(key.prefix);
   h.update(message);
-  const Scalar r = scalar_mod_l(h.finish());
+  const Scalar r = sc_reduce(h.finish());
 
   // R = r * B
-  const GePoint r_point = ge_scalar_mul(r, ge_base());
   std::uint8_t r_bytes[32];
-  ge_tobytes(r_bytes, r_point);
+  ge_tobytes(r_bytes, ge_scalarmult_base(r.data()));
 
   // k = SHA512(R || A || M) mod L
   h.reset();
   h.update({r_bytes, 32});
   h.update(keypair.public_key);
   h.update(message);
-  const Scalar k = scalar_mod_l(h.finish());
+  const Scalar k = sc_reduce(h.finish());
 
   // S = (r + k * a) mod L
-  const Scalar s = scalar_muladd(k, key.a, r);
+  const Scalar s = sc_muladd(k, key.a, r);
 
   Ed25519Signature sig{};
   std::memcpy(sig.data(), r_bytes, 32);
@@ -417,17 +516,13 @@ bool ed25519_verify(std::span<const std::uint8_t> public_key,
   h.update(r_bytes);
   h.update(public_key);
   h.update(message);
-  const Scalar k = scalar_mod_l(h.finish());
+  const Scalar k = sc_reduce(h.finish());
 
-  // Check [S]B = R + [k]A  <=>  [S]B + [k](-A) = R.
+  // Check [S]B = R + [k]A  <=>  [S]B - [k]A = R.
   Scalar s{};
   std::memcpy(s.data(), s_bytes.data(), 32);
-  const GePoint sb = ge_scalar_mul(s, ge_base());
-  const GePoint ka = ge_scalar_mul(k, ge_neg(a_point));
-  const GePoint check = ge_add(sb, ka);
-
   std::uint8_t check_bytes[32];
-  ge_tobytes(check_bytes, check);
+  ge_tobytes(check_bytes, ge_double_scalarmult_vartime(s, k, a_point));
   return std::memcmp(check_bytes, r_bytes.data(), 32) == 0;
 }
 

@@ -1,6 +1,14 @@
 // Ed25519 signatures (RFC 8032). Used for firmware/image signing (secure
 // boot), certificate signatures in the PKI, and handshake authentication.
 // Verified against the RFC 8032 §7.1 test vectors in tests/crypto.
+//
+// Timing: ed25519_public_key, ed25519_keypair and ed25519_sign handle the
+// secret scalars in constant time. Base-point multiplication reads a
+// fixed-window table (signed radix-16 digits) with masked selects, so every
+// scalar runs the same point operations and the same table reads; scalar
+// reduction and multiply-add mod L run on fixed-width limbs with no
+// data-dependent branch. SHA-512 time depends on the (public) message length
+// only. ed25519_verify is variable-time: every input to it is public.
 #pragma once
 
 #include <array>
@@ -26,7 +34,8 @@ struct Ed25519KeyPair {
 /// Derives the public key from a 32-byte seed.
 [[nodiscard]] Ed25519PublicKey ed25519_public_key(std::span<const std::uint8_t> seed);
 
-/// Builds a key pair from a seed.
+/// Builds a key pair from a seed. Throws std::invalid_argument unless the
+/// seed is 32 bytes.
 [[nodiscard]] Ed25519KeyPair ed25519_keypair(std::span<const std::uint8_t> seed);
 
 /// Signs `message` (deterministic, per RFC 8032).
@@ -38,5 +47,18 @@ struct Ed25519KeyPair {
 [[nodiscard]] bool ed25519_verify(std::span<const std::uint8_t> public_key,
                                   std::span<const std::uint8_t> message,
                                   std::span<const std::uint8_t> signature);
+
+namespace detail {
+
+/// Edwards point additions and doublings run on this thread (including the
+/// one-time base-table build on whichever thread triggers it). A test hook
+/// for the secret-independence check; not API.
+struct PointOpCount {
+  std::uint64_t adds = 0;
+  std::uint64_t doubles = 0;
+};
+extern thread_local PointOpCount ed25519_point_ops;
+
+}  // namespace detail
 
 }  // namespace agrarsec::crypto

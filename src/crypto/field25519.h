@@ -155,6 +155,12 @@ inline void fe_cswap(Fe& f, Fe& g, std::uint64_t b) {
   }
 }
 
+/// Constant-time conditional move: f = g when `b` is 1, unchanged when 0.
+inline void fe_cmov(Fe& f, const Fe& g, std::uint64_t b) {
+  const std::uint64_t mask = 0 - b;
+  for (int i = 0; i < 5; ++i) f.v[i] ^= mask & (f.v[i] ^ g.v[i]);
+}
+
 /// h = f^(p-2) = f^-1 (Fermat), fixed addition chain.
 inline void fe_invert(Fe& out, const Fe& z) {
   Fe z2, z9, z11, z2_5_0, z2_10_0, z2_20_0, z2_50_0, z2_100_0, t;

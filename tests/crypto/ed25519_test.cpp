@@ -1,8 +1,16 @@
 // Ed25519 against RFC 8032 §7.1 test vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "core/bytes.h"
 #include "crypto/ed25519.h"
+#include "crypto/random.h"
+#include "crypto/sha256.h"
 
 namespace agrarsec::crypto {
 namespace {
@@ -10,6 +18,22 @@ namespace {
 using core::from_hex;
 using core::from_string;
 using core::to_hex;
+
+// `sig` with the group order L added to its S half: the malleated twin of
+// a valid signature (S + L stays below 2^256 for any S < L).
+Ed25519Signature add_l_to_s(Ed25519Signature sig) {
+  constexpr std::uint8_t kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
+                                   0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+                                   0,    0,    0,    0,    0,    0,    0,    0,
+                                   0,    0,    0,    0,    0,    0,    0,    0x10};
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    const unsigned v = sig[32 + i] + kL[i] + carry;
+    sig[32 + i] = static_cast<std::uint8_t>(v);
+    carry = v >> 8;
+  }
+  return sig;
+}
 
 TEST(Ed25519, Rfc8032Test1EmptyMessage) {
   const auto seed =
@@ -128,18 +152,7 @@ TEST(Ed25519, VerifyRejectsNonCanonicalS) {
       from_hex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60");
   const auto kp = ed25519_keypair(seed);
   const auto msg = from_string("m");
-  auto sig = ed25519_sign(kp, msg);
-  // L little-endian.
-  const std::uint8_t l_bytes[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
-                                    0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
-                                    0,    0,    0,    0,    0,    0,    0,    0,
-                                    0,    0,    0,    0,    0,    0,    0,    0x10};
-  unsigned carry = 0;
-  for (int i = 0; i < 32; ++i) {
-    const unsigned v = sig[32 + i] + l_bytes[i] + carry;
-    sig[32 + i] = static_cast<std::uint8_t>(v);
-    carry = v >> 8;
-  }
+  const auto sig = add_l_to_s(ed25519_sign(kp, msg));
   EXPECT_FALSE(ed25519_verify(kp.public_key, msg, sig));
 }
 
@@ -166,6 +179,7 @@ TEST(Ed25519, VerifyRejectsUndecodablePoint) {
 TEST(Ed25519, KeypairThrowsOnBadSeedSize) {
   const core::Bytes short_seed(16, 0);
   EXPECT_THROW((void)ed25519_public_key(short_seed), std::invalid_argument);
+  EXPECT_THROW((void)ed25519_keypair(short_seed), std::invalid_argument);
 }
 
 TEST(Ed25519, DeterministicSignature) {
@@ -174,6 +188,147 @@ TEST(Ed25519, DeterministicSignature) {
   const auto kp = ed25519_keypair(seed);
   const auto msg = from_string("same message");
   EXPECT_EQ(to_hex(ed25519_sign(kp, msg)), to_hex(ed25519_sign(kp, msg)));
+}
+
+// Byte-identity pin for the scalar and group layer. The digest over every
+// (public key || signature) and the all-zero-key verdict mask were captured
+// from the earlier vector-bignum, double-and-add implementation; any
+// rewrite of that layer must reproduce both exactly.
+TEST(Ed25519, PinnedSweepMatchesParent) {
+  Drbg drbg{20241017, "ed25519-pinned-sweep"};
+  // Encoding of the base point B. With R = B and S = 1, [S]B = R + [k]A
+  // holds exactly when [k]A is the identity: for every message under the
+  // identity key, and under the order-4 all-zero key when 4 divides k.
+  const auto base = from_hex("5866666666666666666666666666666666666666666666666666666666666666");
+  core::Bytes identity_key(32, 0);
+  identity_key[0] = 1;
+  core::Bytes identity_key_x_sign = identity_key;  // x = 0 with the sign bit set
+  identity_key_x_sign[31] = 0x80;
+  const core::Bytes zero_key(32, 0);
+  Ed25519Signature forged{};
+  std::copy(base.begin(), base.end(), forged.begin());
+  forged[32] = 1;
+
+  Sha256 transcript;
+  std::array<std::uint8_t, 32> zero_key_mask{};
+  for (std::size_t i = 0; i < 256; ++i) {
+    const auto seed = drbg.generate32();
+    const auto shape = drbg.generate(4);
+    const auto msg = drbg.generate(shape[0] | ((shape[1] & 1u) << 8));
+    const auto kp = ed25519_keypair(seed);
+    const auto sig = ed25519_sign(kp, msg);
+    transcript.update(kp.public_key);
+    transcript.update(sig);
+
+    const std::size_t byte = shape[2] % 32;
+    const auto bit = static_cast<std::uint8_t>(1u << (shape[3] % 8));
+    auto r_flip = sig;
+    r_flip[byte] ^= bit;
+    auto s_flip = sig;
+    s_flip[32 + byte] ^= bit;
+    auto a_flip = kp.public_key;
+    a_flip[byte] ^= bit;
+    auto m_flip = msg;
+    if (m_flip.empty()) {
+      m_flip.push_back(0);
+    } else {
+      m_flip[i % m_flip.size()] ^= bit;
+    }
+    const auto s_plus_l = add_l_to_s(sig);
+    auto s_max = sig;
+    std::fill(s_max.begin() + 32, s_max.end(), 0xff);
+
+    EXPECT_TRUE(ed25519_verify(kp.public_key, msg, sig)) << i;
+    EXPECT_FALSE(ed25519_verify(kp.public_key, msg, r_flip)) << i;
+    EXPECT_FALSE(ed25519_verify(kp.public_key, msg, s_flip)) << i;
+    EXPECT_FALSE(ed25519_verify(a_flip, msg, sig)) << i;
+    EXPECT_FALSE(ed25519_verify(kp.public_key, m_flip, sig)) << i;
+    EXPECT_FALSE(ed25519_verify(kp.public_key, msg, s_plus_l)) << i;
+    EXPECT_FALSE(ed25519_verify(kp.public_key, msg, s_max)) << i;
+    EXPECT_FALSE(ed25519_verify(identity_key, msg, sig)) << i;
+    EXPECT_FALSE(ed25519_verify(zero_key, msg, sig)) << i;
+    EXPECT_TRUE(ed25519_verify(identity_key, msg, forged)) << i;
+    EXPECT_FALSE(ed25519_verify(identity_key_x_sign, msg, forged)) << i;
+    if (ed25519_verify(zero_key, msg, forged)) {
+      zero_key_mask[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    }
+  }
+  EXPECT_EQ(to_hex(transcript.finish()),
+            "81390ba9a20f8472f753f2f73ae209d099dda2cf4b9cc2e1bd555a7462792da3");
+  EXPECT_EQ(to_hex(zero_key_mask),
+            "238424242809500201826020481241442804829c100240bc0899207424025100");
+}
+
+// Keypair derivation and signing run the same Edwards point operations for
+// every secret scalar: 64 mixed additions and 4 doublings per base-point
+// multiplication, counted through the crypto test hook.
+TEST(Ed25519, PointOpsIndependentOfSecrets) {
+  // The one-time base-table build also counts; get it out of the way.
+  (void)ed25519_public_key(Ed25519Seed{});
+  Drbg drbg{99, "ed25519-point-ops"};
+  for (int i = 0; i < 64; ++i) {
+    const auto seed = drbg.generate32();
+    const auto msg = drbg.generate(drbg.generate(1)[0]);
+    detail::ed25519_point_ops = {};
+    const auto kp = ed25519_keypair(seed);
+    EXPECT_EQ(detail::ed25519_point_ops.adds, 64u) << i;
+    EXPECT_EQ(detail::ed25519_point_ops.doubles, 4u) << i;
+    detail::ed25519_point_ops = {};
+    (void)ed25519_sign(kp, msg);
+    EXPECT_EQ(detail::ed25519_point_ops.adds, 64u) << i;
+    EXPECT_EQ(detail::ed25519_point_ops.doubles, 4u) << i;
+  }
+}
+
+struct ConcurrencyResult {
+  Ed25519PublicKey public_key;
+  Ed25519Signature signature;
+  bool verifies;
+  bool tampered_verifies;
+  bool operator==(const ConcurrencyResult&) const = default;
+};
+
+std::vector<ConcurrencyResult> keypair_sign_verify_rounds(std::uint64_t seed) {
+  Drbg drbg{seed, "ed25519-concurrency"};
+  std::vector<ConcurrencyResult> out;
+  for (std::size_t round = 0; round < 8; ++round) {
+    const auto kp = ed25519_keypair(drbg.generate32());
+    const auto msg = drbg.generate(40 + round);
+    const auto sig = ed25519_sign(kp, msg);
+    auto tampered = sig;
+    tampered[round] ^= 1;
+    out.push_back({kp.public_key, sig, ed25519_verify(kp.public_key, msg, sig),
+                   ed25519_verify(kp.public_key, msg, tampered)});
+  }
+  return out;
+}
+
+// Four threads run keypair, sign and verify on their own seeds at once and
+// must match a serial run. The threads go first, so when this suite runs
+// alone (the TSan leg of scripts/check.sh selects only it) the shared
+// base-point table is first built under contention.
+TEST(Ed25519Concurrency, ParallelFirstUseMatchesSerial) {
+  constexpr std::size_t kThreads = 4;
+  std::array<std::vector<ConcurrencyResult>, kThreads> parallel;
+  std::latch start{kThreads};
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&parallel, &start, t] {
+        start.arrive_and_wait();
+        parallel[t] = keypair_sign_verify_rounds(t + 1);
+      });
+    }
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const auto serial = keypair_sign_verify_rounds(t + 1);
+    ASSERT_EQ(parallel[t].size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(parallel[t][i], serial[i]) << "thread " << t << " round " << i;
+      EXPECT_TRUE(serial[i].verifies);
+      EXPECT_FALSE(serial[i].tampered_verifies);
+    }
+  }
 }
 
 }  // namespace
