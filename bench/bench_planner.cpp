@@ -5,7 +5,12 @@
 // reports the throughput ratio (the PR's acceptance floor is 5x), and
 // cross-checks that every cached answer is bit-identical to the uncached
 // one — the cache must be a pure memoisation, never a behaviour change.
+// It also times the blocked-grid build, a cost every new session pays
+// once per planner, over a fixed set of generated stands; the blocked-cell
+// total next to the rate is a deterministic work counter.
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <vector>
@@ -62,6 +67,35 @@ bool same_plan(const Plan& a, const Plan& b) {
   return true;
 }
 
+/// Default-config planner builds per second over the stands, `rounds`
+/// times each.
+double builds_per_sec(const std::vector<sim::Terrain>& stands, int rounds) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int round = 0; round < rounds; ++round) {
+    for (const sim::Terrain& terrain : stands) {
+      const sim::PathPlanner planner{terrain};
+    }
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  return static_cast<double>(stands.size()) * rounds /
+         std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// Blocked cells of a default-config planner, summed over the stands.
+std::uint64_t blocked_cells(const std::vector<sim::Terrain>& stands) {
+  std::uint64_t blocked = 0;
+  for (const sim::Terrain& terrain : stands) {
+    const sim::PathPlanner planner{terrain};
+    const double cell = planner.config().cell_size_m;
+    const int w = static_cast<int>(std::ceil(terrain.bounds().width() / cell));
+    const int h = static_cast<int>(std::ceil(terrain.bounds().height() / cell));
+    for (int cy = 0; cy < h; ++cy) {
+      for (int cx = 0; cx < w; ++cx) blocked += planner.cell_free(cx, cy) ? 0 : 1;
+    }
+  }
+  return blocked;
+}
+
 double run(const sim::PathPlanner& planner, const std::vector<Query>& queries,
            std::vector<Plan>* out) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -115,6 +149,18 @@ int main(int argc, char** argv) {
   const double rate_cached = static_cast<double>(kQueries) / t_cached;
   const double rate_uncached = static_cast<double>(kQueries) / t_uncached;
 
+  // Grid builds: 20 stands at the campaign density (120 stems/ha on the
+  // default 500 m square), generated outside the timed loop.
+  std::vector<sim::Terrain> stands;
+  sim::ForestConfig stand_config;
+  stand_config.trees_per_hectare = 120;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    core::Rng stand_rng{seed};
+    stands.push_back(sim::Terrain::generate(stand_config, stand_rng));
+  }
+  const double build_rate = builds_per_sec(stands, 10);
+  const std::uint64_t grid_blocked = blocked_cells(stands);
+
   const sim::PlannerStats& stats = cached.stats();
   std::printf("queries               : %zu (working set 24, 1/16 fresh)\n", kQueries);
   std::printf("cached                : %10.0f plans/s  (%.3f s)\n", rate_cached, t_cached);
@@ -128,9 +174,16 @@ int main(int argc, char** argv) {
   std::printf("jps expansions        : %llu\n",
               static_cast<unsigned long long>(stats.jps_expansions));
   std::printf("cache entries         : %zu\n", cached.cache_size());
+  std::printf("grid builds           : %10.0f builds/s  (%zu stands x 10)\n", build_rate,
+              stands.size());
+  std::printf("grid blocked cells    : %llu\n",
+              static_cast<unsigned long long>(grid_blocked));
   // Machine-readable lines for the CI regression gate (scripts/bench_gate.py).
   std::printf("BENCH planner_cached_plans_per_sec=%.0f\n", rate_cached);
   std::printf("BENCH planner_uncached_plans_per_sec=%.0f\n", rate_uncached);
   std::printf("BENCH planner_parity_mismatches=%zu\n", mismatches);
+  std::printf("BENCH planner_builds_per_sec=%.0f\n", build_rate);
+  std::printf("BENCH planner_blocked_cells_exact=%llu\n",
+              static_cast<unsigned long long>(grid_blocked));
   return mismatches == 0 ? 0 : 1;
 }

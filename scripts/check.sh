@@ -80,7 +80,8 @@ echo "== sanitizers: TSan over the threaded paths =="
 # The suites that actually run threads: the thread pool itself, the
 # mutex-guarded logger under concurrent writers + sink swaps, the fleet
 # service batching whole sessions across the pool (the only level of
-# simulation parallelism), and the console's HTTP + control server
+# simulation parallelism) and building sessions outside its lock while
+# another thread steps and reads the fleet, and the console's HTTP + control server
 # threads snapshotting and pausing against concurrent step_all batches.
 # A data race between sessions fails here even though the parity tests
 # (which compare outcomes, not interleavings) might still pass. The
@@ -95,6 +96,7 @@ cmake --build build-tsan -j "$JOBS" --target core_test crypto_test net_test serv
 run_filtered ./build-tsan/tests/core_test 'ThreadPool*:LogThreadSafety*'
 run_filtered ./build-tsan/tests/crypto_test 'Ed25519Concurrency*'
 run_filtered ./build-tsan/tests/net_test 'HttpServerTorture*'
-run_filtered ./build-tsan/tests/service_test 'FleetServiceParallel*:ConsoleParallel*:ConsoleStream*:ConsoleSensor*'
+run_filtered ./build-tsan/tests/service_test \
+  'FleetServiceParallel*:FleetServiceCreate*:ConsoleParallel*:ConsoleStream*:ConsoleSensor*'
 
 echo "== all checks passed =="

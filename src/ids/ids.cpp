@@ -54,6 +54,7 @@ void IntrusionDetectionSystem::raise(core::SimTime now, std::string rule,
   alert.subject = subject;
   alert.detail = std::move(detail);
 
+  ++total_alerts_;
   c_alerts_->add();
   auto it = counts_.find(alert.rule);
   if (it == counts_.end()) {

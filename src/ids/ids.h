@@ -49,7 +49,9 @@ struct IdsConfig {
   double ewma_k = 6.0;
   double cusum_slack = 5.0;
   double cusum_threshold = 120.0;
-  std::size_t alert_capacity = 100000;   ///< ring buffer bound
+  /// The first alert_capacity alerts are retained in alerts(); later ones
+  /// are still counted (total_alerts, the registry counters) and recorded.
+  std::size_t alert_capacity = 100000;
 
   // Control-plane sensor thresholds (observe_control). The streak-based
   // rules are event-count triggers on purpose: they fire deterministically
@@ -97,9 +99,11 @@ class IntrusionDetectionSystem {
   void observe_control(ControlPlaneEvent event, core::SimTime now,
                        std::uint64_t subject = 0);
 
+  /// The first IdsConfig::alert_capacity alerts raised.
   [[nodiscard]] const std::vector<Alert>& alerts() const { return alerts_; }
   [[nodiscard]] std::uint64_t alert_count(const std::string& rule) const;
-  [[nodiscard]] std::uint64_t total_alerts() const { return alerts_.size(); }
+  /// Every alert raised, including those past alert_capacity.
+  [[nodiscard]] std::uint64_t total_alerts() const { return total_alerts_; }
 
   /// Callback invoked on every raised alert (safety monitor hook).
   void set_alert_handler(std::function<void(const Alert&)> handler);
@@ -128,6 +132,7 @@ class IntrusionDetectionSystem {
   IdsConfig config_;
   std::unordered_map<std::uint64_t, SenderState> senders_;
   std::vector<Alert> alerts_;
+  std::uint64_t total_alerts_ = 0;
   /// Per-rule registry counters ("ids.alerts.<rule>"), cached by rule so
   /// raise() pays one hash lookup, not a registry map walk.
   std::unordered_map<std::string, obs::Counter*> counts_;

@@ -51,12 +51,15 @@ SessionId FleetService::insert_session(integration::SecuredWorksiteConfig config
   // config.telemetry, so sessions share nothing observable — that
   // isolation is the determinism contract.
   config.worksite.telemetry = nullptr;
+  // Built before the lock: construction (terrain, planner grids, PKI,
+  // handshakes) touches no service state, so step_all and console reads
+  // proceed meanwhile, and a constructor that throws consumes no id.
+  auto session = std::make_unique<Session>();
+  session->site = std::make_unique<integration::SecuredWorksite>(std::move(config));
 
   const std::lock_guard<std::mutex> lock(mu_);
   const SessionId id = next_id_++;
-  auto session = std::make_unique<Session>();
   session->id = id;
-  session->site = std::make_unique<integration::SecuredWorksite>(std::move(config));
   sessions_.emplace(id, std::move(session));
 
   c_created_->add();

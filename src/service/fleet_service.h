@@ -59,7 +59,8 @@ class FleetService {
   // --- session lifecycle ---
   /// Creates a session from an explicit config (config.seed is used as
   /// given). The session always gets a private telemetry instance
-  /// (config.worksite.telemetry is ignored).
+  /// (config.worksite.telemetry is ignored). When the session's
+  /// constructor throws, the exception propagates and no id is consumed.
   SessionId create_session(integration::SecuredWorksiteConfig config);
   /// Creates a session whose seed is derived from (fleet_seed, key) by
   /// stateless fork — the same key always yields the same session stream,
@@ -89,6 +90,8 @@ class FleetService {
   // step_all. The lock is held for whole batches — console reads land
   // between batches and never observe (or perturb) a half-stepped fleet;
   // determinism is untouched because serialization changes no sim input.
+  // Session creation builds the session before it locks, and holds the
+  // lock only to take the id and insert.
   /// Freezes step_all/step_session (they become no-ops) until resume().
   void pause();
   void resume();

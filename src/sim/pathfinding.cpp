@@ -11,6 +11,9 @@ namespace agrarsec::sim {
 namespace {
 constexpr double kSqrt2 = std::numbers::sqrt2;
 
+/// Side, in cells, of the square tiles the slope bound is taken over.
+constexpr int kSlopeTile = 8;
+
 constexpr int sign_of(int v) { return v > 0 ? 1 : (v < 0 ? -1 : 0); }
 
 /// Octile cost of a straight (cardinal or diagonal) cell run.
@@ -26,14 +29,84 @@ PathPlanner::PathPlanner(const Terrain& terrain, PlannerConfig config)
   width_ = std::max(1, static_cast<int>(std::ceil(bounds.width() / config_.cell_size_m)));
   height_ =
       std::max(1, static_cast<int>(std::ceil(bounds.height() / config_.cell_size_m)));
-  blocked_.assign(static_cast<std::size_t>(width_) * height_, 0);
+  blocked_ = derive_blocked(0, 0, width_ - 1, height_ - 1);
+}
 
-  for (int cy = 0; cy < height_; ++cy) {
-    for (int cx = 0; cx < width_; ++cx) {
-      blocked_[static_cast<std::size_t>(cy) * width_ + cx] =
-          terrain_blocked(cx, cy) ? 1 : 0;
+std::vector<std::uint8_t> PathPlanner::derive_blocked(int x0, int y0, int x1,
+                                                      int y1) const {
+  const int w = x1 - x0 + 1;
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(w) * (y1 - y0 + 1), 0);
+  const auto slot = [&](int cx, int cy) -> std::uint8_t& {
+    return out[static_cast<std::size_t>(cy - y0) * w + (cx - x0)];
+  };
+  const core::Aabb& bounds = terrain_.bounds();
+  const double cs = config_.cell_size_m;
+
+  // Obstacles: each marks the cells whose centres lie within its radius
+  // plus the clearance. A centre passing that test sits less than `reach`
+  // from the obstacle on each axis, so the floor/ceil window below holds
+  // every such cell; the comparison rejects NaN, which then marks nothing.
+  for (const Obstacle& o : terrain_.obstacles()) {
+    const core::Vec2 c = o.footprint.center;
+    const double reach = o.footprint.radius + config_.clearance_m;
+    const double lo_x = std::floor((c.x - reach - bounds.min.x) / cs - 0.5);
+    const double hi_x = std::ceil((c.x + reach - bounds.min.x) / cs - 0.5);
+    const double lo_y = std::floor((c.y - reach - bounds.min.y) / cs - 0.5);
+    const double hi_y = std::ceil((c.y + reach - bounds.min.y) / cs - 0.5);
+    if (!(lo_x <= x1 && hi_x >= x0 && lo_y <= y1 && hi_y >= y0)) continue;
+    const int ox1 = static_cast<int>(std::min<double>(hi_x, x1));
+    const int oy1 = static_cast<int>(std::min<double>(hi_y, y1));
+    for (int cy = static_cast<int>(std::max<double>(lo_y, y0)); cy <= oy1; ++cy) {
+      for (int cx = static_cast<int>(std::max<double>(lo_x, x0)); cx <= ox1; ++cx) {
+        std::uint8_t& cell = slot(cx, cy);
+        if (cell == 0 && core::distance(c, cell_center(cx, cy)) < reach) cell = 1;
+      }
     }
   }
+
+  // Slope, per tile of kSlopeTile x kSlopeTile cells. `rect` spans the
+  // outermost samples of too_steep over the tile, computed the same way,
+  // so it holds every sample. By the mean value theorem each central
+  // difference is then a partial derivative at some point of `rect`, at
+  // most the terrain's gradient bound S there, and hypot(gx, gy) is at
+  // most sqrt(2)·S. When that stays below max_slope the exact test cannot
+  // fire and the tile is skipped. 1e-9 covers the rounding of the
+  // samples; a NaN or infinite S falls through to the exact test.
+  if (config_.max_slope > 0.0) {
+    const double half = cs * 0.5;
+    for (int ty = y0; ty <= y1; ty += kSlopeTile) {
+      const int ty1 = std::min(ty + kSlopeTile - 1, y1);
+      for (int tx = x0; tx <= x1; tx += kSlopeTile) {
+        const int tx1 = std::min(tx + kSlopeTile - 1, x1);
+        const core::Vec2 first = cell_center(tx, ty);
+        const core::Vec2 last = cell_center(tx1, ty1);
+        const core::Aabb rect{{first.x - half, first.y - half},
+                              {last.x + half, last.y + half}};
+        const double bound = terrain_.gradient_bound(rect);
+        if (std::isfinite(bound) && kSqrt2 * bound + 1e-9 < config_.max_slope) continue;
+        for (int cy = ty; cy <= ty1; ++cy) {
+          for (int cx = tx; cx <= tx1; ++cx) {
+            std::uint8_t& cell = slot(cx, cy);
+            if (cell == 0 && too_steep(cx, cy)) cell = 1;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+bool PathPlanner::too_steep(int cx, int cy) const {
+  // Gradient estimate across one cell.
+  const core::Vec2 center = cell_center(cx, cy);
+  const double h = config_.cell_size_m * 0.5;
+  const double gx = (terrain_.ground_height({center.x + h, center.y}) -
+                     terrain_.ground_height({center.x - h, center.y})) /
+                    (2.0 * h);
+  const double gy = (terrain_.ground_height({center.x, center.y + h}) -
+                     terrain_.ground_height({center.x, center.y - h})) /
+                    (2.0 * h);
+  return std::hypot(gx, gy) > config_.max_slope;
 }
 
 void PathPlanner::set_telemetry(obs::Registry* registry) {
@@ -47,23 +120,6 @@ void PathPlanner::set_telemetry(obs::Registry* registry) {
   c_cache_misses_ = &registry->counter("planner.cache_misses");
   c_invalidations_ = &registry->counter("planner.invalidations");
   c_jps_expansions_ = &registry->counter("planner.jps_expansions");
-}
-
-bool PathPlanner::terrain_blocked(int cx, int cy) const {
-  const core::Vec2 center = cell_center(cx, cy);
-  if (terrain_.blocked(center, config_.clearance_m)) return true;
-  if (config_.max_slope > 0.0) {
-    // Gradient estimate across one cell.
-    const double h = config_.cell_size_m * 0.5;
-    const double gx = (terrain_.ground_height({center.x + h, center.y}) -
-                       terrain_.ground_height({center.x - h, center.y})) /
-                      (2.0 * h);
-    const double gy = (terrain_.ground_height({center.x, center.y + h}) -
-                       terrain_.ground_height({center.x, center.y - h})) /
-                      (2.0 * h);
-    if (std::hypot(gx, gy) > config_.max_slope) return true;
-  }
-  return false;
 }
 
 core::Vec2 PathPlanner::cell_center(int cx, int cy) const {
@@ -90,12 +146,19 @@ bool PathPlanner::cell_free(int cx, int cy) const {
 void PathPlanner::set_region_blocked(core::Vec2 center, double radius, bool blocked) {
   const auto [cx0, cy0] = cell_of({center.x - radius, center.y - radius});
   const auto [cx1, cy1] = cell_of({center.x + radius, center.y + radius});
+  if (cx1 < cx0 || cy1 < cy0) return;
+  // Freeing re-derives the window's terrain flags with the construction
+  // routine, so it never opens a cell the terrain itself blocks.
+  const std::vector<std::uint8_t> terrain =
+      blocked ? std::vector<std::uint8_t>{} : derive_blocked(cx0, cy0, cx1, cy1);
   bool changed = false;
   for (int cy = cy0; cy <= cy1; ++cy) {
     for (int cx = cx0; cx <= cx1; ++cx) {
       if (core::distance(cell_center(cx, cy), center) > radius) continue;
       const std::uint8_t want =
-          blocked ? 1 : (terrain_blocked(cx, cy) ? 1 : 0);
+          blocked ? 1
+                  : terrain[static_cast<std::size_t>(cy - cy0) * (cx1 - cx0 + 1) +
+                            (cx - cx0)];
       std::uint8_t& slot = blocked_[static_cast<std::size_t>(cy) * width_ + cx];
       if (slot != want) {
         slot = want;

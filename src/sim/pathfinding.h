@@ -20,6 +20,16 @@
 //     uniform-cost grid with corner cutting forbidden, JPS expands only
 //     jump points (turning decisions), typically 10-50x fewer open-list
 //     pops than A* for the same optimal octile-metric path.
+//
+// Grid build (DESIGN.md §21): every session builds one blocked grid per
+// clearance, so construction walks each obstacle once, marking the cells
+// whose centres lie within radius + clearance, instead of querying the
+// obstacle index at every cell. The slope test runs per 8x8-cell tile
+// only where Terrain::gradient_bound cannot rule it out; the cells it does
+// test use the per-cell four-sample central differences. For clearances
+// below Terrain's 10 m index cell the grid equals, cell for cell, the one
+// the old per-cell rule built (tests/sim/planner_grid_test.cpp keeps that
+// rule as its reference); beyond it the old 3x3 query missed obstacles.
 #pragma once
 
 #include <cstdint>
@@ -124,9 +134,14 @@ class PathPlanner {
   /// both orthogonally adjacent cells free.
   [[nodiscard]] std::optional<std::pair<int, int>> jump(int x, int y, int dx, int dy,
                                                         int goal_x, int goal_y) const;
-  /// Recompute a cell's blocked flag from terrain + slope (construction
-  /// rule), used when set_region_blocked frees a region.
-  [[nodiscard]] bool terrain_blocked(int cx, int cy) const;
+  /// Terrain-derived blocked flags (obstacle clearance, then slope) of
+  /// the cell window [x0, x1] x [y0, y1], row-major over the window: the
+  /// construction rule, also used when set_region_blocked frees a region.
+  [[nodiscard]] std::vector<std::uint8_t> derive_blocked(int x0, int y0, int x1,
+                                                         int y1) const;
+  /// The per-cell slope test: central differences of ground_height across
+  /// one cell against max_slope.
+  [[nodiscard]] bool too_steep(int cx, int cy) const;
 
   const Terrain& terrain_;
   PlannerConfig config_;

@@ -119,6 +119,23 @@ double Terrain::ground_height(core::Vec2 p) const {
   return h;
 }
 
+double Terrain::gradient_bound(const core::Aabb& rect) const {
+  double bound = 0.0;
+  for (const Hill& hill : hills_) {
+    const core::Vec2 c = hill.center;
+    const double s = std::abs(hill.radius_m);
+    // Nearest and farthest points of the rectangle from the hill centre.
+    const double near_x = std::max({rect.min.x - c.x, 0.0, c.x - rect.max.x});
+    const double near_y = std::max({rect.min.y - c.y, 0.0, c.y - rect.max.y});
+    const double far_x = std::max(std::abs(c.x - rect.min.x), std::abs(c.x - rect.max.x));
+    const double far_y = std::max(std::abs(c.y - rect.min.y), std::abs(c.y - rect.max.y));
+    const double d =
+        std::min(std::max(s, std::hypot(near_x, near_y)), std::hypot(far_x, far_y));
+    bound += std::abs(hill.height_m) / (s * s) * d * std::exp(-d * d / (2.0 * s * s));
+  }
+  return bound;
+}
+
 void Terrain::collect_segment_candidates(core::Vec2 a, core::Vec2 b) const {
   // Expand the traversal by visiting the 3x3 neighbourhood of each crossed
   // cell so obstacles whose footprints straddle cell borders are found.
@@ -231,23 +248,6 @@ Terrain::OcclusionCause Terrain::occlusion_cause(core::Vec2 from_xy, double from
     if (ray_z < ground_height(at) - 1e-9) return OcclusionCause::kTerrain;
   }
   return OcclusionCause::kNone;
-}
-
-bool Terrain::blocked(core::Vec2 p, double radius) const {
-  const auto cx = static_cast<std::int64_t>(std::floor(p.x / cell_size_));
-  const auto cy = static_cast<std::int64_t>(std::floor(p.y / cell_size_));
-  for (std::int64_t dy = -1; dy <= 1; ++dy) {
-    for (std::int64_t dx = -1; dx <= 1; ++dx) {
-      const std::size_t s = cell_slot(cx + dx, cy + dy);
-      for (std::uint32_t k = cell_start_[s]; k < cell_start_[s + 1]; ++k) {
-        const Obstacle& o = obstacles_[cell_items_[k]];
-        if (core::distance(o.footprint.center, p) < o.footprint.radius + radius) {
-          return true;
-        }
-      }
-    }
-  }
-  return false;
 }
 
 }  // namespace agrarsec::sim

@@ -60,6 +60,15 @@ class Terrain {
   /// Ground elevation at a point.
   [[nodiscard]] double ground_height(core::Vec2 p) const;
 
+  /// Upper bound on the ground gradient magnitude |grad ground_height| over
+  /// the closed rectangle `rect`. A hill's gradient magnitude
+  /// h/s^2 * d * exp(-d^2 / 2s^2) rises with the distance d from its centre
+  /// up to d = s and falls after it, so over the rectangle's distance range
+  /// [dmin, dmax] it peaks at clamp(s, dmin, dmax); the bound sums those
+  /// peaks. NaN or infinite when a hill is degenerate (s = 0). The
+  /// planner's tile slope test uses it (DESIGN.md §21).
+  [[nodiscard]] double gradient_bound(const core::Aabb& rect) const;
+
   /// What (if anything) blocks the 3D sight line between two points given
   /// with heights *above ground* at their planar positions. This is the
   /// one line-of-sight path: perception, ground-truth blind-step
@@ -85,10 +94,6 @@ class Terrain {
                                    core::Vec2 to_xy, double to_agl) const {
     return occlusion_cause(from_xy, from_agl, to_xy, to_agl) == OcclusionCause::kNone;
   }
-
-  /// True when the disc of `radius` at `p` overlaps an obstacle footprint
-  /// (for machine/human placement and navigation).
-  [[nodiscard]] bool blocked(core::Vec2 p, double radius) const;
 
   /// Obstacles whose footprint comes within `margin` of segment [a,b],
   /// in ascending obstacle-index order (occlusion_cause depends on it).
@@ -126,6 +131,7 @@ class Terrain {
   /// entirely — exact, because the skipped test could never fire (the
   /// occlusion margin is 1e-9 m, orders of magnitude above the lerp's
   /// rounding error). This is what makes drone-altitude rays cheap.
+  /// gradient_bound applies the same reasoning to the ground's slope.
   double hills_height_sum_ = 0.0;
   double cell_size_ = 10.0;
 

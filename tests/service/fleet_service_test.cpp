@@ -1,12 +1,17 @@
 // FleetService contract (DESIGN.md §12): sessions are self-contained, so
 // a given (config, seed) yields a bit-identical trajectory and telemetry
 // export no matter how many other sessions run, how batches interleave,
-// or the service thread count. The FleetServiceParallel suite is also the
-// TSan target for concurrent session stepping (scripts/check.sh).
+// or the service thread count. The FleetServiceParallel and
+// FleetServiceCreate suites are also the TSan targets for concurrent
+// session stepping and creation (scripts/check.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "service/fleet_service.h"
@@ -165,6 +170,63 @@ TEST(FleetService, LifecycleCountsAndQueries) {
     EXPECT_EQ(reg.find_counter("fleet.sessions_destroyed")->value(), 1u);
     EXPECT_EQ(reg.find_counter("fleet.session_steps")->value(), 8u);
   }
+}
+
+// Sessions are built outside the service lock: creates on one thread
+// overlap step_all batches and session_ids reads on another. Ids stay
+// unique and ascending, and every session's export equals a solo run of
+// its key stepped as many times.
+TEST(FleetServiceCreate, CreateOverlapsSteppingAndReads) {
+  constexpr std::uint64_t kSessions = 4;
+  FleetServiceConfig config;
+  config.threads = 2;
+  config.fleet_seed = kFleetSeed;
+  FleetService fleet{config};
+
+  std::atomic<bool> done{false};
+  std::vector<SessionId> created;
+  std::thread creator([&] {
+    for (std::uint64_t key = 0; key < kSessions; ++key) {
+      created.push_back(fleet.create_session_keyed(session_config(0), key));
+    }
+    done.store(true);
+  });
+  bool ascending = true;
+  std::size_t seen = 0;
+  while (!done.load()) {
+    fleet.step_all(1);
+    const std::vector<SessionId> ids = fleet.session_ids();
+    ascending = ascending && std::is_sorted(ids.begin(), ids.end()) && ids.size() >= seen;
+    seen = ids.size();
+    std::this_thread::yield();
+  }
+  creator.join();
+  EXPECT_TRUE(ascending);
+  ASSERT_EQ(created.size(), kSessions);
+  EXPECT_EQ(fleet.session_ids(), created);
+
+  for (std::uint64_t key = 0; key < kSessions; ++key) {
+    SCOPED_TRACE("session key=" + std::to_string(key));
+    FleetServiceConfig solo_config;
+    solo_config.fleet_seed = kFleetSeed;
+    FleetService solo{solo_config};
+    const SessionId id = solo.create_session_keyed(session_config(0), key);
+    solo.step_all(fleet.session_steps(created[key]));
+    EXPECT_EQ(fleet.session_deterministic_json(created[key]),
+              solo.session_deterministic_json(id));
+  }
+}
+
+TEST(FleetServiceCreate, ThrowingConstructorConsumesNoId) {
+  FleetService fleet;
+  const SessionId first = fleet.create_session(session_config(1));
+  integration::SecuredWorksiteConfig bad = session_config(2);
+  bad.worksite.forest.trees_per_hectare = -1.0;  // Rng::poisson rejects it
+  EXPECT_THROW(fleet.create_session(bad), std::invalid_argument);
+  EXPECT_EQ(fleet.session_count(), 1u);
+  EXPECT_EQ(fleet.create_session(session_config(3)), first + 1);
+  EXPECT_EQ(fleet.telemetry().registry().find_counter("fleet.sessions_created")->value(),
+            2u);
 }
 
 TEST(FleetService, DerivedSeedsAreStableAndDistinct) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/pathfinding.h"
 #include "sim/worksite.h"
 
@@ -16,6 +18,13 @@ Obstacle boulder(core::Vec2 at, double radius) {
   o.footprint = {at, radius};
   o.height_m = 2.0;
   return o;
+}
+
+/// True when the disc of `radius` at `p` overlaps an obstacle footprint.
+bool overlaps_obstacle(const Terrain& t, core::Vec2 p, double radius) {
+  return std::any_of(t.obstacles().begin(), t.obstacles().end(), [&](const Obstacle& o) {
+    return core::distance(o.footprint.center, p) < o.footprint.radius + radius;
+  });
 }
 
 TEST(PathPlanner, StraightLineWhenClear) {
@@ -161,7 +170,8 @@ TEST(PathPlanner, WorksiteRoutesAvoidObstacles) {
     for (double r = 0; r < 60; r += 3) {
       for (double a = 0; a < 6.3; a += 0.5) {
         const core::Vec2 p = seed + core::Vec2{r * std::cos(a), r * std::sin(a)};
-        if (site.terrain().bounds().contains(p) && !site.terrain().blocked(p, 4.0)) {
+        if (site.terrain().bounds().contains(p) &&
+            !overlaps_obstacle(site.terrain(), p, 4.0)) {
           return p;
         }
       }

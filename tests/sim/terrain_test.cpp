@@ -100,14 +100,6 @@ TEST(Terrain, LineOfSightSymmetricOnFlat) {
             t.line_of_sight({100, 0}, 2.0, {0, 0}, 2.0));
 }
 
-TEST(Terrain, BlockedDetectsOverlap) {
-  const Terrain t = flat_with({boulder({50, 50}, 2.0, 3.0)});
-  EXPECT_TRUE(t.blocked({51, 50}, 1.0));
-  EXPECT_FALSE(t.blocked({60, 50}, 1.0));
-  // Radius matters.
-  EXPECT_TRUE(t.blocked({55, 50}, 4.0));
-}
-
 TEST(Terrain, ObstaclesNearSegmentFindsStraddlers) {
   // Obstacle centered off the segment but radius reaching it.
   const Terrain t = flat_with({boulder({50, 3}, 4.0, 3.0)});

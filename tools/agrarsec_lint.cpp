@@ -21,8 +21,8 @@
 // requested there.
 //
 // Exit codes: 0 = no error-severity findings beyond the baseline,
-//             1 = un-baselined error findings, 2 = usage/IO error,
-//             3 = model construction failed.
+//             1 = un-baselined error findings or stale baseline entries,
+//             2 = usage/IO error, 3 = model construction failed.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -434,6 +434,7 @@ int main(int argc, char** argv) {
   }
 
   analysis::Baseline baseline;
+  std::vector<std::string> stale;
   if (!baseline_path.empty()) {
     const auto content = read_file(baseline_path);
     if (!content) {
@@ -450,10 +451,12 @@ int main(int argc, char** argv) {
     }
     baseline = std::move(*parsed);
     // A suppression nothing matches anymore is a fixed finding that never
-    // got un-suppressed: warn so the baseline shrinks back over time.
-    for (const std::string& stale : baseline.stale_keys(findings)) {
-      std::fprintf(stderr, "agrarsec_lint: stale baseline entry: %s\n",
-                   stale.c_str());
+    // got un-suppressed: it fails the gate, so the change that fixes a
+    // finding also deletes its entry and the baseline only shrinks.
+    stale = baseline.stale_keys(findings);
+    for (const std::string& key : stale) {
+      std::fprintf(stderr, "agrarsec_lint: stale baseline entry (delete it): %s\n",
+                   key.c_str());
     }
   }
 
@@ -466,5 +469,7 @@ int main(int argc, char** argv) {
     std::fputs(analysis::render_text(fresh).c_str(), stdout);
   }
 
-  return analysis::count_severity(fresh, analysis::Severity::kError) > 0 ? 1 : 0;
+  return analysis::count_severity(fresh, analysis::Severity::kError) > 0 || !stale.empty()
+             ? 1
+             : 0;
 }
