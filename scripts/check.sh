@@ -77,8 +77,7 @@ else
 fi
 
 echo "== sanitizers: TSan over the threaded paths =="
-# The suites that actually run threads: the thread pool itself, the
-# mutex-guarded logger under concurrent writers + sink swaps, the fleet
+# The suites that actually run threads: the thread pool itself, the fleet
 # service batching whole sessions across the pool (the only level of
 # simulation parallelism) and building sessions outside its lock while
 # another thread steps and reads the fleet, and the console's HTTP + control server
@@ -93,7 +92,7 @@ echo "== sanitizers: TSan over the threaded paths =="
 # by four threads at once.
 cmake -B build-tsan -S . -DAGRARSEC_TSAN=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-tsan -j "$JOBS" --target core_test crypto_test net_test service_test
-run_filtered ./build-tsan/tests/core_test 'ThreadPool*:LogThreadSafety*'
+run_filtered ./build-tsan/tests/core_test 'ThreadPool*'
 run_filtered ./build-tsan/tests/crypto_test 'Ed25519Concurrency*'
 run_filtered ./build-tsan/tests/net_test 'HttpServerTorture*'
 run_filtered ./build-tsan/tests/service_test \

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Semantic-diff gate over the pinned session export matrix.
 
-Runs the session_export binary over a small pinned-session matrix
-(attack campaign on/off x drone-follow on/off) and byte-compares each
+Runs the session_export binary over the two pinned sessions (base and
+attack: a scripted spoof and replay campaign) and byte-compares each
 variant's stdout against its committed golden. The deterministic export
 contains every registry counter and flight-recorder event of the full
 stack for that session, so ANY behaviour change — sim, sensors, radio,
@@ -31,7 +31,7 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
-VARIANTS = ("base", "attack", "drone-follow", "attack-drone-follow")
+VARIANTS = ("base", "attack")
 
 
 def golden_for(variant: str) -> pathlib.Path:

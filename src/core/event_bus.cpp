@@ -1,60 +1,22 @@
 #include "core/event_bus.h"
 
-#include <algorithm>
-
 namespace agrarsec::core {
 
-EventBus::Subscription EventBus::subscribe(std::string_view topic, Handler handler) {
-  const Subscription handle = next_handle_++;
+void EventBus::subscribe(std::string_view topic, Handler handler) {
   // Heterogeneous find first: the common case (topic already known) never
   // materialises a std::string key.
   auto it = by_topic_.find(topic);
   if (it == by_topic_.end()) {
     it = by_topic_.try_emplace(std::string(topic)).first;
   }
-  it->second.push_back(Entry{handle, std::move(handler)});
-  subscriptions_.emplace(handle, it->first);
-  ++live_subscribers_;
-  return handle;
+  it->second.push_back(std::move(handler));
 }
 
-EventBus::Subscription EventBus::subscribe_all(Handler handler) {
-  const Subscription handle = next_handle_++;
-  wildcard_.push_back(Entry{handle, std::move(handler)});
-  subscriptions_.emplace(handle, std::nullopt);
-  ++live_subscribers_;
-  return handle;
-}
-
-void EventBus::unsubscribe(Subscription handle) {
-  const auto sub = subscriptions_.find(handle);
-  if (sub == subscriptions_.end()) return;
-
-  std::deque<Entry>* entries = &wildcard_;
-  if (sub->second) {
-    const auto topic = by_topic_.find(*sub->second);
-    if (topic == by_topic_.end()) return;  // unreachable: map entries paired
-    entries = &topic->second;
-  }
-  const auto entry = std::find_if(
-      entries->begin(), entries->end(),
-      [handle](const Entry& e) { return e.handle == handle; });
-  if (entry != entries->end() && !entry->dead) {
-    if (delivering_) {
-      // A delivery is iterating this list — possibly executing this very
-      // handler. Tombstone; compact() reclaims it after the batch.
-      entry->dead = true;
-      ++tombstones_;
-    } else {
-      entries->erase(entry);
-    }
-    --live_subscribers_;
-  }
-  subscriptions_.erase(sub);
+void EventBus::subscribe_all(Handler handler) {
+  wildcard_.push_back(std::move(handler));
 }
 
 void EventBus::publish(Event event) {
-  ++published_;
   if (delivering_) {
     pending_.push_back(std::move(event));
     return;
@@ -62,13 +24,12 @@ void EventBus::publish(Event event) {
   // Scope guard: a throwing handler must not leave delivering_ stuck true,
   // which would silently queue every later publish forever. The exception
   // still propagates; undelivered reentrant events are discarded with the
-  // failed batch. Tombstoned entries are reclaimed here in either case.
+  // failed batch.
   struct DeliveryScope {
     EventBus* bus;
     ~DeliveryScope() {
       bus->delivering_ = false;
       bus->pending_.clear();
-      if (bus->tombstones_ > 0) bus->compact();
     }
   };
   delivering_ = true;
@@ -85,35 +46,16 @@ void EventBus::publish(Event event) {
 void EventBus::deliver(const Event& event) {
   // In-place dispatch, bounded by the length at entry: handlers appended
   // during delivery (subscribe-from-handler) sit past `n` and do not see
-  // this event; deque appends never move existing entries, so the entry a
-  // handler runs out of stays put even while it mutates the bus.
+  // this event; deque appends never move existing entries, so the handler
+  // running stays put even while it subscribes.
   if (const auto it = by_topic_.find(std::string_view{event.topic});
       it != by_topic_.end()) {
-    std::deque<Entry>& entries = it->second;
-    const std::size_t n = entries.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!entries[i].dead) entries[i].handler(event);
-    }
+    std::deque<Handler>& handlers = it->second;
+    const std::size_t n = handlers.size();
+    for (std::size_t i = 0; i < n; ++i) handlers[i](event);
   }
   const std::size_t n = wildcard_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!wildcard_[i].dead) wildcard_[i].handler(event);
-  }
-}
-
-void EventBus::compact() {
-  const auto dead = [](const Entry& e) { return e.dead; };
-  for (auto it = by_topic_.begin(); it != by_topic_.end();) {
-    auto& entries = it->second;
-    entries.erase(std::remove_if(entries.begin(), entries.end(), dead),
-                  entries.end());
-    // Emptied topics are dropped so the topic map tracks live interest
-    // instead of growing with every topic ever subscribed to.
-    it = entries.empty() ? by_topic_.erase(it) : std::next(it);
-  }
-  wildcard_.erase(std::remove_if(wildcard_.begin(), wildcard_.end(), dead),
-                  wildcard_.end());
-  tombstones_ = 0;
+  for (std::size_t i = 0; i < n; ++i) wildcard_[i](event);
 }
 
 }  // namespace agrarsec::core

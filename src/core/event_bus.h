@@ -1,12 +1,13 @@
 // Topic-based publish/subscribe bus. Machines, safety monitors, the IDS and
 // the SoS layer communicate through the bus when they live on the same
 // compute node; cross-machine traffic instead goes through net::RadioMedium.
+// Subscriptions cannot be removed; each lasts as long as the bus
+// (DESIGN.md §22).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -24,52 +25,30 @@ struct Event {
   SimTime time = 0;
 };
 
-/// Synchronous pub/sub with subscription handles for removal.
+/// Synchronous pub/sub.
 ///
 /// Dispatch is copy-free: handlers run in place out of per-topic deques
 /// (stable element addresses under append), bounded by the list length at
-/// delivery entry. Mutations from inside handlers are safe and keep the
-/// original semantics:
-///  - subscribe during delivery appends past the bound — the new handler
-///    does not see the event being delivered;
-///  - unsubscribe during delivery tombstones the entry (it is skipped if
-///    not yet reached) and the deque is compacted after the batch; a
-///    handler may therefore unsubscribe itself without destroying the
-///    std::function it is executing out of.
+/// delivery entry, so a handler may subscribe during delivery — the new
+/// handler does not see the event being delivered.
 /// Topic lookup is heterogeneous (transparent hash), so publishing and
 /// subscribing never build a temporary std::string key.
 class EventBus {
  public:
   using Handler = std::function<void(const Event&)>;
-  using Subscription = std::uint64_t;
 
-  /// Subscribes `handler` to an exact topic. Returns a handle.
-  Subscription subscribe(std::string_view topic, Handler handler);
+  /// Subscribes `handler` to an exact topic.
+  void subscribe(std::string_view topic, Handler handler);
 
   /// Subscribes to every topic (IDS taps use this).
-  Subscription subscribe_all(Handler handler);
-
-  /// O(1) handle lookup; safe to call from inside a handler (including a
-  /// handler removing itself). Unknown handles are ignored.
-  void unsubscribe(Subscription handle);
+  void subscribe_all(Handler handler);
 
   /// Delivers synchronously to all matching subscribers, in subscription
   /// order. Reentrant publishes are queued and drained afterwards so a
   /// handler chain cannot recurse unboundedly.
   void publish(Event event);
 
-  [[nodiscard]] std::size_t subscriber_count() const { return live_subscribers_; }
-  [[nodiscard]] std::uint64_t published_count() const { return published_; }
-
  private:
-  struct Entry {
-    Subscription handle;
-    Handler handler;
-    /// Tombstone: set instead of erasing while a delivery is in flight so
-    /// in-flight iteration (and the executing handler itself) stay valid.
-    bool dead = false;
-  };
-
   struct TopicHash {
     using is_transparent = void;
     [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
@@ -78,20 +57,12 @@ class EventBus {
   };
 
   void deliver(const Event& event);
-  /// Erases tombstoned entries (and emptied topics) after a delivery batch.
-  void compact();
 
-  std::unordered_map<std::string, std::deque<Entry>, TopicHash, std::equal_to<>>
+  std::unordered_map<std::string, std::deque<Handler>, TopicHash, std::equal_to<>>
       by_topic_;
-  std::deque<Entry> wildcard_;
-  /// handle -> owning topic (nullopt = wildcard list), for O(1) unsubscribe.
-  std::unordered_map<Subscription, std::optional<std::string>> subscriptions_;
+  std::deque<Handler> wildcard_;
   std::vector<Event> pending_;
   bool delivering_ = false;
-  std::size_t tombstones_ = 0;
-  std::size_t live_subscribers_ = 0;
-  Subscription next_handle_ = 1;
-  std::uint64_t published_ = 0;
 };
 
 }  // namespace agrarsec::core

@@ -54,7 +54,6 @@ void IntrusionDetectionSystem::raise(core::SimTime now, std::string rule,
   alert.subject = subject;
   alert.detail = std::move(detail);
 
-  ++total_alerts_;
   c_alerts_->add();
   auto it = counts_.find(alert.rule);
   if (it == counts_.end()) {
@@ -65,7 +64,6 @@ void IntrusionDetectionSystem::raise(core::SimTime now, std::string rule,
   telemetry_->recorder().record(now, "ids", alert.rule, alert.subject,
                                 static_cast<std::uint64_t>(alert.severity), 0,
                                 alert.detail);
-  if (alerts_.size() < config_.alert_capacity) alerts_.push_back(alert);
   if (handler_) handler_(alert);
 }
 

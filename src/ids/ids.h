@@ -20,6 +20,10 @@
 //   "control-bruteforce"   consecutive failed handshakes/authz denials
 //   "control-replay-burst" rejected sealed records with no genuine one between
 //   "control-flood"        authenticated command rate above threshold
+//
+// The IDS keeps no alert list (DESIGN.md §22): each raise bumps the
+// "ids.alerts" and "ids.alerts.<rule>" counters, records a flight event
+// and calls the alert handler, which is all any reader consumes.
 #pragma once
 
 #include <functional>
@@ -28,7 +32,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/types.h"
 #include "obs/telemetry.h"
@@ -49,9 +52,6 @@ struct IdsConfig {
   double ewma_k = 6.0;
   double cusum_slack = 5.0;
   double cusum_threshold = 120.0;
-  /// The first alert_capacity alerts are retained in alerts(); later ones
-  /// are still counted (total_alerts, the registry counters) and recorded.
-  std::size_t alert_capacity = 100000;
 
   // Control-plane sensor thresholds (observe_control). The streak-based
   // rules are event-count triggers on purpose: they fire deterministically
@@ -99,11 +99,9 @@ class IntrusionDetectionSystem {
   void observe_control(ControlPlaneEvent event, core::SimTime now,
                        std::uint64_t subject = 0);
 
-  /// The first IdsConfig::alert_capacity alerts raised.
-  [[nodiscard]] const std::vector<Alert>& alerts() const { return alerts_; }
   [[nodiscard]] std::uint64_t alert_count(const std::string& rule) const;
-  /// Every alert raised, including those past alert_capacity.
-  [[nodiscard]] std::uint64_t total_alerts() const { return total_alerts_; }
+  /// Every alert raised (the "ids.alerts" registry counter).
+  [[nodiscard]] std::uint64_t total_alerts() const { return c_alerts_->value(); }
 
   /// Callback invoked on every raised alert (safety monitor hook).
   void set_alert_handler(std::function<void(const Alert&)> handler);
@@ -131,8 +129,6 @@ class IntrusionDetectionSystem {
 
   IdsConfig config_;
   std::unordered_map<std::uint64_t, SenderState> senders_;
-  std::vector<Alert> alerts_;
-  std::uint64_t total_alerts_ = 0;
   /// Per-rule registry counters ("ids.alerts.<rule>"), cached by rule so
   /// raise() pays one hash lookup, not a registry map walk.
   std::unordered_map<std::string, obs::Counter*> counts_;

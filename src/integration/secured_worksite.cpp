@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/log.h"
-
 namespace agrarsec::integration {
 
 namespace {
@@ -422,10 +420,9 @@ void SecuredWorksite::telemetry_cycle(core::SimTime now) {
 void SecuredWorksite::track_ground_truth(core::SimTime now) {
   for (auto& unit : units_) {
     const sim::Machine* forwarder = worksite_->machine(unit->machine);
-    const auto tracks = unit->fusion->fuse(now);
 
     auto associated = [&](core::Vec2 person) {
-      for (const auto& track : tracks) {
+      for (const auto& track : unit->tracks) {
         if (core::distance(track.position, person) <= kTrackAssociationM) return true;
       }
       return false;
@@ -542,7 +539,8 @@ void SecuredWorksite::step() {
   }
 
   for (auto& unit : units_) {
-    unit->monitor->update(unit->fusion->fuse(now), now);
+    unit->tracks = unit->fusion->fuse(now);
+    unit->monitor->update(unit->tracks, now);
   }
   track_ground_truth(now);
 

@@ -233,6 +233,9 @@ class SecuredWorksite {
     /// worksite stream.
     std::optional<core::Rng> sense_rng;
     std::unique_ptr<safety::DetectionFusion> fusion;
+    /// This step's fused picture: step() fuses once, hands it to the
+    /// monitor, and track_ground_truth reads the same tracks.
+    std::vector<safety::FusedTrack> tracks;
     std::unique_ptr<safety::SafetyMonitor> monitor;
     std::optional<pki::Identity> identity;
     std::optional<secure::Session> rx_session;  ///< drone -> this machine

@@ -202,12 +202,10 @@ void RadioMedium::step(core::SimTime now) {
                                       dst.value(), frame.src.value(), frame.channel);
       }
       if (outcome == DeliveryOutcome::kDelivered) {
-        Frame received = frame;
-        received.dst = dst;
         // Copy the handler: receive() may detach its own node re-entrantly,
         // which would destroy the stored std::function mid-call.
         const ReceiveFn receive = dst_it->second.receive;
-        receive(received, now);
+        receive(frame, now);
       }
     };
 

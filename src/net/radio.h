@@ -9,7 +9,8 @@
 // A broadcast judges every other attached node, in ascending id order,
 // against one per-step position snapshot; co-channel collisions are found
 // by one sort of the step's due frames on (channel, sent_at) (DESIGN.md
-// §19).
+// §19). Receivers are handed the queued frame itself, as it was sent
+// (DESIGN.md §22).
 #pragma once
 
 #include <array>
@@ -88,6 +89,8 @@ struct DropRule {
 class RadioMedium {
  public:
   using PositionFn = std::function<core::Vec2()>;
+  /// Receives the frame as sent: `dst` is the receiver's id on a unicast
+  /// and NodeId::invalid() on a broadcast.
   using ReceiveFn = std::function<void(const Frame&, core::SimTime now)>;
 
   /// With no `telemetry` the medium owns a private obs::Telemetry; inject

@@ -68,13 +68,13 @@ bool Telemetry::write_json(const std::string& path) const {
   return std::fclose(f) == 0 && ok;
 }
 
-core::EventBus::Subscription wire_event_bus(core::EventBus& bus, Telemetry& telemetry) {
+void wire_event_bus(core::EventBus& bus, Telemetry& telemetry) {
   // Handle cache lives in the handler closure; the registry owns the
   // counters themselves, so the cached pointers stay valid.
   auto cache = std::make_shared<std::unordered_map<std::string, Counter*>>();
   Counter& total = telemetry.registry().counter("bus.events");
   Registry* registry = &telemetry.registry();
-  return bus.subscribe_all(
+  bus.subscribe_all(
       [cache, &total, registry](const core::Event& event) {
         total.add();
         auto it = cache->find(event.topic);

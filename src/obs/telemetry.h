@@ -65,9 +65,9 @@ class Telemetry {
 
 /// Counts every publish on `bus` into `telemetry`'s registry: total in
 /// "bus.events" plus a per-topic "bus.topic.<topic>" counter (handles
-/// cached, so steady-state cost is one hash lookup + two adds). Returns
-/// the subscription handle; the telemetry must outlive the subscription.
-core::EventBus::Subscription wire_event_bus(core::EventBus& bus, Telemetry& telemetry);
+/// cached, so steady-state cost is one hash lookup + two adds). The
+/// telemetry must outlive the bus.
+void wire_event_bus(core::EventBus& bus, Telemetry& telemetry);
 
 /// Process-global instance for tools and benches that have no simulation
 /// object to hang telemetry off. Lazily constructed, never destroyed

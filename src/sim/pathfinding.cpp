@@ -14,6 +14,11 @@ constexpr double kSqrt2 = std::numbers::sqrt2;
 /// Side, in cells, of the square tiles the slope bound is taken over.
 constexpr int kSlopeTile = 8;
 
+/// Route-cache entry bound. When full the cache is cleared wholesale — a
+/// deterministic eviction policy, unlike LRU whose contents would depend
+/// on query history in ways that are hard to reason about in replays.
+constexpr std::size_t kCacheCapacity = 4096;
+
 constexpr int sign_of(int v) { return v > 0 ? 1 : (v < 0 ? -1 : 0); }
 
 /// Octile cost of a straight (cardinal or diagonal) cell run.
@@ -481,7 +486,7 @@ std::optional<std::vector<core::Vec2>> PathPlanner::plan(core::Vec2 start,
     // the goal); caching it would make it sticky for the whole generation.
     // Only definitive results — found, or open list drained — are cached.
     if (config_.cache_enabled && !budget_exhausted) {
-      if (cache_.size() >= config_.cache_capacity) cache_.clear();
+      if (cache_.size() >= kCacheCapacity) cache_.clear();
       CacheEntry entry;
       entry.generation = generation_;
       entry.reachable = route.has_value();

@@ -21,10 +21,10 @@
 //     jump points (turning decisions), typically 10-50x fewer open-list
 //     pops than A* for the same optimal octile-metric path.
 //
-// Grid build (DESIGN.md §21): every session builds one blocked grid per
-// clearance, so construction walks each obstacle once, marking the cells
-// whose centres lie within radius + clearance, instead of querying the
-// obstacle index at every cell. The slope test runs per 8x8-cell tile
+// Grid build (DESIGN.md §21): every session builds one blocked grid (its
+// worksite owns one planner, DESIGN.md §22), so construction walks each
+// obstacle once, marking the cells whose centres lie within radius +
+// clearance, instead of querying the obstacle index at every cell. The slope test runs per 8x8-cell tile
 // only where Terrain::gradient_bound cannot rule it out; the cells it does
 // test use the per-cell four-sample central differences. For clearances
 // below Terrain's 10 m index cell the grid equals, cell for cell, the one
@@ -49,10 +49,6 @@ struct PlannerConfig {
   double max_slope = 0.35;      ///< impassable ground gradient (rise/run)
   std::size_t max_expansions = 200000;  ///< search budget (open-list pops)
   bool cache_enabled = true;    ///< route cache; off recomputes every plan
-  /// Cache entry bound. When full the cache is cleared wholesale — a
-  /// deterministic eviction policy, unlike LRU whose contents would depend
-  /// on query history in ways that are hard to reason about in replays.
-  std::size_t cache_capacity = 4096;
 };
 
 /// Planner observability counters, surfaced through Worksite::Metrics.

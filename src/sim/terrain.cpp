@@ -8,7 +8,9 @@ namespace agrarsec::sim {
 Terrain::Terrain(core::Aabb bounds, std::vector<Obstacle> obstacles,
                  std::vector<Hill> hills)
     : bounds_(bounds), obstacles_(std::move(obstacles)), hills_(std::move(hills)) {
-  for (const Hill& hill : hills_) hills_height_sum_ += hill.height_m;
+  // Only raised hills lift the ground: a negative one is a hollow and
+  // must not pull the bound below a crest elsewhere.
+  for (const Hill& hill : hills_) hills_height_sum_ += std::max(hill.height_m, 0.0);
   build_index();
 }
 

@@ -126,10 +126,10 @@ class Terrain {
   core::Aabb bounds_;
   std::vector<Obstacle> obstacles_;
   std::vector<Hill> hills_;
-  /// Upper bound on ground_height anywhere (sum of hill amplitudes):
-  /// rays whose lowest endpoint clears it can skip terrain sampling
-  /// entirely — exact, because the skipped test could never fire (the
-  /// occlusion margin is 1e-9 m, orders of magnitude above the lerp's
+  /// Upper bound on ground_height anywhere (sum of the positive hill
+  /// amplitudes): rays whose lowest endpoint clears it can skip terrain
+  /// sampling entirely — exact, because the skipped test could never fire
+  /// (the occlusion margin is 1e-9 m, orders of magnitude above the lerp's
   /// rounding error). This is what makes drone-altitude rays cheap.
   /// gradient_bound applies the same reasoning to the ground's slope.
   double hills_height_sum_ = 0.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace agrarsec::sim {
 
@@ -29,8 +30,7 @@ constexpr double kPileExhaustedM3 = 0.5;
 
 /// Planning clearance = machine body radius + this margin. The default
 /// MachineConfig (body 1.8 m) lands exactly on the default
-/// PlannerConfig::clearance_m of 2.0 m, so uniform forwarder fleets keep
-/// using the default planner instance and its warm cache.
+/// PlannerConfig::clearance_m of 2.0 m.
 constexpr double kClearanceMarginM = 0.2;
 
 /// fork_stream domains for the per-entity streams: machines, humans and
@@ -43,10 +43,6 @@ std::size_t separation_bins(const WorksiteConfig& config) {
   const double range = std::max(config.separation_tracking_m, 1e-6);
   const double bin = std::max(config.separation_bin_m, 1e-6);
   return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(range / bin)));
-}
-
-long clearance_key(double clearance_m) {
-  return std::lround(std::max(clearance_m, 0.0) * 10.0);
 }
 }  // namespace
 
@@ -80,7 +76,7 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
       pile_index_(config.forest.bounds, kIndexCellM),
       separation_hist_(0.0, std::max(config.separation_tracking_m, 1e-6),
                        separation_bins(config)) {
-  // Telemetry first: the planners hang off it.
+  // Telemetry first: the planner hangs off it.
   if (config_.telemetry != nullptr) {
     telemetry_ = config_.telemetry;
   } else {
@@ -109,40 +105,17 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   ph_integrate_ = tracer.phase("worksite.integrate");
   ph_index_ = tracer.phase("worksite.index");
   ph_separation_ = tracer.phase("worksite.separation");
-  ph_follow_ = tracer.phase("worksite.follow");
   obs::wire_event_bus(bus_, *telemetry_);
 
   core::Rng terrain_rng = rng_.fork(0x7e44a1);
   terrain_ = std::make_unique<Terrain>(Terrain::generate(config_.forest, terrain_rng));
 
-  PlannerConfig planner_config;
-  auto base = std::make_unique<PathPlanner>(*terrain_, planner_config);
-  base->set_telemetry(&reg);
-  planner_ = base.get();
-  planners_.emplace(clearance_key(planner_config.clearance_m), std::move(base));
-}
-
-double Worksite::machine_clearance(const Machine& machine) {
-  return machine.config().body_radius_m + kClearanceMarginM;
-}
-
-PathPlanner& Worksite::planner_for(double clearance_m) {
-  const long key = clearance_key(clearance_m);
-  auto it = planners_.find(key);
-  if (it == planners_.end()) {
-    PlannerConfig planner_config = planner_->config();
-    planner_config.clearance_m = static_cast<double>(key) / 10.0;
-    auto planner = std::make_unique<PathPlanner>(*terrain_, planner_config);
-    planner->set_telemetry(&telemetry_->registry());
-    it = planners_.emplace(key, std::move(planner)).first;
-  }
-  return *it->second;
+  planner_ = std::make_unique<PathPlanner>(*terrain_);
+  planner_->set_telemetry(&reg);
 }
 
 void Worksite::block_region(core::Vec2 center, double radius, bool blocked) {
-  for (auto& [key, planner] : planners_) {
-    planner->set_region_blocked(center, radius, blocked);
-  }
+  planner_->set_region_blocked(center, radius, blocked);
 }
 
 std::deque<core::Vec2> Worksite::plan_route(core::Vec2 from, core::Vec2 to) const {
@@ -155,7 +128,7 @@ std::deque<core::Vec2> Worksite::plan_route(core::Vec2 from, core::Vec2 to) cons
 void Worksite::route_machine(Machine& machine, core::Vec2 goal) {
   // Serial context (effect drain / setup), so flight-recorder writes are
   // ordered and deterministic here.
-  PathPlanner& planner = planner_for(machine_clearance(machine));
+  PathPlanner& planner = *planner_;
   if (machine.try_reuse_route(goal, planner)) {
     c_route_reuses_->add();
     telemetry_->recorder().record(clock_.now(), "planner", "route-reuse",
@@ -188,7 +161,6 @@ MachineId Worksite::register_machine(std::unique_ptr<Machine> machine) {
     machine_slot_by_id_.resize(id.value() + 1, kNoSlot);
   }
   machine_slot_by_id_[id.value()] = slot;
-  if (machine->kind() == MachineKind::kDrone) drone_slots_.push_back(slot);
   machines_.push_back(std::move(machine));
   effects_.resize(machines_.size());
   return id;
@@ -196,6 +168,10 @@ MachineId Worksite::register_machine(std::unique_ptr<Machine> machine) {
 
 MachineId Worksite::add_forwarder(const std::string& name, core::Vec2 position,
                                   MachineConfig config) {
+  if (config.body_radius_m + kClearanceMarginM > planner_->config().clearance_m) {
+    throw std::invalid_argument("forwarder '" + name +
+                                "': body too wide for the planner's clearance");
+  }
   const MachineId id = machine_ids_.next();
   forwarder_states_[id.value()] = ForwarderState{};
   return register_machine(std::make_unique<Machine>(
@@ -487,13 +463,9 @@ void Worksite::decide_drone(Machine& drone) {
   const Machine* anchor = machine(orbit.anchor);
   if (anchor == nullptr) return;
 
-  // In the default decide phase this reads the anchor's start-of-step
-  // pose: machine kinematics all advance in the integrate phase after
-  // decide — a one-step lag on a 100 ms orbit update, not observable
-  // beyond the orbit tolerance. With config.drone_follow_post_integrate
-  // this instead runs from the follower phase after integrate, where the
-  // same read yields the anchor's current (post-step) pose and the lag is
-  // gone.
+  // This reads the anchor's start-of-step pose: machine kinematics all
+  // advance in the integrate phase after decide — a one-step lag on a
+  // 100 ms orbit update, not observable beyond the orbit tolerance.
   orbit.phase += 0.35 * static_cast<double>(config_.step) / core::kSecond;
   const core::Vec2 target =
       anchor->position() +
@@ -513,9 +485,7 @@ void Worksite::decide_machine(std::size_t slot) {
       decide_forwarder(m, forwarder_states_.find(m.id().value())->second, fx);
       break;
     case MachineKind::kDrone:
-      // Post-integrate followers are decided (and stepped) by
-      // follow_drones() after the integrate phase instead.
-      if (!config_.drone_follow_post_integrate) decide_drone(m);
+      decide_drone(m);
       break;
   }
 }
@@ -574,8 +544,7 @@ void Worksite::drain_machine_effects() {
         route_machine(m, fx.route_goal);
         break;
       case MachineEffects::Action::kRouteDirect:
-        m.set_route({fx.route_goal}, fx.route_goal,
-                    planner_for(machine_clearance(m)).generation());
+        m.set_route({fx.route_goal}, fx.route_goal, planner_->generation());
         break;
       case MachineEffects::Action::kLoadCommit:
         commit_load(m, forwarder_states_.find(m.id().value())->second);
@@ -588,13 +557,6 @@ void Worksite::drain_machine_effects() {
                       m.id().value(), clock_.now()});
         break;
     }
-  }
-}
-
-void Worksite::follow_drones() {
-  for (const std::size_t slot : drone_slots_) {
-    decide_drone(*machines_[slot]);
-    machines_[slot]->step(config_.step);
   }
 }
 
@@ -619,14 +581,7 @@ Worksite::Metrics Worksite::metrics() const {
   m.separation_samples = separation_stats_.count();
   m.route_reuses = c_route_reuses_->value();
   m.windthrow_events = c_windthrow_->value();
-  for (const auto& [key, planner] : planners_) {
-    const PlannerStats& s = planner->stats();
-    m.planner.plans += s.plans;
-    m.planner.cache_hits += s.cache_hits;
-    m.planner.cache_misses += s.cache_misses;
-    m.planner.invalidations += s.invalidations;
-    m.planner.jps_expansions += s.jps_expansions;
-  }
+  m.planner = planner_->stats();
   return m;
 }
 
@@ -640,7 +595,7 @@ void Worksite::step() {
   clock_.tick();
 
   {
-    // Pre-phase: weather hazards mutate every planner's blocked grid (and
+    // Pre-phase: weather hazards mutate the planner's blocked grid (and
     // publish), so they must land before decide.
     obs::Tracer::Span span = tracer.scoped(ph_weather_);
     step_weather_hazards();
@@ -666,20 +621,8 @@ void Worksite::step() {
     // Integrate: machine kinematics, then human walks; each entity
     // touches only itself (humans draw from their own streams).
     obs::Tracer::Span span = tracer.scoped(ph_integrate_);
-    for (const auto& m : machines_) {
-      if (config_.drone_follow_post_integrate && m->kind() == MachineKind::kDrone) {
-        continue;  // follower phase decides + steps these
-      }
-      m->step(config_.step);
-    }
+    for (const auto& m : machines_) m->step(config_.step);
     for (const auto& h : humans_) h->step(config_.step);
-  }
-
-  if (config_.drone_follow_post_integrate) {
-    // Follower phase (ascending slot order): drones orbit the post-step
-    // anchor pose, eliminating the decide-phase one-step lag.
-    obs::Tracer::Span span = tracer.scoped(ph_follow_);
-    follow_drones();
   }
 
   {

@@ -11,7 +11,11 @@
 // stream forked once at spawn keyed by its id (core::Rng::fork_stream),
 // and all shared side effects (event-bus publishes, planner calls, pile
 // mutations) are buffered per machine and drained in ascending slot
-// (= id) order.
+// (= id) order. Drone orbits are decided in that phase too, from the
+// anchor's start-of-step pose, one step behind.
+//
+// The worksite owns one route planner (DESIGN.md §22); add_forwarder
+// rejects a body wider than its grid's clearance.
 //
 // The Machine and Human entities are the one pose store (DESIGN.md §19):
 // separation sampling, perception and ground-truth zone tracking all
@@ -20,7 +24,6 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -68,20 +71,13 @@ struct WorksiteConfig {
   /// Windthrow hazards: expected events per simulated hour at weather
   /// factor 1 (scaled by windthrow_weather_factor; storms fell trees,
   /// clear days rarely do). 0 disables the model. Each event blocks a
-  /// disc of windthrow_radius_m in every route planner (exercising the
+  /// disc of windthrow_radius_m in the route planner (exercising the
   /// cache generation-invalidation path) and publishes
   /// "worksite/windthrow"; after windthrow_duration the debris is
   /// cleared and "worksite/windthrow-cleared" is published (0 = never).
   double windthrow_rate_per_hour = 0.0;
   double windthrow_radius_m = 12.0;
   core::SimDuration windthrow_duration = 10 * core::kMinute;
-  /// Drone orbit targets are normally computed in the decide phase from
-  /// the anchor's start-of-step pose — a deliberate one-step lag (see
-  /// decide_drone). Setting this runs drones in a follower phase after
-  /// the integrate phase instead, so the orbit target tracks the anchor's
-  /// *current* (post-step) pose. Default off: the lag is within orbit
-  /// tolerance and the default trajectory is frozen by the golden exports.
-  bool drone_follow_post_integrate = false;
   /// Telemetry sink for the worksite's counters, step-phase spans and
   /// flight events. When null the worksite owns a private instance, so
   /// instrumentation is always live; inject a shared one (SecuredWorksite
@@ -104,6 +100,10 @@ class Worksite {
   Worksite(WorksiteConfig config, std::uint64_t seed);
 
   // --- population ---
+  /// Throws std::invalid_argument when the body's planning clearance
+  /// (body_radius_m + 0.2 m) exceeds the planner's clearance_m: the one
+  /// planner's grid is dilated for that width, and a wider machine routed
+  /// on it could be sent through gaps it does not fit.
   MachineId add_forwarder(const std::string& name, core::Vec2 position,
                           MachineConfig config = {});
   MachineId add_harvester(const std::string& name, core::Vec2 position);
@@ -148,43 +148,30 @@ class Worksite {
   /// Forwarder mission status (only meaningful for forwarders).
   [[nodiscard]] ForwarderTask task(MachineId id) const;
 
-  /// Drone orbit: circles `center` at `radius`; recomputed each step so a
-  /// moving anchor (the forwarder) is followed.
+  /// Drone orbit: circles `center` at `radius`; recomputed each step, in
+  /// the decide phase, from the anchor's start-of-step pose, so a moving
+  /// anchor (the forwarder) is followed one step behind.
   void set_drone_orbit(MachineId drone, MachineId anchor, double radius);
 
   /// Obstacle-aware route between two points (cached JPS over the terrain
-  /// grid at the default clearance); falls back to the straight line when
-  /// planning fails.
+  /// grid); falls back to the straight line when planning fails.
   [[nodiscard]] std::deque<core::Vec2> plan_route(core::Vec2 from, core::Vec2 to) const;
 
   /// Routes `id` to `goal`, lazily: when the machine's current route was
   /// planned for a goal within its replan threshold and the remaining legs
   /// are still clear, the route is retargeted instead of re-planned.
-  /// Planning uses the planner matching the machine's clearance (mixed
-  /// drone/forwarder fleets never share a route cache). No-op for unknown
-  /// ids.
+  /// No-op for unknown ids.
   void route_machine(MachineId id, core::Vec2 goal);
 
+  /// The worksite's one route planner, shared by every machine.
   [[nodiscard]] const PathPlanner& planner() const { return *planner_; }
-  /// Mutable default-clearance planner, e.g. for tests poking
-  /// PathPlanner::set_region_blocked directly. Fleet-wide no-go regions
-  /// should go through block_region(), which hits every clearance's
-  /// planner instance.
+  /// Mutable planner, e.g. for tests poking
+  /// PathPlanner::set_region_blocked directly.
   [[nodiscard]] PathPlanner& planner() { return *planner_; }
 
-  /// Planner instance whose blocked grid is dilated for `clearance_m`
-  /// (quantised to 0.1 m; lazily constructed). Machines with different
-  /// clearances (drone vs forwarder) get separate instances and therefore
-  /// separate route caches — a shared cache would serve a forwarder a
-  /// drone-width route (ROADMAP item from PR 2).
-  [[nodiscard]] PathPlanner& planner_for(double clearance_m);
-  /// Planning clearance used for `machine` (body radius + margin).
-  [[nodiscard]] static double machine_clearance(const Machine& machine);
-
-  /// Declares/clears a no-go disc in *every* planner instance (all
-  /// clearances), invalidating affected cached routes via the planners'
-  /// generation counters. This is the hook dynamic hazards (windthrow,
-  /// breakdowns, attacker-declared zones) drive.
+  /// Declares/clears a no-go disc in the planner, invalidating affected
+  /// cached routes via its generation counter. This is the hook dynamic
+  /// hazards (windthrow, breakdowns, attacker-declared zones) drive.
   void block_region(core::Vec2 center, double radius, bool blocked);
 
   /// Advances one fixed step: harvester produces, piles spawn, forwarders
@@ -193,8 +180,7 @@ class Worksite {
 
   // --- outcome metrics ---
   /// One-stop snapshot of the worksite's outcome and hot-path counters,
-  /// including the planners' route-cache/JPS statistics (summed over all
-  /// clearance instances).
+  /// including the planner's route-cache/JPS statistics.
   struct Metrics {
     double delivered_m3 = 0.0;
     std::uint64_t completed_cycles = 0;
@@ -266,7 +252,7 @@ class Worksite {
   };
 
   // --- step phases (see step() for ordering) ---
-  /// Windthrow spawn/expiry against every planner.
+  /// Windthrow spawn/expiry against the planner.
   void step_weather_hazards();
   /// Per-machine FSM decisions into effects_[slot].
   void decide_machine(std::size_t slot);
@@ -278,15 +264,9 @@ class Worksite {
   /// planner routing, event-bus publishes, delivery accounting.
   void drain_machine_effects();
   void commit_load(Machine& forwarder, ForwarderState& state);
-  /// Post-integrate follower phase (only when
-  /// config.drone_follow_post_integrate): decides + steps every drone in
-  /// ascending slot order against the anchors' post-step poses. A drone
-  /// anchored on an earlier-slot drone therefore reads that drone's
-  /// already-stepped pose.
-  void follow_drones();
 
-  /// Shared tail of the add_* spawners: slot bookkeeping, drone
-  /// work-list, effect-buffer growth.
+  /// Shared tail of the add_* spawners: slot bookkeeping, effect-buffer
+  /// growth.
   MachineId register_machine(std::unique_ptr<Machine> machine);
   /// route_machine body shared with the public id-based overload.
   void route_machine(Machine& machine, core::Vec2 goal);
@@ -307,11 +287,7 @@ class Worksite {
   core::SimClock clock_;
   core::EventBus bus_;
   std::unique_ptr<Terrain> terrain_;
-  /// Route planners by quantised clearance (key = round(clearance * 10));
-  /// planner_ points at the default-clearance instance. std::map so
-  /// iteration (stat aggregation, block_region) is in a fixed order.
-  std::map<long, std::unique_ptr<PathPlanner>> planners_;
-  PathPlanner* planner_ = nullptr;
+  std::unique_ptr<PathPlanner> planner_;
 
   std::vector<std::unique_ptr<Machine>> machines_;
   std::vector<std::unique_ptr<Human>> humans_;
@@ -330,9 +306,6 @@ class Worksite {
   std::vector<std::size_t> machine_slot_by_id_;
   std::vector<std::size_t> human_slot_by_id_;
   std::unordered_map<std::uint64_t, std::size_t> pile_slots_;
-  /// Machine slots holding drones, ascending (the follower phase's work
-  /// list).
-  std::vector<std::size_t> drone_slots_;
   SpatialIndex human_index_;
   SpatialIndex pile_index_;
   std::uint64_t next_pile_id_ = 1;
@@ -370,7 +343,6 @@ class Worksite {
   obs::PhaseId ph_integrate_ = 0;
   obs::PhaseId ph_index_ = 0;
   obs::PhaseId ph_separation_ = 0;
-  obs::PhaseId ph_follow_ = 0;
 
   double min_separation_ = 1e9;
   core::RunningStats separation_stats_;

@@ -35,16 +35,6 @@ TEST(EventBus, WildcardSeesEverything) {
   EXPECT_EQ(count, 2);
 }
 
-TEST(EventBus, UnsubscribeStopsDelivery) {
-  EventBus bus;
-  int count = 0;
-  const auto sub = bus.subscribe("t", [&](const Event&) { ++count; });
-  bus.publish({"t", "", 0, 0});
-  bus.unsubscribe(sub);
-  bus.publish({"t", "", 0, 0});
-  EXPECT_EQ(count, 1);
-}
-
 TEST(EventBus, MultipleSubscribersAllReceive) {
   EventBus bus;
   int a = 0, b = 0;
@@ -118,17 +108,6 @@ TEST(EventBus, ThrowingHandlerDiscardsFailedBatchOnly) {
   EXPECT_EQ(second, 1);
 }
 
-TEST(EventBus, SubscriberCountAndPublishedCount) {
-  EventBus bus;
-  EXPECT_EQ(bus.subscriber_count(), 0u);
-  bus.subscribe("a", [](const Event&) {});
-  bus.subscribe_all([](const Event&) {});
-  EXPECT_EQ(bus.subscriber_count(), 2u);
-  bus.publish({"a", "", 0, 0});
-  bus.publish({"b", "", 0, 0});
-  EXPECT_EQ(bus.published_count(), 2u);
-}
-
 TEST(EventBus, HandlerMaySubscribeDuringDelivery) {
   EventBus bus;
   int late = 0;
@@ -136,57 +115,6 @@ TEST(EventBus, HandlerMaySubscribeDuringDelivery) {
     bus.subscribe("t", [&](const Event&) { ++late; });
   });
   bus.publish({"t", "", 0, 0});  // must not crash / not deliver to the new sub
-  bus.publish({"t", "", 0, 0});
-  EXPECT_EQ(late, 1);
-}
-
-TEST(EventBus, HandlerMayUnsubscribeItselfDuringDelivery) {
-  // Self-removal mid-delivery is the hard case for copy-free dispatch:
-  // the entry the executing handler lives in must not be destroyed out
-  // from under it. It is tombstoned and reclaimed after the batch.
-  EventBus bus;
-  int calls = 0;
-  EventBus::Subscription self = 0;
-  self = bus.subscribe("t", [&](const Event&) {
-    ++calls;
-    bus.unsubscribe(self);
-  });
-  bus.publish({"t", "", 0, 0});
-  bus.publish({"t", "", 0, 0});
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(bus.subscriber_count(), 0u);
-}
-
-TEST(EventBus, HandlerMayUnsubscribeLaterEntryDuringDelivery) {
-  // An earlier handler removing a later one in the same topic list: the
-  // later handler must be skipped for the in-flight event, not just for
-  // future publishes.
-  EventBus bus;
-  int second = 0;
-  EventBus::Subscription second_sub = 0;
-  bus.subscribe("t", [&](const Event&) { bus.unsubscribe(second_sub); });
-  second_sub = bus.subscribe("t", [&](const Event&) { ++second; });
-  bus.publish({"t", "", 0, 0});
-  EXPECT_EQ(second, 0);
-  EXPECT_EQ(bus.subscriber_count(), 1u);
-}
-
-TEST(EventBus, SubscribeDuringDeliveryThenUnsubscribeOutside) {
-  // Regression pairing for the deferred-compaction path: entries added
-  // past the dispatch bound survive compaction, and a normal (outside
-  // delivery) unsubscribe erases immediately.
-  EventBus bus;
-  int late = 0;
-  EventBus::Subscription late_sub = 0;
-  bus.subscribe("t", [&](const Event&) {
-    if (late_sub == 0) {
-      late_sub = bus.subscribe("t", [&](const Event&) { ++late; });
-    }
-  });
-  bus.publish({"t", "", 0, 0});
-  bus.publish({"t", "", 0, 0});
-  EXPECT_EQ(late, 1);
-  bus.unsubscribe(late_sub);
   bus.publish({"t", "", 0, 0});
   EXPECT_EQ(late, 1);
 }
@@ -201,27 +129,6 @@ TEST(EventBus, SubscribeAcceptsStringViewWithoutCopy) {
   bus.subscribe(topic, [&](const Event&) { ++count; });
   bus.publish({"safety/estop", "", 0, 0});
   EXPECT_EQ(count, 1);
-}
-
-TEST(EventBus, UnsubscribeUnknownHandleIsIgnored) {
-  EventBus bus;
-  bus.subscribe("t", [](const Event&) {});
-  bus.unsubscribe(12345);  // never issued
-  EXPECT_EQ(bus.subscriber_count(), 1u);
-}
-
-TEST(EventBus, WildcardSelfUnsubscribeDuringDelivery) {
-  EventBus bus;
-  int calls = 0;
-  EventBus::Subscription tap = 0;
-  tap = bus.subscribe_all([&](const Event&) {
-    ++calls;
-    bus.unsubscribe(tap);
-  });
-  bus.publish({"a", "", 0, 0});
-  bus.publish({"b", "", 0, 0});
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(bus.subscriber_count(), 0u);
 }
 
 }  // namespace

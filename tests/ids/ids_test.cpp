@@ -220,18 +220,14 @@ TEST(Ids, AlertHandlerInvoked) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(Ids, AlertsPastCapacityAreCountedNotRetained) {
-  IdsConfig config;
-  config.alert_capacity = 3;
-  IntrusionDetectionSystem ids{config};
+TEST(Ids, TotalAlertsCountsEveryRaise) {
+  IntrusionDetectionSystem ids;
   for (std::uint64_t i = 0; i < 5; ++i) {
     ids.observe(frame_with(telemetry(99 + i, 1, 0, 0, 0)), 0);  // unknown sender
   }
   EXPECT_EQ(ids.total_alerts(), 5u);
   EXPECT_EQ(ids.alert_count("unknown-sender"), 5u);
-  ASSERT_EQ(ids.alerts().size(), 3u);
-  // The first three raised are the ones kept.
-  EXPECT_EQ(ids.alerts().back().subject, 101u);
+  EXPECT_EQ(ids.telemetry().registry().counter("ids.alerts").value(), 5u);
 }
 
 TEST(Ids, SignaturesCanBeDisabled) {

@@ -65,6 +65,30 @@ TEST(Radio, BroadcastReachesAllOthers) {
   EXPECT_TRUE(net.received_a.empty());  // no self-delivery
 }
 
+TEST(Radio, ReceiverSeesFrameAsSent) {
+  // Receivers are handed the queued frame itself: the sender's payload,
+  // dst = the receiver's own id on a unicast, and dst still invalid on a
+  // broadcast (the medium does not stamp the receiver into it).
+  TwoNodes net;
+  Frame unicast;
+  unicast.src = net.a;
+  unicast.dst = net.b;
+  unicast.payload = core::from_string("to-b");
+  net.medium.send(unicast, 0);
+  Frame broadcast;
+  broadcast.src = net.a;
+  broadcast.dst = NodeId::invalid();
+  broadcast.payload = core::from_string("to-all");
+  net.medium.send(broadcast, 50);
+  net.pump(200);
+  ASSERT_EQ(net.received_b.size(), 2u);
+  EXPECT_EQ(net.received_b[0].payload, core::from_string("to-b"));
+  EXPECT_EQ(net.received_b[0].dst.value(), net.b.value());
+  EXPECT_EQ(net.received_b[1].payload, core::from_string("to-all"));
+  EXPECT_EQ(net.received_b[1].src.value(), net.a.value());
+  EXPECT_FALSE(net.received_b[1].dst.valid());
+}
+
 TEST(Radio, BroadcastCountsPrunedNodesAsOutOfRange) {
   // A broadcast judges every other attached node: nodes beyond
   // max_range_m, however far, are each counted as kOutOfRange and only

@@ -234,7 +234,7 @@ TEST(TelemetryTest, FullJsonCarriesPhasesAndWallAnnex) {
 TEST(TelemetryTest, WireEventBusCountsPerTopic) {
   Telemetry telemetry;
   core::EventBus bus;
-  const auto subscription = wire_event_bus(bus, telemetry);
+  wire_event_bus(bus, telemetry);
   bus.publish({.topic = "a", .payload = "", .origin = 1, .time = 0});
   bus.publish({.topic = "b", .payload = "", .origin = 2, .time = 1});
   bus.publish({.topic = "a", .payload = "", .origin = 3, .time = 2});

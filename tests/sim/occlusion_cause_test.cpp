@@ -129,6 +129,19 @@ TEST(OcclusionCause, ElevatedViewClearsAll) {
             Terrain::OcclusionCause::kNone);
 }
 
+TEST(OcclusionCause, NegativeHillKeepsFarCrestSampled) {
+  // A hollow far from the ray must not lower the "ground never rises
+  // above this" bound the terrain skip relies on: summing signed heights
+  // gave 10 - 9 = 1 m, so this ray (endpoints ~2 m up) skipped sampling
+  // and saw straight through the 10 m crest.
+  const Terrain t{core::Aabb{{0, 0}, {600, 600}}, {},
+                  {Hill{{100, 0}, 10.0, 20.0}, Hill{{500, 500}, -9.0, 20.0}}};
+  EXPECT_FALSE(t.line_of_sight({20, 0}, 2.0, {180, 0}, 1.7));
+  expect_matches_brute_force(t, {20, 0}, 2.0,
+                             {{{180, 0}, 1.7}, {{100, 60}, 1.7}, {{500, 500}, 0.0}},
+                             "negative hill");
+}
+
 TEST(OcclusionCause, MatchesBruteForceOverRandomizedFields) {
   // Several stand densities, including obstacle-free (pure terrain) and
   // hill-free (pure obstacles): each generated field gets frames of

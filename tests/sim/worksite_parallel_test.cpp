@@ -1,14 +1,14 @@
 // Determinism contract of the worksite step (DESIGN.md §9, §17): the
-// per-entity stream, decide -> slot-ordered drain, drone-follow and
-// per-clearance planner invariants, plus the brute-force equivalences of
-// the indexed human query and the histogram-backed close_encounters
-// (DESIGN.md §19).
+// per-entity stream, decide -> slot-ordered drain, the decide-phase drone
+// orbit and the one planner's clearance (DESIGN.md §22), plus the
+// brute-force equivalences of the indexed human query and the
+// histogram-backed close_encounters (DESIGN.md §19).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,79 +30,6 @@ WorksiteConfig fig1_site() {
   config.windthrow_rate_per_hour = 20.0;
   config.windthrow_duration = 30 * core::kSecond;
   return config;
-}
-
-struct RecordedEvent {
-  std::string topic;
-  std::string payload;
-  std::uint64_t origin;
-  core::SimTime time;
-  bool operator==(const RecordedEvent&) const = default;
-};
-
-struct Snapshot {
-  std::vector<RecordedEvent> events;
-  std::vector<std::tuple<double, double, double, double, double>> machine_poses;
-  std::vector<std::pair<double, double>> human_poses;
-  Worksite::Metrics metrics;
-};
-
-/// Builds the Figure-1-style mixed fleet, steps `steps` times, and
-/// snapshots events, poses and outcome metrics.
-Snapshot run_site(int steps, bool drone_follow) {
-  WorksiteConfig config = fig1_site();
-  config.drone_follow_post_integrate = drone_follow;
-  Worksite site{config, 1234};
-
-  Snapshot snap;
-  site.bus().subscribe_all([&snap](const core::Event& e) {
-    snap.events.push_back({e.topic, e.payload, e.origin, e.time});
-  });
-
-  site.add_harvester("h1", {250, 250});
-  std::vector<MachineId> forwarders;
-  for (int i = 0; i < 4; ++i) {
-    forwarders.push_back(site.add_forwarder(
-        "f" + std::to_string(i), {60.0 + 20.0 * i, 60.0}));
-  }
-  const MachineId drone = site.add_drone("d1", {50, 50});
-  site.set_drone_orbit(drone, forwarders[0], 25.0);
-  for (int i = 0; i < 8; ++i) {
-    const core::Vec2 anchor{100.0 + 30.0 * (i % 4), 120.0 + 60.0 * (i / 4)};
-    site.add_worker("w" + std::to_string(i), anchor, anchor);
-  }
-
-  for (int i = 0; i < steps; ++i) site.step();
-
-  for (const Machine* m : site.machines()) {
-    snap.machine_poses.emplace_back(m->position().x, m->position().y, m->heading(),
-                                    m->speed(), m->load_m3());
-  }
-  for (const Human* h : site.humans()) {
-    snap.human_poses.emplace_back(h->position().x, h->position().y);
-  }
-  snap.metrics = site.metrics();
-  return snap;
-}
-
-// The flag only re-times the drone's orbit update: everything else on the
-// site — events, outcome metrics, every non-drone pose — is untouched,
-// while the drone trajectory itself changes (it now tracks the post-step
-// anchor pose).
-TEST(WorksiteParallel, DroneFollowFlagOnlyAffectsDroneTrajectory) {
-  constexpr int kSteps = 300;
-  const Snapshot off = run_site(kSteps, /*drone_follow=*/false);
-  const Snapshot on = run_site(kSteps, /*drone_follow=*/true);
-  ASSERT_EQ(off.events.size(), on.events.size());
-  EXPECT_EQ(off.human_poses, on.human_poses);
-  EXPECT_EQ(off.metrics.delivered_m3, on.metrics.delivered_m3);
-  EXPECT_EQ(off.metrics.completed_cycles, on.metrics.completed_cycles);
-  // Slot 5 is the drone (harvester + 4 forwarders precede it).
-  ASSERT_EQ(off.machine_poses.size(), 6u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(off.machine_poses[i], on.machine_poses[i]) << "machine " << i;
-  }
-  EXPECT_NE(off.machine_poses[5], on.machine_poses[5]);
 }
 
 // humans_within must return exactly what a brute-force scan of humans()
@@ -155,10 +82,9 @@ struct FollowTrace {
   core::SimDuration step_ms = 0;
 };
 
-FollowTrace run_follow_trace(bool post_integrate, int steps) {
+FollowTrace run_follow_trace(int steps) {
   WorksiteConfig config = fig1_site();
   config.windthrow_rate_per_hour = 0.0;
-  config.drone_follow_post_integrate = post_integrate;
   Worksite site{config, 42};
   const MachineId f = site.add_forwarder("f1", {60, 60});
   const MachineId d = site.add_drone("d1", {350, 350});  // far: never arrives
@@ -177,11 +103,10 @@ FollowTrace run_follow_trace(bool post_integrate, int steps) {
   return trace;
 }
 
-// Default path: the orbit target is computed in the decide phase from the
-// anchor's START-of-step pose — the documented one-step lag. This pins the
-// default behavior bit-exactly (the flag must not change it).
+// The orbit target is computed in the decide phase from the anchor's
+// START-of-step pose — the documented one-step lag, pinned bit-exactly.
 TEST(WorksiteDroneFollow, DefaultDecidePhaseReadsPreStepPose) {
-  const FollowTrace trace = run_follow_trace(false, 25);
+  const FollowTrace trace = run_follow_trace(25);
   // The anchor must actually move, or pre == post and the test says nothing.
   ASSERT_NE(trace.anchor_pre.back().x, trace.anchor_post.back().x);
   double phase = 0.0;
@@ -192,55 +117,6 @@ TEST(WorksiteDroneFollow, DefaultDecidePhaseReadsPreStepPose) {
         core::Vec2{std::cos(phase), std::sin(phase)} * 25.0;
     EXPECT_EQ(trace.drone_waypoint[i].x, expected.x) << "step " << i;
     EXPECT_EQ(trace.drone_waypoint[i].y, expected.y) << "step " << i;
-  }
-}
-
-// Flag on: the follower phase runs after the integrate barrier, so the
-// same computation now sees the anchor's CURRENT pose — the lag is gone.
-TEST(WorksiteDroneFollow, PostIntegrateFollowerReadsPostStepPose) {
-  const FollowTrace trace = run_follow_trace(true, 25);
-  ASSERT_NE(trace.anchor_pre.back().x, trace.anchor_post.back().x);
-  double phase = 0.0;
-  for (std::size_t i = 0; i < trace.drone_waypoint.size(); ++i) {
-    phase += 0.35 * static_cast<double>(trace.step_ms) / core::kSecond;
-    const core::Vec2 expected =
-        trace.anchor_post[i] +
-        core::Vec2{std::cos(phase), std::sin(phase)} * 25.0;
-    EXPECT_EQ(trace.drone_waypoint[i].x, expected.x) << "step " << i;
-    EXPECT_EQ(trace.drone_waypoint[i].y, expected.y) << "step " << i;
-  }
-}
-
-// Drone-on-drone chain: the follower phase walks drones in ascending slot
-// order, so a drone anchored on an earlier-slot drone targets that drone's
-// POST-step pose (already decided and stepped this step) plus its orbit
-// offset.
-TEST(WorksiteDroneFollow, ChainedDroneReadsEarlierDronePostStepPose) {
-  WorksiteConfig config = fig1_site();
-  config.windthrow_rate_per_hour = 0.0;
-  config.drone_follow_post_integrate = true;
-  Worksite site{config, 17};
-  const MachineId f = site.add_forwarder("f1", {60, 60});
-  const MachineId lead = site.add_drone("d1", {50, 40});
-  const MachineId chained = site.add_drone("d2", {390, 390});  // far: never arrives
-  site.set_drone_orbit(lead, f, 25.0);
-  site.set_drone_orbit(chained, lead, 15.0);
-  site.route_machine(f, {300, 300});
-
-  double phase = 0.0;
-  for (int i = 0; i < 25; ++i) {
-    const core::Vec2 lead_pre = site.machine(lead)->position();
-    site.step();
-    const core::Vec2 lead_post = site.machine(lead)->position();
-    // The lead must move every step, or pre == post and the check is void.
-    ASSERT_NE(lead_pre.x, lead_post.x) << "step " << i;
-    phase += 0.35 * static_cast<double>(config.step) / core::kSecond;
-    const core::Vec2 expected =
-        lead_post + core::Vec2{std::cos(phase), std::sin(phase)} * 15.0;
-    const auto wp = site.machine(chained)->current_waypoint();
-    ASSERT_TRUE(wp.has_value()) << "step " << i;
-    EXPECT_EQ(wp->x, expected.x) << "step " << i;
-    EXPECT_EQ(wp->y, expected.y) << "step " << i;
   }
 }
 
@@ -378,33 +254,21 @@ TEST(WorksiteParallel, CloseEncountersMatchBruteForceAtBinEdges) {
   EXPECT_GE(site.close_encounters(10.05), below(10.05));
 }
 
-// S1 regression: machines with different clearances must not share a route
-// cache. A drone-width route served to a forwarder would thread gaps the
-// forwarder cannot take.
-TEST(WorksiteParallel, PerClearancePlannerInstances) {
+// The worksite owns one planner, dilated for a 1.8 m body (2.0 m
+// clearance). A forwarder wider than that would be routed through gaps it
+// does not fit, so add_forwarder refuses it before allocating an id; the
+// default body, exactly at the planner's clearance, is admitted.
+TEST(WorksiteParallel, AddForwarderRejectsBodyWiderThanPlanner) {
   Worksite site{fig1_site(), 3};
+  MachineConfig wide;
+  wide.body_radius_m = 1.9;  // 2.1 m clearance > the planner's 2.0 m
+  EXPECT_THROW(site.add_forwarder("wide", {60, 60}, wide), std::invalid_argument);
+  EXPECT_TRUE(site.machines().empty());
+
   const MachineId f = site.add_forwarder("f1", {60, 60});
-  const MachineId d = site.add_drone("d1", {60, 60});
-
-  const double fc = Worksite::machine_clearance(*site.machine(f));
-  const double dc = Worksite::machine_clearance(*site.machine(d));
-  EXPECT_NEAR(fc, 2.0, 1e-9);  // 1.8 m body + margin = default planner
-  EXPECT_NEAR(dc, 0.6, 1e-9);  // 0.4 m body + margin
-  ASSERT_NE(&site.planner_for(fc), &site.planner_for(dc));
-  EXPECT_EQ(&site.planner_for(fc), &site.planner());  // default instance reused
-  EXPECT_NEAR(site.planner_for(dc).config().clearance_m, 0.6, 1e-9);
-
-  // Routing the drone must not touch the forwarder planner's cache.
-  const std::size_t before = site.planner().cache_size();
-  site.route_machine(d, {300, 300});
-  EXPECT_EQ(site.planner().cache_size(), before);
-
-  // Both planners honour block_region (fleet-wide no-go).
-  const std::uint64_t gen_f = site.planner_for(fc).generation();
-  const std::uint64_t gen_d = site.planner_for(dc).generation();
-  site.block_region({200, 200}, 15.0, true);
-  EXPECT_GT(site.planner_for(fc).generation(), gen_f);
-  EXPECT_GT(site.planner_for(dc).generation(), gen_d);
+  EXPECT_EQ(f.value(), 1u);  // the rejected forwarder consumed no id
+  ASSERT_EQ(site.machines().size(), 1u);
+  EXPECT_DOUBLE_EQ(site.planner().config().clearance_m, 2.0);
 }
 
 }  // namespace

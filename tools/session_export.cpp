@@ -8,14 +8,13 @@
 // changes re-bless the goldens with --update and the diff shows up in
 // review.
 //
-// The gate is a matrix of four pinned variants (argv[1]):
-//   base               the original session (golden: session_export.json)
-//   attack             + a level-2 attacker running a scripted spoof and
-//                        replay campaign against the forwarder
-//   drone-follow       + worksite drone_follow_post_integrate enabled
-//   attack-drone-follow  both, exercising the interaction
-// so drift in the attack-handling or deferred-drone code paths is caught
-// even when the quiet base session never reaches them.
+// The gate pins two variants (argv[1]):
+//   base    the original session (golden: session_export.json)
+//   attack  + a level-2 attacker running a scripted spoof and replay
+//           campaign against the forwarder (golden:
+//           session_export.attack.json)
+// so drift in the attack-handling code paths is caught even when the
+// quiet base session never reaches them.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -56,18 +55,11 @@ constexpr std::uint64_t kReplayPeriod = 7;
 
 int main(int argc, char** argv) {
   const std::string variant = argc > 1 ? argv[1] : "base";
-  const bool attack = variant == "attack" || variant == "attack-drone-follow";
-  const bool drone_follow =
-      variant == "drone-follow" || variant == "attack-drone-follow";
-  if (variant != "base" && !attack && !drone_follow) {
-    std::fprintf(stderr,
-                 "usage: session_export "
-                 "[base|attack|drone-follow|attack-drone-follow]\n");
+  const bool attack = variant == "attack";
+  if (variant != "base" && !attack) {
+    std::fprintf(stderr, "usage: session_export [base|attack]\n");
     return 2;
   }
-
-  integration::SecuredWorksiteConfig config = pinned_session_config();
-  config.worksite.drone_follow_post_integrate = drone_follow;
 
   service::FleetServiceConfig fleet_config;
   fleet_config.threads = 2;
@@ -75,7 +67,7 @@ int main(int argc, char** argv) {
   service::FleetService fleet{fleet_config};
 
   const service::SessionId id =
-      fleet.create_session_keyed(config, kSessionKey);
+      fleet.create_session_keyed(pinned_session_config(), kSessionKey);
   integration::SecuredWorksite& site = *fleet.session(id);
   site.worksite().add_worker("w0", {75.0, 60.0}, {80, 80});
   site.worksite().add_worker("w1", {85.0, 60.0}, {80, 80});
