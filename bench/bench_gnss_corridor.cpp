@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/stats.h"
 #include "sensors/gnss.h"
 #include "sim/machine.h"
 

@@ -60,9 +60,9 @@ if [[ "${1:-}" == "--full-asan" ]]; then
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 else
-  # The suites covering the spatial index, radio heap, event bus and
-  # worksite compaction paths, the crypto primitives (empty-span inputs
-  # included), plus the console's JSON-RPC decoder fed hostile input:
+  # The suites covering the worksite's entity scans and pile compaction,
+  # the radio heap, the event bus, the crypto primitives (empty-span
+  # inputs included), plus the console's JSON-RPC decoder fed hostile input:
   # nesting past Json::kMaxDepth and integer params out of range (the
   # float-cast-overflow shape). UBSan findings abort (AGRARSEC_SANITIZE
   # builds with -fno-sanitize-recover), so any one fails this leg.

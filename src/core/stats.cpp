@@ -1,47 +1,9 @@
 #include "core/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace agrarsec::core {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_), m = static_cast<double>(other.n_);
-  m2_ += other.m2_ + delta * delta * n * m / (n + m);
-  mean_ = (n * mean_ + m * other.mean_) / (n + m);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  n_ += other.n_;
-}
 
 void SampleSet::add(double x) {
   samples_.push_back(x);
@@ -83,49 +45,6 @@ double SampleSet::max() const {
   if (samples_.empty()) throw std::logic_error("SampleSet::max on empty set");
   ensure_sorted();
   return samples_.back();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || hi <= lo) throw std::invalid_argument("Histogram: bad range/bins");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto i = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                          static_cast<double>(counts_.size()));
-  ++counts_[std::min(i, counts_.size() - 1)];
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (std::uint64_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char label[64];
-    std::snprintf(label, sizeof label, "%10.3f | ", bin_low(i));
-    out += label;
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    out.append(bar, '#');
-    out += " ";
-    out += std::to_string(counts_[i]);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace agrarsec::core

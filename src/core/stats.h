@@ -1,38 +1,11 @@
-// Streaming statistics used across the experiment harnesses: Welford
-// mean/variance, min/max, fixed-bin histograms and exact percentiles over
-// retained samples (experiment scales are small enough to retain).
+// Exact percentiles over retained samples, used across the experiment
+// harnesses (experiment scales are small enough to retain).
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace agrarsec::core {
-
-/// Welford online accumulator.
-class RunningStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  ///< sample variance (n-1)
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
-  /// Merges another accumulator (Chan's parallel formula).
-  void merge(const RunningStats& other);
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Sample-retaining collector with exact percentiles.
 class SampleSet {
@@ -54,30 +27,6 @@ class SampleSet {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
   void ensure_sorted() const;
-};
-
-/// Fixed-range histogram with uniform bins plus under/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double bin_low(std::size_t i) const;
-
-  /// Renders a compact ASCII bar chart (for bench output).
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace agrarsec::core

@@ -24,22 +24,20 @@ FleetService::FleetService(FleetServiceConfig config) : config_(config) {
   h_batch_wall_ = &reg.histogram("wall.fleet_batch_us", 0.0, 100000.0, 20);
   ph_batch_ = telemetry_->tracer().phase("fleet.step_batch");
 
-  if (config_.threads != 1) {
-    pool_ = std::make_unique<core::ThreadPool>(config_.threads);
-    // Observation-only busy-time tap into per-shard tracer lanes, so the
-    // concurrent callbacks never share an accumulator.
-    pool_->set_shard_observer([this](std::size_t shard, std::uint64_t busy_ns) {
-      telemetry_->tracer().add_shard_busy(shard, busy_ns);
-    });
-  }
+  // A pool of one shard runs each batch inline on the caller and still
+  // reports its busy time, so a serial fleet shows up in /utilization.
+  pool_ = std::make_unique<core::ThreadPool>(config_.threads);
+  // Observation-only busy-time tap into per-shard tracer lanes, so the
+  // concurrent callbacks never share an accumulator.
+  pool_->set_shard_observer([this](std::size_t shard, std::uint64_t busy_ns) {
+    telemetry_->tracer().add_shard_busy(shard, busy_ns);
+  });
   telemetry_->tracer().ensure_shards(shard_count());
 }
 
 FleetService::~FleetService() = default;
 
-std::size_t FleetService::shard_count() const {
-  return pool_ ? pool_->shard_count() : 1;
-}
+std::size_t FleetService::shard_count() const { return pool_->shard_count(); }
 
 std::uint64_t FleetService::derive_session_seed(std::uint64_t fleet_seed,
                                                 std::uint64_t key) {
@@ -112,11 +110,7 @@ void FleetService::step_batch_locked(std::uint64_t steps) {
       session.steps += steps;
     }
   };
-  if (pool_) {
-    pool_->parallel_for(batch_.size(), body);
-  } else {
-    body(0, batch_.size(), 0);
-  }
+  pool_->parallel_for(batch_.size(), body);
   // Serial again: the service registry has one writer.
   c_session_steps_->add(steps * batch_.size());
   h_batch_wall_->add(

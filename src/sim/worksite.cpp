@@ -19,11 +19,6 @@ std::string_view task_name(ForwarderTask task) {
   return "?";
 }
 
-/// Grid cell for the human/pile indexes: half the dominant query radius
-/// (perception 40-90 m, separation tracking 50 m) keeps the candidate
-/// sets tight without inflating the cell array.
-constexpr double kIndexCellM = 25.0;
-
 /// Piles below this volume are exhausted: invisible to dispatch and
 /// compacted out of piles_ at the end of the step.
 constexpr double kPileExhaustedM3 = 0.5;
@@ -39,10 +34,22 @@ constexpr std::uint64_t kMachineStreamDomain = 0x4D41434821ULL;
 constexpr std::uint64_t kHumanStreamDomain = 0x48554D414EULL;
 constexpr std::uint64_t kWeatherStreamDomain = 0x57454154ULL;
 
-std::size_t separation_bins(const WorksiteConfig& config) {
-  const double range = std::max(config.separation_tracking_m, 1e-6);
-  const double bin = std::max(config.separation_bin_m, 1e-6);
-  return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(range / bin)));
+/// Calls fn(human, distance) for every human within `radius` of `center`
+/// (exact Euclidean, boundary inclusive), in ascending id order (humans
+/// are append-only). A human farther than `radius` along either axis is
+/// skipped before the distance is taken; that is exact, because
+/// hypot(dx, dy) >= max(|dx|, |dy|).
+template <typename Fn>
+void for_each_human_within(const std::vector<std::unique_ptr<Human>>& humans,
+                           core::Vec2 center, double radius, Fn&& fn) {
+  for (const auto& h : humans) {
+    const core::Vec2 p = h->position();
+    if (std::abs(p.x - center.x) > radius || std::abs(p.y - center.y) > radius) {
+      continue;
+    }
+    const double d = core::distance(center, p);
+    if (d <= radius) fn(*h, d);
+  }
 }
 }  // namespace
 
@@ -71,11 +78,7 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
       seed_(seed),
       rng_(seed),
       hazard_rng_(core::Rng::fork_stream(seed, kWeatherStreamDomain, 0)),
-      clock_(config.step),
-      human_index_(config.forest.bounds, kIndexCellM),
-      pile_index_(config.forest.bounds, kIndexCellM),
-      separation_hist_(0.0, std::max(config.separation_tracking_m, 1e-6),
-                       separation_bins(config)) {
+      clock_(config.step) {
   // Telemetry first: the planner hangs off it.
   if (config_.telemetry != nullptr) {
     telemetry_ = config_.telemetry;
@@ -90,8 +93,7 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   c_cycles_ = &reg.counter("worksite.completed_cycles");
   c_sep_queries_ = &reg.counter("worksite.separation_queries");
   g_delivered_ = &reg.gauge("worksite.delivered_m3");
-  // Coarse export view of the separation distribution (the full-resolution
-  // core::Histogram stays the close_encounters() source); the step
+  // The one separation store, exported with every session; the step
   // wall-time histogram is excluded from the deterministic export by its
   // "wall." prefix.
   h_separation_ = &reg.histogram("worksite.separation_m", 0.0,
@@ -103,7 +105,6 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   ph_decide_ = tracer.phase("worksite.decide");
   ph_drain_ = tracer.phase("worksite.drain");
   ph_integrate_ = tracer.phase("worksite.integrate");
-  ph_index_ = tracer.phase("worksite.index");
   ph_separation_ = tracer.phase("worksite.separation");
   obs::wire_event_bus(bus_, *telemetry_);
 
@@ -212,7 +213,6 @@ HumanId Worksite::add_worker(const std::string& name, core::Vec2 position,
   humans_.push_back(std::make_unique<Human>(
       id, name, position, work_anchor, config,
       core::Rng::fork_stream(seed_, kHumanStreamDomain, id.value())));
-  human_index_.insert(id.value(), position);
   return id;
 }
 
@@ -264,13 +264,9 @@ const Human* Worksite::human(HumanId id) const {
 
 void Worksite::humans_within(core::Vec2 center, double radius,
                              std::vector<const Human*>& out) const {
-  human_index_.query_radius(center, radius, query_buffer_);
   out.clear();
-  // Ascending id == insertion order, so downstream per-candidate RNG
-  // consumption matches a brute-force scan over humans() exactly.
-  for (const std::uint64_t id : query_buffer_) {
-    out.push_back(humans_[human_slot_by_id_[id]].get());
-  }
+  for_each_human_within(humans_, center, radius,
+                        [&out](const Human& h, double) { out.push_back(&h); });
 }
 
 ForwarderTask Worksite::task(MachineId id) const {
@@ -283,8 +279,20 @@ void Worksite::set_drone_orbit(MachineId drone, MachineId anchor, double radius)
 }
 
 std::optional<std::uint64_t> Worksite::nearest_pile(core::Vec2 from) const {
-  // Only live piles are in the grid, so no volume filter is needed here.
-  return pile_index_.nearest(from);
+  // piles_ is in no particular order after compaction, so ties on
+  // distance go to the smaller id explicitly.
+  const LogPile* best = nullptr;
+  double best_dist = 0.0;
+  for (const LogPile& pile : piles_) {
+    if (pile.volume_m3 < kPileExhaustedM3) continue;
+    const double d = core::distance(pile.position, from);
+    if (best == nullptr || d < best_dist || (d == best_dist && pile.id < best->id)) {
+      best = &pile;
+      best_dist = d;
+    }
+  }
+  if (best == nullptr) return std::nullopt;
+  return best->id;
 }
 
 LogPile* Worksite::pile_by_id(std::uint64_t pile_id) {
@@ -303,9 +311,7 @@ void Worksite::compact_piles() {
       ++i;
       continue;
     }
-    const std::uint64_t dead = piles_[i].id;
-    pile_index_.remove(dead);
-    pile_slots_.erase(dead);
+    pile_slots_.erase(piles_[i].id);
     piles_[i] = piles_.back();
     piles_.pop_back();
     if (i < piles_.size()) pile_slots_[piles_[i].id] = i;
@@ -380,9 +386,9 @@ void Worksite::decide_harvester(Machine& harvester, MachineEffects& fx) {
 
 void Worksite::decide_forwarder(Machine& forwarder, ForwarderState& state,
                                 MachineEffects& fx) {
-  // Decisions read the worksite as of the start of the step (piles and
-  // indexes are frozen during the decide phase); shared effects are
-  // buffered and committed by the drain. A pile another forwarder
+  // Decisions read the worksite as of the start of the step (piles are
+  // frozen during the decide phase); shared effects are buffered and
+  // committed by the drain. A pile another forwarder
   // exhausts this very step can therefore still be dispatched to — the
   // kToPile re-check next step resolves it, the same way the serial code
   // already handled a pile dying mid-wait.
@@ -498,12 +504,10 @@ void Worksite::commit_load(Machine& forwarder, ForwarderState& state) {
   }
   const double take = std::min(
       pile->volume_m3, forwarder.config().load_capacity_m3 - forwarder.load_m3());
+  // A pile left below kPileExhaustedM3 is invisible to nearest_pile at
+  // once and compacted away at the end of the step.
   pile->volume_m3 -= take;
   forwarder.load_logs(take);
-  if (pile->volume_m3 < kPileExhaustedM3) {
-    // Exhausted: hide from dispatch now, compacted at end of step.
-    pile_index_.remove(pile->id);
-  }
   if (forwarder.full() || !nearest_pile(forwarder.position())) {
     state.task = ForwarderTask::kToLanding;
     route_machine(forwarder, config_.landing_area);
@@ -521,9 +525,6 @@ void Worksite::drain_machine_effects() {
       LogPile pile = *fx.spawn;
       pile.id = next_pile_id_++;
       pile_slots_[pile.id] = piles_.size();
-      if (pile.volume_m3 >= kPileExhaustedM3) {
-        pile_index_.insert(pile.id, pile.position);
-      }
       piles_.push_back(pile);
       bus_.publish({"worksite/pile", "volume=" + std::to_string(pile.volume_m3),
                     m.id().value(), clock_.now()});
@@ -560,25 +561,12 @@ void Worksite::drain_machine_effects() {
   }
 }
 
-std::uint64_t Worksite::close_encounters(double threshold_m) const {
-  if (threshold_m <= 0.0) return 0;
-  // Bin counts up to the threshold (rounded up to the next bin edge),
-  // plus the overflow bucket when the threshold exceeds the tracked range.
-  std::uint64_t n = separation_hist_.underflow();
-  for (std::size_t i = 0; i < separation_hist_.bins(); ++i) {
-    if (separation_hist_.bin_low(i) >= threshold_m) break;
-    n += separation_hist_.bin_count(i);
-  }
-  if (threshold_m > config_.separation_tracking_m) n += separation_hist_.overflow();
-  return n;
-}
-
 Worksite::Metrics Worksite::metrics() const {
   Metrics m;
   m.delivered_m3 = g_delivered_->value();
   m.completed_cycles = c_cycles_->value();
-  m.min_human_separation = min_separation_;
-  m.separation_samples = separation_stats_.count();
+  m.min_human_separation = min_human_separation();
+  m.separation_samples = h_separation_->count();
   m.route_reuses = c_route_reuses_->value();
   m.windthrow_events = c_windthrow_->value();
   m.planner = planner_->stats();
@@ -625,37 +613,22 @@ void Worksite::step() {
     for (const auto& h : humans_) h->step(config_.step);
   }
 
-  {
-    // Index write-phase: fold the new human poses into the grid and drop
-    // exhausted piles (all pose mutations for this step are behind us).
-    obs::Tracer::Span span = tracer.scoped(ph_index_);
-    for (const auto& h : humans_) {
-      human_index_.update(h->id().value(), h->position());
-    }
-    compact_piles();
-  }
+  // Every decision of the step is made: drop the exhausted piles.
+  compact_piles();
 
   {
     // Separation sampling: moving forwarders against nearby humans, read
-    // from the entities' post-step poses. Samples fold into
-    // min/stats/histograms in slot order, then query (ascending human id)
-    // order, which fixes the floating-point accumulation order.
+    // from the entities' post-step poses. Samples fold into the histogram
+    // in slot order, then ascending human id order, which fixes its sum's
+    // floating-point accumulation order.
     obs::Tracer::Span span = tracer.scoped(ph_separation_);
     const double radius = config_.separation_tracking_m;
     for (const auto& m : machines_) {
       if (m->kind() != MachineKind::kForwarder) continue;
       if (m->speed() < 0.3) continue;
-      const core::Vec2 mpos = m->position();
       c_sep_queries_->add();
-      human_index_.query_radius(mpos, radius, query_buffer_);
-      for (const std::uint64_t id : query_buffer_) {
-        const double d =
-            core::distance(mpos, humans_[human_slot_by_id_[id]]->position());
-        min_separation_ = std::min(min_separation_, d);
-        separation_stats_.add(d);
-        separation_hist_.add(d);
-        h_separation_->add(d);
-      }
+      for_each_human_within(humans_, m->position(), radius,
+                            [this](const Human&, double d) { h_separation_->add(d); });
     }
   }
 

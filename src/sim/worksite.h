@@ -19,8 +19,10 @@
 //
 // The Machine and Human entities are the one pose store (DESIGN.md §19):
 // separation sampling, perception and ground-truth zone tracking all
-// read them directly, and find nearby people through the one uniform-grid
-// human index (humans_within, outside the worksite).
+// read them directly, and find nearby people through one scan of the
+// humans in id order (humans_within, outside the worksite; DESIGN.md §23).
+// The registry histogram "worksite.separation_m" is the one separation
+// store: min_human_separation() and Metrics read it.
 #pragma once
 
 #include <deque>
@@ -31,13 +33,11 @@
 
 #include "core/event_bus.h"
 #include "core/rng.h"
-#include "core/stats.h"
 #include "core/time.h"
 #include "obs/telemetry.h"
 #include "sim/human.h"
 #include "sim/machine.h"
 #include "sim/pathfinding.h"
-#include "sim/spatial_index.h"
 #include "sim/terrain.h"
 #include "sim/weather.h"
 
@@ -62,12 +62,11 @@ struct WorksiteConfig {
   double pile_capacity_m3 = 7.0;
   core::SimDuration load_time = 90 * core::kSecond;
   core::SimDuration unload_time = 60 * core::kSecond;
-  /// Separation statistics are streamed into a histogram covering
-  /// [0, separation_tracking_m]; pairs farther apart than this are not
-  /// safety-relevant and are not recorded (keeps the hot loop local).
+  /// Separation samples are streamed into the registry histogram
+  /// "worksite.separation_m" (25 bins over [0, separation_tracking_m]);
+  /// pairs farther apart than this are not safety-relevant and are not
+  /// recorded.
   double separation_tracking_m = 50.0;
-  /// Histogram resolution for close_encounters() queries (metres).
-  double separation_bin_m = 0.1;
   /// Windthrow hazards: expected events per simulated hour at weather
   /// factor 1 (scaled by windthrow_weather_factor; storms fell trees,
   /// clear days rarely do). 0 disables the model. Each event blocks a
@@ -136,12 +135,12 @@ class Worksite {
   [[nodiscard]] const std::vector<LogPile>& piles() const { return piles_; }
 
   /// Humans within `radius` of `center` (exact Euclidean, boundary
-  /// inclusive) into `out`, replacing its contents, in ascending id order
-  /// — identical set and order to a brute-force scan over humans().
-  /// Backed by the uniform-grid index; this is the query perception and
-  /// ground-truth zone tracking run per frame. `out` is caller scratch, so
-  /// the query allocates nothing after warmup. Serial contexts only (the
-  /// index query shares the worksite's scratch buffer).
+  /// inclusive) into `out`, replacing its contents, in ascending id order.
+  /// One scan over the humans, which skips a human whose |dx| or |dy|
+  /// exceeds `radius` before the distance test (exact: the distance is at
+  /// least either); this is the query perception and ground-truth zone
+  /// tracking run per frame. `out` is caller scratch, so the query
+  /// allocates nothing after warmup.
   void humans_within(core::Vec2 center, double radius,
                      std::vector<const Human*>& out) const;
 
@@ -199,18 +198,8 @@ class Worksite {
   /// Minimum human–forwarder distance seen while the forwarder moved
   /// faster than 0.3 m/s (the safety-relevant exposure metric). Tracked
   /// within separation_tracking_m; 1e9 when no such pair was ever seen.
-  [[nodiscard]] double min_human_separation() const { return min_separation_; }
-  /// Count of recorded separation samples below `threshold_m`. Answered
-  /// from the streaming histogram at separation_bin_m resolution
-  /// (thresholds are rounded up to the next bin edge), O(bins) instead of
-  /// a scan over every sample ever recorded; exact at bin edges.
-  [[nodiscard]] std::uint64_t close_encounters(double threshold_m) const;
-  /// Streaming moments (mean/stddev/min/max) over all separation samples.
-  [[nodiscard]] const core::RunningStats& separation_stats() const {
-    return separation_stats_;
-  }
-  [[nodiscard]] const core::Histogram& separation_histogram() const {
-    return separation_hist_;
+  [[nodiscard]] double min_human_separation() const {
+    return h_separation_->count() > 0 ? h_separation_->min() : 1e9;
   }
 
  private:
@@ -270,14 +259,14 @@ class Worksite {
   MachineId register_machine(std::unique_ptr<Machine> machine);
   /// route_machine body shared with the public id-based overload.
   void route_machine(Machine& machine, core::Vec2 goal);
-  /// Nearest pile with harvestable volume, by stable pile id. Exact
-  /// (expanding-ring search over the pile grid; only live piles indexed).
+  /// Nearest pile with harvestable volume, by stable pile id: one scan of
+  /// piles_, ties broken towards the smaller id.
   std::optional<std::uint64_t> nearest_pile(core::Vec2 from) const;
   /// Current slot of a pile id in piles_, or nullptr when exhausted.
   [[nodiscard]] LogPile* pile_by_id(std::uint64_t pile_id);
   [[nodiscard]] const LogPile* pile_by_id(std::uint64_t pile_id) const;
-  /// Swap-and-pop removal of exhausted piles (volume < 0.5): the grid and
-  /// slot map shrink with the site instead of growing without bound.
+  /// Swap-and-pop removal of exhausted piles (volume < 0.5): piles_ and
+  /// the slot map shrink with the site instead of growing without bound.
   void compact_piles();
 
   WorksiteConfig config_;
@@ -296,20 +285,16 @@ class Worksite {
   std::unordered_map<std::uint64_t, DroneOrbit> drone_orbits_;
   std::unordered_map<std::uint64_t, double> harvester_accum_m3_;
 
-  // Hot-loop lookup structures: dense id -> slot arrays for machines and
+  // Id lookup structures: dense id -> slot arrays for machines and
   // humans (ids are allocated 1, 2, ... and entities are append-only, so
   // a flat vector beats hashing on every hot-path lookup; kNoSlot marks
-  // never-allocated ids), a slot map for piles (pile ids grow without
-  // bound while piles compact, so a dense array would leak), and
-  // uniform-grid indexes for the per-step range queries.
+  // never-allocated ids), and a slot map for piles (pile ids grow without
+  // bound while piles compact, so a dense array would leak).
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
   std::vector<std::size_t> machine_slot_by_id_;
   std::vector<std::size_t> human_slot_by_id_;
   std::unordered_map<std::uint64_t, std::size_t> pile_slots_;
-  SpatialIndex human_index_;
-  SpatialIndex pile_index_;
   std::uint64_t next_pile_id_ = 1;
-  mutable std::vector<std::uint64_t> query_buffer_;
 
   /// Per-machine effect slots, written by decide and applied by the drain.
   std::vector<MachineEffects> effects_;
@@ -331,9 +316,9 @@ class Worksite {
   obs::Counter* c_cycles_ = nullptr;
   obs::Counter* c_sep_queries_ = nullptr;  ///< one per separation radius query
   obs::Gauge* g_delivered_ = nullptr;
-  /// Separation distances (fed in slot order by the sampling phase) and
-  /// step wall-time ("wall." prefix keeps it out of the deterministic
-  /// export).
+  /// Separation distances (fed in slot order by the sampling phase; the
+  /// one separation store) and step wall-time ("wall." prefix keeps it out
+  /// of the deterministic export).
   obs::Histogram* h_separation_ = nullptr;
   obs::Histogram* h_step_wall_ = nullptr;
   obs::PhaseId ph_step_ = 0;
@@ -341,12 +326,7 @@ class Worksite {
   obs::PhaseId ph_decide_ = 0;
   obs::PhaseId ph_drain_ = 0;
   obs::PhaseId ph_integrate_ = 0;
-  obs::PhaseId ph_index_ = 0;
   obs::PhaseId ph_separation_ = 0;
-
-  double min_separation_ = 1e9;
-  core::RunningStats separation_stats_;
-  core::Histogram separation_hist_;
 };
 
 }  // namespace agrarsec::sim

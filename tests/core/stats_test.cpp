@@ -5,56 +5,6 @@
 namespace agrarsec::core {
 namespace {
 
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  const RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleValueZeroVariance) {
-  RunningStats s;
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesCombined) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7 - 3.0;
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
-}
-
 TEST(SampleSet, Percentiles) {
   SampleSet s;
   for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
@@ -76,37 +26,6 @@ TEST(SampleSet, AddAfterQueryResorts) {
   s.add(1.0);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(42.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, RenderContainsCounts) {
-  Histogram h{0.0, 2.0, 2};
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string out = h.render();
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find('2'), std::string::npos);
 }
 
 }  // namespace

@@ -73,11 +73,11 @@ TEST(SecuredWorksite, TelemetryExportCarriesHistograms) {
   EXPECT_NE(full.find("\"wall.secured_step_us\""), std::string::npos);
 
   // Both histograms actually received samples; the separation histogram
-  // saw exactly the samples the streaming stats did.
+  // is the store the worksite's metrics read.
   obs::Registry& reg = site.telemetry().registry();
   EXPECT_EQ(reg.histogram("worksite.separation_m", 0, 1, 1).count(),
-            site.worksite().separation_stats().count());
-  EXPECT_GT(site.worksite().separation_stats().count(), 0u);
+            site.worksite().metrics().separation_samples);
+  EXPECT_GT(site.worksite().metrics().separation_samples, 0u);
   EXPECT_GT(reg.histogram("wall.secured_step_us", 0, 1, 1).count(), 0u);
 }
 

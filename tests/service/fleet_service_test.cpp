@@ -172,6 +172,22 @@ TEST(FleetService, LifecycleCountsAndQueries) {
   }
 }
 
+// A serial fleet (threads = 1, the default) steps each batch on the
+// calling thread as shard 0. That is still busy time, and /utilization
+// must report it instead of 0 ns for a fleet that is stepping.
+TEST(FleetService, SerialFleetReportsShardBusyTime) {
+  FleetService fleet{FleetServiceConfig{}};
+  ASSERT_EQ(fleet.shard_count(), 1u);
+  fleet.create_session(session_config(1));
+  fleet.step_all(3);
+
+  const obs::Tracer& tracer = fleet.telemetry().tracer();
+  ASSERT_EQ(tracer.shard_count(), 1u);
+  EXPECT_GT(tracer.shard_busy_ns(0), 0u);
+  EXPECT_EQ(fleet.utilization_json().find("\"busy_ns\":0}"), std::string::npos)
+      << fleet.utilization_json();
+}
+
 // Sessions are built outside the service lock: creates on one thread
 // overlap step_all batches and session_ids reads on another. Ids stay
 // unique and ascending, and every session's export equals a solo run of

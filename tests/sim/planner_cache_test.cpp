@@ -280,7 +280,8 @@ TEST(WorksiteMetrics, SurfacesPlannerAndReuseCounters) {
   EXPECT_EQ(m.delivered_m3, site.delivered_m3());
   EXPECT_EQ(m.completed_cycles, site.completed_cycles());
   EXPECT_EQ(m.min_human_separation, site.min_human_separation());
-  EXPECT_EQ(m.separation_samples, site.separation_stats().count());
+  EXPECT_EQ(m.separation_samples,
+            site.telemetry().registry().histogram("worksite.separation_m", 0, 1, 1).count());
   EXPECT_EQ(m.planner.plans, site.planner().stats().plans);
   // A running worksite plans routes; the counters must be live.
   EXPECT_GT(m.planner.plans, 0u);

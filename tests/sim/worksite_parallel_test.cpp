@@ -1,8 +1,8 @@
 // Determinism contract of the worksite step (DESIGN.md §9, §17): the
 // per-entity stream, decide -> slot-ordered drain, the decide-phase drone
 // orbit and the one planner's clearance (DESIGN.md §22), plus the
-// brute-force equivalences of the indexed human query and the
-// histogram-backed close_encounters (DESIGN.md §19).
+// brute-force equivalences of the human range query and of the one
+// separation store, the "worksite.separation_m" histogram (DESIGN.md §23).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/worksite.h"
 
 namespace agrarsec::sim {
@@ -67,8 +68,43 @@ TEST(WorksiteParallel, HumansWithinMatchesBruteForceScan) {
                                  }));
     }
   }
-  // The grid must have pruned something, or the comparison proves little.
+  // Some query must have left someone out, or the comparison proves little.
   EXPECT_GT(partial_cases, 0u);
+}
+
+// The range query's axis skip must be strict: a worker exactly `radius`
+// away along one axis is inside the disc (the distance is exactly
+// `radius`), so skipping on |dx| >= radius would drop it. Workers outside
+// the stand's bounds are found by their exact distance like any other.
+// Before any step, the query reads the spawn positions.
+TEST(WorksiteParallel, HumansWithinBoundaryInclusiveAndOutOfBoundsWorkers) {
+  Worksite site{fig1_site(), 4};
+  std::vector<const Human*> out;
+  site.humans_within({100, 100}, 50.0, out);
+  EXPECT_TRUE(out.empty());
+
+  const HumanId east = site.add_worker("east", {115, 100}, {115, 100});
+  const HumanId south = site.add_worker("south", {100, 85}, {100, 85});
+  const HumanId past = site.add_worker("past", {115.001, 100}, {115.001, 100});
+  const HumanId outside = site.add_worker("outside", {-30, 200}, {-30, 200});
+  const HumanId far_out = site.add_worker("far-out", {-500, -500}, {-500, -500});
+  ASSERT_FALSE(site.terrain().bounds().contains(site.human(outside)->position()));
+
+  const auto ids = [&out] {
+    std::vector<HumanId> v;
+    for (const Human* h : out) v.push_back(h->id());
+    return v;
+  };
+  site.humans_within({100, 100}, 15.0, out);
+  EXPECT_EQ(ids(), (std::vector<HumanId>{east, south}));
+  site.humans_within({10, 200}, 40.0, out);  // exactly 40 m to "outside"
+  EXPECT_EQ(ids(), (std::vector<HumanId>{outside}));
+  site.humans_within({10, 200}, 39.999, out);
+  EXPECT_TRUE(out.empty());
+  site.humans_within({-490, -500}, 10.0, out);
+  EXPECT_EQ(ids(), (std::vector<HumanId>{far_out}));
+  site.humans_within({100, 100}, 16.0, out);
+  EXPECT_EQ(ids(), (std::vector<HumanId>{east, south, past}));
 }
 
 /// Drives a forwarder with an orbiting drone far enough away that the
@@ -210,10 +246,12 @@ TEST(WorksiteParallel, WindthrowFactorOrdering) {
             windthrow_weather_factor(Weather::kSnow));
 }
 
-// close_encounters answers from the streaming histogram. At bin edges
-// (where no rounding happens) it must equal a brute-force count over the
-// separation samples, recomputed here from the entities after every step:
-// each moving forwarder against every human within separation_tracking_m.
+// The "worksite.separation_m" histogram is the one separation store. The
+// samples, recomputed here from the entities after every step (each moving
+// forwarder in slot order against every human within
+// separation_tracking_m in id order), must match it exactly: count, min,
+// max, overflow, each bin (so the close-encounter count below every 2 m
+// bin edge), and the sum, accumulated in the same order.
 TEST(WorksiteParallel, CloseEncountersMatchBruteForceAtBinEdges) {
   WorksiteConfig config = fig1_site();
   config.windthrow_rate_per_hour = 0.0;
@@ -227,31 +265,51 @@ TEST(WorksiteParallel, CloseEncountersMatchBruteForceAtBinEdges) {
   }
 
   std::vector<double> samples;
+  double sum = 0.0;
   for (int i = 0; i < 3000; ++i) {
     site.step();
     for (const Machine* m : site.machines()) {
       if (m->kind() != MachineKind::kForwarder || m->speed() < 0.3) continue;
       for (const Human* h : site.humans()) {
         const double d = core::distance(m->position(), h->position());
-        if (d <= config.separation_tracking_m) samples.push_back(d);
+        if (d > config.separation_tracking_m) continue;
+        samples.push_back(d);
+        sum += d;
       }
     }
   }
   ASSERT_GT(samples.size(), 0u);
-  ASSERT_EQ(site.separation_stats().count(), samples.size());
 
-  const auto below = [&samples](double threshold) {
-    return static_cast<std::uint64_t>(
-        std::count_if(samples.begin(), samples.end(),
-                      [threshold](double d) { return d < threshold; }));
-  };
-  for (double edge = 0.0; edge <= config.separation_tracking_m + 0.5;
-       edge += 25 * config.separation_bin_m) {
-    EXPECT_EQ(site.close_encounters(edge), below(edge)) << "threshold " << edge;
+  const obs::Histogram& sep =
+      site.telemetry().registry().histogram("worksite.separation_m", 0, 1, 1);
+  ASSERT_EQ(sep.bins(), 25u);
+  ASSERT_EQ(sep.hi(), config.separation_tracking_m);
+  EXPECT_EQ(sep.count(), samples.size());
+  EXPECT_EQ(site.metrics().separation_samples, samples.size());
+  EXPECT_EQ(sep.sum(), sum);
+  const double min = *std::min_element(samples.begin(), samples.end());
+  EXPECT_EQ(sep.min(), min);
+  EXPECT_EQ(site.min_human_separation(), min);
+  EXPECT_EQ(sep.max(), *std::max_element(samples.begin(), samples.end()));
+  // Bin i holds the samples with floor(d / range * 25) == i; a sample at
+  // exactly the range overflows.
+  std::vector<std::uint64_t> bins(25, 0);
+  std::uint64_t overflow = 0;
+  for (const double d : samples) {
+    if (d >= config.separation_tracking_m) {
+      ++overflow;
+    } else {
+      ++bins[static_cast<std::size_t>(d / config.separation_tracking_m * 25.0)];
+    }
   }
-  // Off-edge thresholds: the histogram rounds up to the next edge, so it
-  // may only over-count, never under-count.
-  EXPECT_GE(site.close_encounters(10.05), below(10.05));
+  EXPECT_EQ(sep.underflow(), 0u);
+  EXPECT_EQ(sep.overflow(), overflow);
+  for (std::size_t i = 0; i < sep.bins(); ++i) {
+    EXPECT_EQ(sep.bin_count(i), bins[i]) << "bin " << i;
+  }
+  // The samples spread over most bins, or the comparison proves little.
+  EXPECT_GE(std::count_if(bins.begin(), bins.end(), [](std::uint64_t n) { return n > 0; }),
+            20);
 }
 
 // The worksite owns one planner, dilated for a 1.8 m body (2.0 m

@@ -114,7 +114,17 @@ TEST(Worksite, SeparationTrackingRecordsCloseEncounters) {
   for (int i = 0; i < 6000; ++i) site.step();
   // Worker anchored right at the pile area: some proximity expected.
   EXPECT_LT(site.min_human_separation(), 100.0);
-  EXPECT_GE(site.close_encounters(1000.0), site.close_encounters(10.0));
+  // Close encounters are the low bins of the exported histogram (2 m
+  // bins over the 50 m tracking range): the ten below 20 m hold some of
+  // the samples, and never more than all of them.
+  const obs::Histogram& sep =
+      site.telemetry().registry().histogram("worksite.separation_m", 0, 1, 1);
+  std::uint64_t below_20m = sep.underflow();
+  for (std::size_t i = 0; i < sep.bins() && sep.bin_low(i) < 20.0; ++i) {
+    below_20m += sep.bin_count(i);
+  }
+  EXPECT_GT(below_20m, 0u);
+  EXPECT_LT(below_20m, sep.count());
 }
 
 TEST(Worksite, ExhaustedPilesAreCompactedAway) {
@@ -158,22 +168,29 @@ TEST(Worksite, PileReferencesSurviveCompaction) {
 }
 
 TEST(Worksite, SeparationStatsStreamed) {
-  // min/close-encounter metrics are answered from streaming statistics
-  // (histogram + running moments), not a stored per-step sample list.
+  // The separation metrics are answered from one streaming store, the
+  // registry histogram every export carries, not a stored per-step sample
+  // list.
   Worksite site{small_site(), 42};
   site.add_harvester("h1", {60, 60});
   site.add_forwarder("f1", {50, 50});
   site.add_worker("w1", {60, 60}, {60, 60});
+  EXPECT_EQ(site.min_human_separation(), 1e9);  // no sample yet
   for (int i = 0; i < 6000; ++i) site.step();
 
-  const auto& stats = site.separation_stats();
-  ASSERT_GT(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.min(), site.min_human_separation());
-  EXPECT_LE(stats.min(), stats.mean());
-  // The histogram and the running stats see the same sample stream.
-  EXPECT_EQ(site.separation_histogram().total(), stats.count());
-  // Thresholds at/above the tracked range cover every recorded sample.
-  EXPECT_EQ(site.close_encounters(1e9), stats.count());
+  const obs::Histogram& sep =
+      site.telemetry().registry().histogram("worksite.separation_m", 0, 1, 1);
+  ASSERT_GT(sep.count(), 0u);
+  EXPECT_EQ(sep.min(), site.min_human_separation());
+  EXPECT_EQ(sep.count(), site.metrics().separation_samples);
+  EXPECT_LE(sep.min(), sep.sum() / static_cast<double>(sep.count()));
+  // Every sample lies in [0, separation_tracking_m]: the bins and the
+  // overflow (a sample at exactly the range) account for all of them.
+  EXPECT_EQ(sep.hi(), small_site().separation_tracking_m);
+  std::uint64_t binned = sep.overflow();
+  for (std::size_t i = 0; i < sep.bins(); ++i) binned += sep.bin_count(i);
+  EXPECT_EQ(sep.underflow(), 0u);
+  EXPECT_EQ(binned, sep.count());
 }
 
 TEST(Worksite, EventBusPublishesPilesAndCycles) {
