@@ -1,7 +1,6 @@
 #include "core/geometry.h"
 
 #include <algorithm>
-#include <limits>
 #include <numbers>
 
 namespace agrarsec::core {
@@ -34,49 +33,6 @@ double point_segment_distance(Vec2 p, Vec2 a, Vec2 b) {
 
 bool segment_intersects_circle(Vec2 a, Vec2 b, const Circle& c) {
   return point_segment_distance(c.center, a, b) < c.radius;
-}
-
-void traverse_grid(Vec2 a, Vec2 b, double cell,
-                   const std::function<bool(std::int64_t, std::int64_t)>& visit) {
-  // Amanatides & Woo voxel traversal in 2D.
-  auto cell_of = [cell](double v) {
-    return static_cast<std::int64_t>(std::floor(v / cell));
-  };
-  std::int64_t cx = cell_of(a.x), cy = cell_of(a.y);
-  const std::int64_t ex = cell_of(b.x), ey = cell_of(b.y);
-
-  const Vec2 d = b - a;
-  const int step_x = d.x > 0 ? 1 : (d.x < 0 ? -1 : 0);
-  const int step_y = d.y > 0 ? 1 : (d.y < 0 ? -1 : 0);
-
-  auto boundary = [cell](std::int64_t c, int step) {
-    return (step > 0 ? static_cast<double>(c + 1) : static_cast<double>(c)) * cell;
-  };
-
-  double t_max_x = step_x != 0 ? (boundary(cx, step_x) - a.x) / d.x
-                               : std::numeric_limits<double>::infinity();
-  double t_max_y = step_y != 0 ? (boundary(cy, step_y) - a.y) / d.y
-                               : std::numeric_limits<double>::infinity();
-  const double t_delta_x =
-      step_x != 0 ? cell / std::abs(d.x) : std::numeric_limits<double>::infinity();
-  const double t_delta_y =
-      step_y != 0 ? cell / std::abs(d.y) : std::numeric_limits<double>::infinity();
-
-  while (true) {
-    if (!visit(cx, cy)) return;
-    if (cx == ex && cy == ey) return;
-    if (t_max_x < t_max_y) {
-      if (step_x == 0) return;  // degenerate: cannot make progress
-      cx += step_x;
-      t_max_x += t_delta_x;
-    } else {
-      if (step_y == 0) return;
-      cy += step_y;
-      t_max_y += t_delta_y;
-    }
-    // Safety net against floating-point corner cases.
-    if (std::abs(cx) > 1'000'000 || std::abs(cy) > 1'000'000) return;
-  }
 }
 
 }  // namespace agrarsec::core

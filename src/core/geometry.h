@@ -7,7 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <vector>
 
 namespace agrarsec::core {
@@ -88,9 +88,52 @@ struct Circle {
 /// Distance from point p to segment [a,b].
 [[nodiscard]] double point_segment_distance(Vec2 p, Vec2 a, Vec2 b);
 
-/// Visits grid cells of size `cell` crossed by segment [a,b] (2D DDA).
-/// Callback returns false to stop traversal early.
-void traverse_grid(Vec2 a, Vec2 b, double cell,
-                   const std::function<bool(std::int64_t cx, std::int64_t cy)>& visit);
+/// Visits the grid cells of size `cell` crossed by segment [a,b] (2D DDA,
+/// Amanatides & Woo), in order from a's cell: visit(cx, cy) with
+/// cx = floor(x / cell), returning false to stop early. The walk ends at
+/// b's cell, or just before it when b lies on a cell corner: both axis
+/// crossings then tie at t = 1, the tie steps y, and the walk can leave
+/// b's row or column without entering b's cell. Steps are monotone, so a
+/// walk past b's cell on either axis returns there without a visit; its
+/// last visited cell holds b on its closed border. Either way the walk
+/// visits at most |dcx| + |dcy| + 1 cells, all inside the rectangle
+/// spanned by a's and b's cells, and every point of [a,b] lies in a
+/// visited closed cell, up to rounding (DESIGN.md §24).
+template <typename Visit>
+void traverse_grid(Vec2 a, Vec2 b, double cell, Visit&& visit) {
+  const auto cell_of = [cell](double v) {
+    return static_cast<std::int64_t>(std::floor(v / cell));
+  };
+  std::int64_t cx = cell_of(a.x), cy = cell_of(a.y);
+  const std::int64_t ex = cell_of(b.x), ey = cell_of(b.y);
+
+  const Vec2 d = b - a;
+  const int step_x = d.x > 0 ? 1 : (d.x < 0 ? -1 : 0);
+  const int step_y = d.y > 0 ? 1 : (d.y < 0 ? -1 : 0);
+
+  const auto boundary = [cell](std::int64_t c, int step) {
+    return (step > 0 ? static_cast<double>(c + 1) : static_cast<double>(c)) * cell;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double t_max_x = step_x != 0 ? (boundary(cx, step_x) - a.x) / d.x : kInf;
+  double t_max_y = step_y != 0 ? (boundary(cy, step_y) - a.y) / d.y : kInf;
+  const double t_delta_x = step_x != 0 ? cell / std::abs(d.x) : kInf;
+  const double t_delta_y = step_y != 0 ? cell / std::abs(d.y) : kInf;
+
+  while (true) {
+    if (!visit(cx, cy)) return;
+    if (cx == ex && cy == ey) return;
+    if (t_max_x < t_max_y) {
+      if (step_x == 0) return;  // degenerate: cannot make progress
+      cx += step_x;
+      t_max_x += t_delta_x;
+    } else {
+      if (step_y == 0) return;
+      cy += step_y;
+      t_max_y += t_delta_y;
+    }
+    if ((cx - ex) * step_x > 0 || (cy - ey) * step_y > 0) return;  // past b's cell
+  }
+}
 
 }  // namespace agrarsec::core

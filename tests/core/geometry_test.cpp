@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <limits>
 #include <numbers>
 #include <set>
+#include <utility>
+#include <vector>
+
+#include "core/rng.h"
 
 namespace agrarsec::core {
 namespace {
@@ -136,6 +143,160 @@ TEST(GridTraversal, NegativeCoordinates) {
   });
   EXPECT_EQ(cells.front(), (std::pair<std::int64_t, std::int64_t>{-2, -1}));
   EXPECT_EQ(cells.back(), (std::pair<std::int64_t, std::int64_t>{1, -1}));
+}
+
+using Cell = std::pair<std::int64_t, std::int64_t>;
+
+std::int64_t cell_of(double v, double cell) {
+  return static_cast<std::int64_t>(std::floor(v / cell));
+}
+
+/// Most cells a walk from a's cell to b's cell can visit without passing
+/// b's cell on either axis: |dcx| + |dcy| + 1.
+std::size_t walk_bound(Vec2 a, Vec2 b, double cell) {
+  return static_cast<std::size_t>(std::abs(cell_of(b.x, cell) - cell_of(a.x, cell)) +
+                                  std::abs(cell_of(b.y, cell) - cell_of(a.y, cell)) + 1);
+}
+
+/// The walk as it was before the exact stop: it returned only at b's cell
+/// or behind a safety net a million cells out. Capped at `max_visits`.
+std::vector<Cell> reference_walk(Vec2 a, Vec2 b, double cell, std::size_t max_visits) {
+  std::int64_t cx = cell_of(a.x, cell), cy = cell_of(a.y, cell);
+  const std::int64_t ex = cell_of(b.x, cell), ey = cell_of(b.y, cell);
+  const Vec2 d = b - a;
+  const int step_x = d.x > 0 ? 1 : (d.x < 0 ? -1 : 0);
+  const int step_y = d.y > 0 ? 1 : (d.y < 0 ? -1 : 0);
+  auto boundary = [cell](std::int64_t c, int step) {
+    return (step > 0 ? static_cast<double>(c + 1) : static_cast<double>(c)) * cell;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double t_max_x = step_x != 0 ? (boundary(cx, step_x) - a.x) / d.x : kInf;
+  double t_max_y = step_y != 0 ? (boundary(cy, step_y) - a.y) / d.y : kInf;
+  const double t_delta_x = step_x != 0 ? cell / std::abs(d.x) : kInf;
+  const double t_delta_y = step_y != 0 ? cell / std::abs(d.y) : kInf;
+
+  std::vector<Cell> out;
+  while (out.size() < max_visits) {
+    out.emplace_back(cx, cy);
+    if (cx == ex && cy == ey) break;
+    if (t_max_x < t_max_y) {
+      if (step_x == 0) break;
+      cx += step_x;
+      t_max_x += t_delta_x;
+    } else {
+      if (step_y == 0) break;
+      cy += step_y;
+      t_max_y += t_delta_y;
+    }
+  }
+  return out;
+}
+
+/// traverse_grid's cells, cut off one visit past walk_bound so that a
+/// runaway walk fails fast instead of visiting a million cells.
+std::vector<Cell> walk(Vec2 a, Vec2 b, double cell) {
+  const std::size_t bound = walk_bound(a, b, cell);
+  std::vector<Cell> cells;
+  traverse_grid(a, b, cell, [&](std::int64_t x, std::int64_t y) {
+    cells.emplace_back(x, y);
+    return cells.size() <= bound;
+  });
+  return cells;
+}
+
+/// Whether p lies in the closed box of a cell, with slack for rounding.
+bool in_closed_cell(Vec2 p, Cell c, double cell) {
+  constexpr double kSlack = 1e-6;
+  return p.x >= static_cast<double>(c.first) * cell - kSlack &&
+         p.x <= static_cast<double>(c.first + 1) * cell + kSlack &&
+         p.y >= static_cast<double>(c.second) * cell - kSlack &&
+         p.y <= static_cast<double>(c.second + 1) * cell + kSlack;
+}
+
+TEST(GridTraversal, StopsAtACornerEndpoint) {
+  // Two route legs seen in soak sessions. Each ends on a 10 m cell corner
+  // with b's cell diagonally past the segment: both axis crossings tie at
+  // t = 1 and the tie steps y off b's row, so a walk that waits for b's
+  // cell never ends.
+  const std::pair<Vec2, Vec2> legs[] = {{{258, 314}, {270, 310}}, {{42, 94}, {50, 50}}};
+  for (const auto& [a, b] : legs) {
+    const std::vector<Cell> cells = walk(a, b, 10.0);
+    const Cell start{cell_of(a.x, 10.0), cell_of(a.y, 10.0)};
+    const Cell end{cell_of(b.x, 10.0), cell_of(b.y, 10.0)};
+    ASSERT_FALSE(cells.empty());
+    EXPECT_EQ(cells.front(), start);
+    EXPECT_LE(cells.size(), walk_bound(a, b, 10.0))
+        << "(" << a.x << "," << a.y << ")->(" << b.x << "," << b.y << ")";
+    for (const Cell& c : cells) {
+      EXPECT_GE(c.first, std::min(start.first, end.first));
+      EXPECT_LE(c.first, std::max(start.first, end.first));
+      EXPECT_GE(c.second, std::min(start.second, end.second));
+      EXPECT_LE(c.second, std::max(start.second, end.second));
+    }
+    // The last visited cell holds the corner on its closed border.
+    EXPECT_TRUE(in_closed_cell(b, cells.back(), 10.0));
+  }
+}
+
+TEST(GridTraversal, MatchesTheOldWalkUpToTheEnd) {
+  // The exact stop may only cut the old walk at its first cell past b's
+  // cell on either axis. Half the segments have endpoints snapped to the
+  // corners and edges of the 10 m lattice (where the t = 1 ties live),
+  // half are free; every point of each segment must lie in a visited
+  // closed cell.
+  constexpr double kCell = 10.0;
+  Rng rng{20261018};
+  auto free_point = [&] { return Vec2{rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)}; };
+  auto snapped_point = [&] {
+    Vec2 p = free_point();
+    const std::uint64_t mode = rng.next_below(4);  // corner, x edge, y edge, free
+    if (mode == 0 || mode == 1) p.x = std::round(p.x / kCell) * kCell;
+    if (mode == 0 || mode == 2) p.y = std::round(p.y / kCell) * kCell;
+    return p;
+  };
+  std::size_t cut = 0;
+  constexpr int kSegments = 12000;
+  for (int i = 0; i < kSegments; ++i) {
+    const bool snapped = i % 2 == 0;
+    const Vec2 a = snapped ? snapped_point() : free_point();
+    Vec2 b = a;
+    if (i % 97 != 0) {  // keep a few zero-length segments
+      b = snapped ? snapped_point() : free_point();
+      if (i % 5 == 0) b.x = a.x;  // axis-aligned
+      if (i % 7 == 0) b.y = a.y;
+      if (snapped && i % 3 == 0) {  // short legs, as between route waypoints
+        b = {std::round((a.x + rng.uniform(-40.0, 40.0)) / kCell) * kCell,
+             std::round((a.y + rng.uniform(-40.0, 40.0)) / kCell) * kCell};
+      }
+    }
+    const std::size_t bound = walk_bound(a, b, kCell);
+    std::vector<Cell> expected = reference_walk(a, b, kCell, bound + 2);
+    const std::int64_t ex = cell_of(b.x, kCell), ey = cell_of(b.y, kCell);
+    const int sx = b.x > a.x ? 1 : (b.x < a.x ? -1 : 0);
+    const int sy = b.y > a.y ? 1 : (b.y < a.y ? -1 : 0);
+    const auto past = std::find_if(expected.begin(), expected.end(), [&](const Cell& c) {
+      return (c.first - ex) * sx > 0 || (c.second - ey) * sy > 0;
+    });
+    if (past != expected.end()) {
+      ++cut;
+      expected.erase(past, expected.end());
+    } else {
+      ASSERT_EQ(expected.back(), (Cell{ex, ey})) << "reference walk " << i << " hit its cap";
+    }
+    const std::vector<Cell> cells = walk(a, b, kCell);
+    ASSERT_EQ(cells, expected) << "segment " << i << " (" << a.x << "," << a.y << ")->("
+                               << b.x << "," << b.y << ")";
+    ASSERT_LE(cells.size(), bound);
+    for (int k = 0; k <= 16; ++k) {
+      const Vec2 p = a + (b - a) * (k / 16.0);
+      ASSERT_TRUE(std::any_of(cells.begin(), cells.end(),
+                              [&](const Cell& c) { return in_closed_cell(p, c, kCell); }))
+          << "segment " << i << " point " << k << " lies in no visited cell";
+    }
+  }
+  // Both kinds of walk must occur, or the comparison proves little.
+  EXPECT_GT(cut, 0u);
+  EXPECT_LT(cut, static_cast<std::size_t>(kSegments));
 }
 
 }  // namespace

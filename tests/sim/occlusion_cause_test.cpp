@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -236,6 +238,71 @@ TEST(OcclusionCause, DegenerateRaysMatchBruteForce) {
               Cause::kNone)
         << "ray " << i;
   }
+}
+
+TEST(CornerEndpoint, TerrainQueriesMatchObstacleScan) {
+  // Route legs between planner cell centres (4 m cells, centres at
+  // 2 + 4k m) that end on a 10 m obstacle-index corner, (10 + 20i, 10 + 20j)
+  // m. Many of their grid walks stop one step short of the end cell
+  // (core::traverse_grid); every answer must still equal a scan over all
+  // obstacles, at the worksite planners' clearances and none.
+  constexpr double kMargins[] = {0.0, 0.6, 2.0};
+  std::size_t blocked = 0;
+  std::size_t queries = 0;
+  std::size_t short_walks = 0;
+  for (const double trees_per_ha : {120.0, 400.0}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ForestConfig forest;
+      forest.bounds = {{0, 0}, {200, 200}};
+      forest.trees_per_hectare = trees_per_ha;
+      core::Rng terrain_rng{seed * 31 + static_cast<std::uint64_t>(trees_per_ha)};
+      const Terrain terrain = Terrain::generate(forest, terrain_rng);
+
+      core::Rng rng{seed * 7919 + 101};
+      for (int i = 0; i < 300; ++i) {
+        const core::Vec2 b{10.0 + 20.0 * static_cast<double>(rng.next_below(10)),
+                           10.0 + 20.0 * static_cast<double>(rng.next_below(10))};
+        const auto centre_near = [&](double v) {
+          const auto k = static_cast<std::int64_t>((v - 2.0) / 4.0) +
+                         static_cast<std::int64_t>(rng.next_below(31)) - 15;
+          return 2.0 + 4.0 * static_cast<double>(std::clamp<std::int64_t>(k, 0, 49));
+        };
+        const core::Vec2 a{centre_near(b.x), centre_near(b.y)};
+
+        const std::pair<std::int64_t, std::int64_t> end_cell{
+            static_cast<std::int64_t>(b.x / 10.0), static_cast<std::int64_t>(b.y / 10.0)};
+        std::pair<std::int64_t, std::int64_t> last{};
+        core::traverse_grid(a, b, 10.0, [&](std::int64_t cx, std::int64_t cy) {
+          last = {cx, cy};
+          return true;
+        });
+        if (last != end_cell) ++short_walks;
+
+        for (const double m : kMargins) {
+          std::vector<const Obstacle*> scan;
+          for (const Obstacle& o : terrain.obstacles()) {
+            if (core::point_segment_distance(o.footprint.center, a, b) <=
+                o.footprint.radius + m) {
+              scan.push_back(&o);
+            }
+          }
+          ++queries;
+          if (!scan.empty()) ++blocked;
+          EXPECT_EQ(terrain.segment_blocked(a, b, m), !scan.empty())
+              << "(" << a.x << "," << a.y << ")->(" << b.x << "," << b.y << ") margin " << m;
+          EXPECT_EQ(terrain.obstacles_near_segment(a, b, m), scan)
+              << "(" << a.x << "," << a.y << ")->(" << b.x << "," << b.y << ") margin " << m;
+        }
+        expect_matches_brute_force(terrain, a, i % 2 == 0 ? 2.6 : 40.0,
+                                   {{b, 1.7}, {b, 0.0}}, "corner endpoint");
+      }
+    }
+  }
+  // Short walks, and both answers, must occur, or the comparison proves
+  // little.
+  EXPECT_GT(short_walks, 0u);
+  EXPECT_GT(blocked, 0u);
+  EXPECT_LT(blocked, queries);
 }
 
 }  // namespace
