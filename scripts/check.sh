@@ -64,14 +64,22 @@ else
   # the radio heap, the event bus, the crypto primitives (empty-span
   # inputs included), plus the console's JSON-RPC decoder fed hostile input:
   # nesting past Json::kMaxDepth and integer params out of range (the
-  # float-cast-overflow shape). UBSan findings abort (AGRARSEC_SANITIZE
-  # builds with -fno-sanitize-recover), so any one fails this leg.
+  # float-cast-overflow shape). The in-place record path (DESIGN.md §25)
+  # adds secure_test, ids_test and integration_test: message and record
+  # views point into frame payloads and into each forwarder's reused open
+  # scratch, so a view that outlives its bytes shows up here first, and
+  # secure_test runs the view decoders' mutation loop. UBSan findings
+  # abort (AGRARSEC_SANITIZE builds with -fno-sanitize-recover), so any
+  # one fails this leg.
   cmake --build build-asan -j "$JOBS" --target core_test crypto_test net_test sim_test \
-    service_test
+    secure_test ids_test integration_test service_test
   ./build-asan/tests/core_test
   ./build-asan/tests/crypto_test
   ./build-asan/tests/net_test
   ./build-asan/tests/sim_test
+  ./build-asan/tests/secure_test
+  ./build-asan/tests/ids_test
+  ./build-asan/tests/integration_test
   run_filtered ./build-asan/tests/service_test \
     'ConsoleControl.DeeplyNestedRequestGetsParseErrorAndChannelSurvives:ConsoleControl.NonIntegralOrOutOfRangeIntegersRefused'
 fi

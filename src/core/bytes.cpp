@@ -50,54 +50,6 @@ bool constant_time_equal(std::span<const std::uint8_t> a,
   return acc == 0;
 }
 
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t load_le64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(load_le32(p)) |
-         (static_cast<std::uint64_t>(load_le32(p + 4)) << 32);
-}
-
-std::uint32_t load_be32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-std::uint64_t load_be64(const std::uint8_t* p) {
-  return (static_cast<std::uint64_t>(load_be32(p)) << 32) |
-         static_cast<std::uint64_t>(load_be32(p + 4));
-}
-
-void store_le32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void store_le64(std::uint8_t* p, std::uint64_t v) {
-  store_le32(p, static_cast<std::uint32_t>(v));
-  store_le32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-void store_be32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-void store_be64(std::uint8_t* p, std::uint64_t v) {
-  store_be32(p, static_cast<std::uint32_t>(v >> 32));
-  store_be32(p + 4, static_cast<std::uint32_t>(v));
-}
-
 void append(Bytes& dst, std::span<const std::uint8_t> src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }

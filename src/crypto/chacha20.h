@@ -19,14 +19,11 @@ class ChaCha20 {
   ChaCha20(std::span<const std::uint8_t> key, std::span<const std::uint8_t> nonce,
            std::uint32_t initial_counter = 0);
 
-  /// XORs the keystream into `data` in place (encrypt == decrypt).
+  /// XORs the keystream into `data` in place (encrypt == decrypt). Calls
+  /// continue one stream: a call ending inside a block leaves the rest of
+  /// that block to the next call. Whole blocks are XORed a word at a time
+  /// straight from the block function.
   void apply(std::span<std::uint8_t> data);
-
-  /// Produces one 64-byte keystream block at the given counter (used by
-  /// Poly1305 one-time-key generation).
-  static std::array<std::uint8_t, kBlockSize> block(std::span<const std::uint8_t> key,
-                                                    std::span<const std::uint8_t> nonce,
-                                                    std::uint32_t counter);
 
   /// One-shot encrypt/decrypt returning a new buffer.
   static core::Bytes crypt(std::span<const std::uint8_t> key,
@@ -34,6 +31,7 @@ class ChaCha20 {
                            std::span<const std::uint8_t> data);
 
  private:
+  /// Buffers the block at the current counter and advances the counter.
   void refill();
 
   std::array<std::uint32_t, 16> state_;

@@ -1,5 +1,6 @@
 #include "crypto/poly1305.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -7,136 +8,129 @@
 
 namespace agrarsec::crypto {
 
+namespace {
+using u128 = unsigned __int128;
+
+constexpr std::uint64_t kMask44 = 0xfffffffffff;
+constexpr std::uint64_t kMask42 = 0x3ffffffffff;
+/// 2^128 in the top limb, which starts at bit 88.
+constexpr std::uint64_t kHibit = std::uint64_t{1} << 40;
+
+/// Low 64 bits of a 128-bit product sum.
+inline std::uint64_t lo(u128 v) { return static_cast<std::uint64_t>(v); }
+}  // namespace
+
 Poly1305::Poly1305(std::span<const std::uint8_t> key) {
   if (key.size() != kKeySize) throw std::invalid_argument("Poly1305: key must be 32 bytes");
-  // r with clamping (RFC 8439 §2.5.1), split into 26-bit limbs.
-  const std::uint32_t t0 = core::load_le32(key.data() + 0);
-  const std::uint32_t t1 = core::load_le32(key.data() + 4);
-  const std::uint32_t t2 = core::load_le32(key.data() + 8);
-  const std::uint32_t t3 = core::load_le32(key.data() + 12);
-  r_[0] = t0 & 0x3ffffff;
-  r_[1] = ((t0 >> 26) | (t1 << 6)) & 0x3ffff03;
-  r_[2] = ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff;
-  r_[3] = ((t2 >> 14) | (t3 << 18)) & 0x3f03fff;
-  r_[4] = (t3 >> 8) & 0x00fffff;
+  // r with clamping (RFC 8439 §2.5.1), split into 44/44/42-bit limbs.
+  const std::uint64_t t0 = core::load_le64(key.data());
+  const std::uint64_t t1 = core::load_le64(key.data() + 8);
+  r_[0] = t0 & 0xffc0fffffff;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0f;
 
-  h_[0] = h_[1] = h_[2] = h_[3] = h_[4] = 0;
-  for (int i = 0; i < 4; ++i) pad_[i] = core::load_le32(key.data() + 16 + 4 * i);
+  h_[0] = h_[1] = h_[2] = 0;
+  pad_[0] = core::load_le64(key.data() + 16);
+  pad_[1] = core::load_le64(key.data() + 24);
 }
 
-void Poly1305::process_block(const std::uint8_t* block, bool final_partial,
-                             std::size_t len) {
-  std::uint8_t padded[17] = {0};
-  std::uint32_t hibit = 1 << 24;  // 2^128 bit for full blocks
-  const std::uint8_t* p = block;
-  if (final_partial) {
-    std::memcpy(padded, block, len);
-    padded[len] = 1;  // append the 1 byte, hibit folded into limb math below
-    hibit = 0;
-    p = padded;
+void Poly1305::blocks(const std::uint8_t* m, std::size_t n, std::uint64_t hibit) {
+  const std::uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  // A product term at bit 132 or above comes back 132 bits lower times
+  // 20: 2^132 = 4 * 2^130 and 2^130 = 5 (mod p). With limbs below 2^45
+  // and r * 20 below 2^49, each sum of three products stays under 2^96.
+  const std::uint64_t s1 = r1 * 20, s2 = r2 * 20;
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
+
+  for (; n >= 16; m += 16, n -= 16) {
+    const std::uint64_t t0 = core::load_le64(m);
+    const std::uint64_t t1 = core::load_le64(m + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | hibit;
+
+    const u128 d0 = u128{h0} * r0 + u128{h1} * s2 + u128{h2} * s1;
+    u128 d1 = u128{h0} * r1 + u128{h1} * r0 + u128{h2} * s2;
+    u128 d2 = u128{h0} * r2 + u128{h1} * r1 + u128{h2} * r0;
+
+    // Partial reduction: carry limb to limb and fold the bits above 2^130
+    // back into the bottom limb times 5.
+    std::uint64_t c = static_cast<std::uint64_t>(d0 >> 44);
+    h0 = lo(d0) & kMask44;
+    d1 += c; c = static_cast<std::uint64_t>(d1 >> 44); h1 = lo(d1) & kMask44;
+    d2 += c; c = static_cast<std::uint64_t>(d2 >> 42); h2 = lo(d2) & kMask42;
+    h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+    h1 += c;
   }
 
-  h_[0] += core::load_le32(p + 0) & 0x3ffffff;
-  h_[1] += (core::load_le32(p + 3) >> 2) & 0x3ffffff;
-  h_[2] += (core::load_le32(p + 6) >> 4) & 0x3ffffff;
-  h_[3] += (core::load_le32(p + 9) >> 6) & 0x3ffffff;
-  h_[4] += (core::load_le32(p + 12) >> 8) | hibit;
-  if (final_partial) {
-    // The appended 0x01 byte lives at position len; bytes beyond are zero,
-    // so the loads above already account for it.
-  }
-
-  const std::uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2], r3 = r_[3], r4 = r_[4];
-  const std::uint64_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
-  const std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-
-  std::uint64_t d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
-  std::uint64_t d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
-  std::uint64_t d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
-  std::uint64_t d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
-  std::uint64_t d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
-
-  std::uint64_t c = d0 >> 26; d0 &= 0x3ffffff;
-  d1 += c; c = d1 >> 26; d1 &= 0x3ffffff;
-  d2 += c; c = d2 >> 26; d2 &= 0x3ffffff;
-  d3 += c; c = d3 >> 26; d3 &= 0x3ffffff;
-  d4 += c; c = d4 >> 26; d4 &= 0x3ffffff;
-  d0 += c * 5; c = d0 >> 26; d0 &= 0x3ffffff;
-  d1 += c;
-
-  h_[0] = static_cast<std::uint32_t>(d0);
-  h_[1] = static_cast<std::uint32_t>(d1);
-  h_[2] = static_cast<std::uint32_t>(d2);
-  h_[3] = static_cast<std::uint32_t>(d3);
-  h_[4] = static_cast<std::uint32_t>(d4);
+  h_[0] = h0;
+  h_[1] = h1;
+  h_[2] = h2;
 }
 
 void Poly1305::update(std::span<const std::uint8_t> data) {
-  std::size_t offset = 0;
+  if (data.empty()) return;
+  const std::uint8_t* m = data.data();
+  std::size_t n = data.size();
   if (buffered_ > 0) {
-    const std::size_t take = std::min<std::size_t>(16 - buffered_, data.size());
-    std::memcpy(buffer_.data() + buffered_, data.data(), take);
+    const std::size_t take = std::min<std::size_t>(16 - buffered_, n);
+    std::memcpy(buffer_.data() + buffered_, m, take);
     buffered_ += take;
-    offset = take;
-    if (buffered_ == 16) {
-      process_block(buffer_.data(), false, 16);
-      buffered_ = 0;
-    }
+    m += take;
+    n -= take;
+    if (buffered_ < 16) return;
+    blocks(buffer_.data(), 16, kHibit);
+    buffered_ = 0;
   }
-  while (offset + 16 <= data.size()) {
-    process_block(data.data() + offset, false, 16);
-    offset += 16;
+  const std::size_t whole = n & ~std::size_t{15};
+  if (whole > 0) {
+    blocks(m, whole, kHibit);
+    m += whole;
+    n -= whole;
   }
-  if (offset < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-    buffered_ = data.size() - offset;
+  if (n > 0) {
+    std::memcpy(buffer_.data(), m, n);
+    buffered_ = n;
   }
 }
 
 Poly1305::Tag Poly1305::finish() {
   if (buffered_ > 0) {
-    process_block(buffer_.data(), true, buffered_);
+    buffer_[buffered_] = 1;
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_) + 1,
+              buffer_.end(), std::uint8_t{0});
+    blocks(buffer_.data(), 16, 0);
     buffered_ = 0;
   }
 
-  // Full carry propagation.
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-  std::uint32_t c = h1 >> 26; h1 &= 0x3ffffff;
-  h2 += c; c = h2 >> 26; h2 &= 0x3ffffff;
-  h3 += c; c = h3 >> 26; h3 &= 0x3ffffff;
-  h4 += c; c = h4 >> 26; h4 &= 0x3ffffff;
-  h0 += c * 5; c = h0 >> 26; h0 &= 0x3ffffff;
+  // Full carry propagation, twice round the 2^130 fold.
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  std::uint64_t c = h1 >> 44; h1 &= kMask44;
+  h2 += c; c = h2 >> 42; h2 &= kMask42;
+  h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+  h1 += c; c = h1 >> 44; h1 &= kMask44;
+  h2 += c; c = h2 >> 42; h2 &= kMask42;
+  h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
   h1 += c;
 
-  // Compute h + -p and select.
-  std::uint32_t g0 = h0 + 5; c = g0 >> 26; g0 &= 0x3ffffff;
-  std::uint32_t g1 = h1 + c; c = g1 >> 26; g1 &= 0x3ffffff;
-  std::uint32_t g2 = h2 + c; c = g2 >> 26; g2 &= 0x3ffffff;
-  std::uint32_t g3 = h3 + c; c = g3 >> 26; g3 &= 0x3ffffff;
-  std::uint32_t g4 = h4 + c - (1 << 26);
-
-  const std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if h >= p
+  // g = h + 5 - 2^130 = h - p. Select g when it did not go negative.
+  std::uint64_t g0 = h0 + 5; c = g0 >> 44; g0 &= kMask44;
+  std::uint64_t g1 = h1 + c; c = g1 >> 44; g1 &= kMask44;
+  const std::uint64_t g2 = h2 + c - (std::uint64_t{1} << 42);
+  const std::uint64_t mask = (g2 >> 63) - 1;  // all-ones if h >= p
   h0 = (h0 & ~mask) | (g0 & mask);
   h1 = (h1 & ~mask) | (g1 & mask);
   h2 = (h2 & ~mask) | (g2 & mask);
-  h3 = (h3 & ~mask) | (g3 & mask);
-  h4 = (h4 & ~mask) | (g4 & mask);
 
-  // Serialize to 128 bits and add the pad.
-  const std::uint32_t w0 = h0 | (h1 << 26);
-  const std::uint32_t w1 = (h1 >> 6) | (h2 << 20);
-  const std::uint32_t w2 = (h2 >> 12) | (h3 << 14);
-  const std::uint32_t w3 = (h3 >> 18) | (h4 << 8);
+  // tag = (h + s) mod 2^128.
+  const std::uint64_t s0 = pad_[0], s1 = pad_[1];
+  h0 += s0 & kMask44; c = h0 >> 44; h0 &= kMask44;
+  h1 += (((s0 >> 44) | (s1 << 20)) & kMask44) + c; c = h1 >> 44; h1 &= kMask44;
+  h2 += ((s1 >> 24) & kMask42) + c;
 
-  std::uint64_t f = static_cast<std::uint64_t>(w0) + pad_[0];
   Tag tag{};
-  core::store_le32(tag.data() + 0, static_cast<std::uint32_t>(f));
-  f = (f >> 32) + static_cast<std::uint64_t>(w1) + pad_[1];
-  core::store_le32(tag.data() + 4, static_cast<std::uint32_t>(f));
-  f = (f >> 32) + static_cast<std::uint64_t>(w2) + pad_[2];
-  core::store_le32(tag.data() + 8, static_cast<std::uint32_t>(f));
-  f = (f >> 32) + static_cast<std::uint64_t>(w3) + pad_[3];
-  core::store_le32(tag.data() + 12, static_cast<std::uint32_t>(f));
+  core::store_le64(tag.data(), h0 | (h1 << 44));
+  core::store_le64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
 }
 

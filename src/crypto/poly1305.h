@@ -1,5 +1,9 @@
-// Poly1305 one-time authenticator (RFC 8439 §2.5). Implemented with 26-bit
-// limbs over 64-bit accumulators (the donna-style schoolbook approach).
+// Poly1305 one-time authenticator (RFC 8439 §2.5), in the
+// poly1305-donna-64 shape: the accumulator h and the clamped key half r
+// are three limbs of 44, 44 and 42 bits, and each 16-byte block costs nine
+// 64x64->128-bit products (unsigned __int128) and a carry chain. Nothing
+// branches on or indexes by the key or the message: carries are shifts and
+// masks, and the final reduction mod 2^130 - 5 is a masked select.
 #pragma once
 
 #include <array>
@@ -22,11 +26,14 @@ class Poly1305 {
   static Tag mac(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data);
 
  private:
-  void process_block(const std::uint8_t* block, bool final_partial, std::size_t len);
+  /// Absorbs the whole 16-byte blocks of `m[0, n)`. `hibit` is the block's
+  /// 2^128 term in the top limb: set for full blocks, 0 for the final
+  /// partial block, whose 0x01 terminator is already in its bytes.
+  void blocks(const std::uint8_t* m, std::size_t n, std::uint64_t hibit);
 
-  std::uint32_t r_[5];
-  std::uint32_t h_[5];
-  std::uint32_t pad_[4];
+  std::uint64_t r_[3];
+  std::uint64_t h_[3];
+  std::uint64_t pad_[2];
   std::array<std::uint8_t, 16> buffer_;
   std::size_t buffered_ = 0;
 };

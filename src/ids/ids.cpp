@@ -67,8 +67,8 @@ void IntrusionDetectionSystem::raise(core::SimTime now, std::string rule,
   if (handler_) handler_(alert);
 }
 
-void IntrusionDetectionSystem::check_signatures(const net::Message& message,
-                                                core::SimTime now) {
+void IntrusionDetectionSystem::check_signatures(const net::MessageView& message,
+                                                 core::SimTime now) {
   SenderState& sender = state_for(message.sender);
 
   if (!sender.known) {
@@ -129,7 +129,7 @@ void IntrusionDetectionSystem::check_signatures(const net::Message& message,
 void IntrusionDetectionSystem::observe(const net::Frame& frame, core::SimTime now) {
   ++frames_this_tick_;
 
-  const auto message = net::Message::decode(frame.payload);
+  const auto message = net::MessageView::decode(frame.payload);
   if (config_.enable_signatures) {
     if (!message) {
       raise(now, "malformed", AlertSeverity::kInfo, 0, "undecodable frame payload");

@@ -84,7 +84,8 @@ class IntrusionDetectionSystem {
   void register_node(std::uint64_t sender_id, bool may_estop);
 
   /// Observes one frame (wire bytes; the IDS parses the plaintext message
-  /// layer — encrypted records are checked at rate level only).
+  /// layer in place with net::MessageView — encrypted records are checked
+  /// at rate level only).
   void observe(const net::Frame& frame, core::SimTime now);
 
   /// Advances window-based detectors; call once per sim step.
@@ -125,7 +126,7 @@ class IntrusionDetectionSystem {
   void raise(core::SimTime now, std::string rule, AlertSeverity severity,
              std::uint64_t subject, std::string detail);
   SenderState& state_for(std::uint64_t sender_id);
-  void check_signatures(const net::Message& message, core::SimTime now);
+  void check_signatures(const net::MessageView& message, core::SimTime now);
 
   IdsConfig config_;
   std::unordered_map<std::uint64_t, SenderState> senders_;

@@ -1,6 +1,11 @@
 #include "integration/secured_worksite.h"
 
 #include <algorithm>
+#include <array>
+
+#include "crypto/aead.h"
+#include "net/message.h"
+#include "secure/session.h"
 
 namespace agrarsec::integration {
 
@@ -243,25 +248,28 @@ std::uint32_t SecuredWorksite::channel_at(core::SimTime time) const {
          static_cast<std::uint32_t>((slot ^ (slot >> 31)) % config_.hop_channels);
 }
 
-void SecuredWorksite::send_from_drone(ForwarderUnit& unit, const net::Message& message) {
+void SecuredWorksite::send_from_drone(ForwarderUnit& unit, std::uint64_t sequence,
+                                      std::span<const std::uint8_t> message,
+                                      core::SimTime now) {
   net::Frame frame;
   frame.src = drone_node_;
   frame.dst = unit.node;
-  frame.channel = channel_at(worksite_->clock().now());
+  frame.channel = channel_at(now);
 
   if (config_.secure_links && unit.drone_tx) {
-    const secure::Record record = unit.drone_tx->seal(message.encode());
-    net::Message outer;
-    outer.type = net::MessageType::kSecureRecord;
-    outer.sender = kDroneSender;
-    outer.sequence = message.sequence;
-    outer.timestamp = message.timestamp;
-    outer.body = record.encode();
-    frame.payload = outer.encode();
+    // One buffer, sized once: the outer header, then the sealed record
+    // appended behind it (DESIGN.md §25).
+    const std::size_t record_size =
+        secure::kRecordHeaderSize + message.size() + crypto::kAeadTagSize;
+    frame.payload.reserve(net::kMessageHeaderSize + record_size);
+    frame.payload.resize(net::kMessageHeaderSize);
+    net::write_message_header(frame.payload.data(), net::MessageType::kSecureRecord,
+                              kDroneSender, sequence, now, record_size);
+    unit.drone_tx->seal_append(message, frame.payload);
   } else {
-    frame.payload = message.encode();
+    frame.payload.assign(message.begin(), message.end());
   }
-  radio_->send(std::move(frame), worksite_->clock().now());
+  radio_->send(std::move(frame), now);
 }
 
 void SecuredWorksite::drone_report_cycle(core::SimTime now) {
@@ -272,43 +280,48 @@ void SecuredWorksite::drone_report_cycle(core::SimTime now) {
 
   // One report per detection per fleet member, plus a heartbeat carrying
   // "cover alive" (sessions are per machine, so sealed copies differ).
+  // Each inner message is encoded on the stack.
+  std::array<std::uint8_t, net::kMessageHeaderSize + net::DetectionBody::kSize> inner;
   for (auto& unit : units_) {
     for (const auto& d : detections) {
-      net::Message m;
-      m.type = net::MessageType::kDetectionReport;
-      m.sender = kDroneSender;
-      m.sequence = ++drone_sequence_;
-      m.timestamp = now;
-      m.body = net::DetectionBody{d.position.x, d.position.y, d.confidence, 0}.encode();
-      send_from_drone(*unit, m);
+      const std::uint64_t sequence = ++drone_sequence_;
+      net::write_message_header(inner.data(), net::MessageType::kDetectionReport,
+                                kDroneSender, sequence, now, net::DetectionBody::kSize);
+      net::DetectionBody{d.position.x, d.position.y, d.confidence, 0}.encode_into(
+          inner.data() + net::kMessageHeaderSize);
+      send_from_drone(*unit, sequence, inner, now);
       c_reports_sent_->add();
     }
-    net::Message heartbeat;
-    heartbeat.type = net::MessageType::kHeartbeat;
-    heartbeat.sender = kDroneSender;
-    heartbeat.sequence = ++drone_sequence_;
-    heartbeat.timestamp = now;
-    send_from_drone(*unit, heartbeat);
+    const std::uint64_t sequence = ++drone_sequence_;
+    net::write_message_header(inner.data(), net::MessageType::kHeartbeat, kDroneSender,
+                              sequence, now, 0);
+    send_from_drone(*unit, sequence, std::span(inner).first(net::kMessageHeaderSize), now);
   }
 }
 
 void SecuredWorksite::on_forwarder_frame(ForwarderUnit& unit, const net::Frame& frame,
                                          core::SimTime now) {
-  const auto outer = net::Message::decode(frame.payload);
+  // Every layer is parsed in place: the outer message and the record view
+  // the frame's payload, and the inner message views the unit's open
+  // scratch, which the next record opened on this unit overwrites.
+  const auto outer = net::MessageView::decode(frame.payload);
   if (!outer) return;
 
-  net::Message message = *outer;
+  net::MessageView message = *outer;
   bool authenticated = false;
 
   if (outer->type == net::MessageType::kSecureRecord) {
     if (!unit.rx_session) return;
-    const auto record = secure::Record::decode(outer->body);
+    const auto record = secure::RecordView::decode(outer->body);
     if (!record) {
       c_reports_rejected_->add();
       return;
     }
+    if (unit.open_scratch.size() < record->ciphertext.size()) {
+      unit.open_scratch.resize(record->ciphertext.size());
+    }
     const std::uint64_t ooo_before = unit.rx_session->out_of_order_accepted();
-    auto opened = unit.rx_session->open(*record);
+    const auto opened = unit.rx_session->open_into(*record, unit.open_scratch);
     if (!opened.ok()) {
       c_reports_rejected_->add();
       // Split the rejection by anti-replay classification so the drop
@@ -323,7 +336,7 @@ void SecuredWorksite::on_forwarder_frame(ForwarderUnit& unit, const net::Frame& 
     if (unit.rx_session->out_of_order_accepted() > ooo_before) {
       c_out_of_order_accepted_->add();
     }
-    const auto inner = net::Message::decode(opened.value());
+    const auto inner = net::MessageView::decode(opened.value());
     if (!inner) return;
     message = *inner;
     authenticated = true;
@@ -400,19 +413,17 @@ void SecuredWorksite::telemetry_cycle(core::SimTime now) {
     unit->last_telemetry = now;
     const sim::Machine* forwarder = worksite_->machine(unit->machine);
 
-    net::Message m;
-    m.type = net::MessageType::kTelemetry;
-    m.sender = unit->sender_id;
-    m.sequence = ++unit->telemetry_sequence;
-    m.timestamp = now;
-    m.body = net::TelemetryBody{forwarder->position().x, forwarder->position().y,
-                                forwarder->heading(), forwarder->speed()}
-                 .encode();
     net::Frame frame;
     frame.src = unit->node;
     frame.dst = NodeId::invalid();  // broadcast to site
     frame.channel = channel_at(now);
-    frame.payload = m.encode();
+    frame.payload.resize(net::kMessageHeaderSize + net::TelemetryBody::kSize);
+    net::write_message_header(frame.payload.data(), net::MessageType::kTelemetry,
+                              unit->sender_id, ++unit->telemetry_sequence, now,
+                              net::TelemetryBody::kSize);
+    net::TelemetryBody{forwarder->position().x, forwarder->position().y,
+                       forwarder->heading(), forwarder->speed()}
+        .encode_into(frame.payload.data() + net::kMessageHeaderSize);
     radio_->send(std::move(frame), now);
   }
 }

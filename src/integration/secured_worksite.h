@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -240,6 +241,9 @@ class SecuredWorksite {
     std::optional<pki::Identity> identity;
     std::optional<secure::Session> rx_session;  ///< drone -> this machine
     std::optional<secure::Session> drone_tx;    ///< drone-side endpoint
+    /// Plaintext scratch for opening the drone's records, reused across
+    /// records; it grows to the largest record seen.
+    core::Bytes open_scratch;
     std::uint64_t telemetry_sequence = 0;
     core::SimTime last_telemetry = -1000000;
     std::unordered_map<std::uint64_t, EncounterState> encounters;
@@ -254,7 +258,10 @@ class SecuredWorksite {
   void forwarder_sense_cycle(core::SimTime now);
   void telemetry_cycle(core::SimTime now);
   void track_ground_truth(core::SimTime now);
-  void send_from_drone(ForwarderUnit& unit, const net::Message& message);
+  /// Sends one encoded inner message to `unit`: sealed behind a
+  /// kSecureRecord header in secure mode, as-is otherwise.
+  void send_from_drone(ForwarderUnit& unit, std::uint64_t sequence,
+                       std::span<const std::uint8_t> message, core::SimTime now);
 
   SecuredWorksiteConfig config_;
   /// Declared before every component that instruments into it (worksite,

@@ -3,10 +3,18 @@
 // what the attacker models exploit; the secure channel in src/secure wraps
 // these messages in authenticated records, and the benches compare the
 // two configurations.
+//
+// Wire layout: a kMessageHeaderSize-byte header (type, le64 sender, le64
+// sequence, le64 timestamp, be32 body length), then the body. The hot
+// paths write headers with write_message_header and bodies with
+// encode_into, and parse with MessageView, all in caller-owned bytes
+// (DESIGN.md §25). Message and the bodies' encode()/decode() are owned
+// adapters over those for the attacker models, the tests and the benches.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/bytes.h"
@@ -31,6 +39,15 @@ enum class MessageType : std::uint8_t {
 
 [[nodiscard]] std::string_view message_type_name(MessageType type);
 
+/// Wire size of a message header.
+inline constexpr std::size_t kMessageHeaderSize = 1 + 8 + 8 + 8 + 4;
+
+/// Writes the header of a message with a `body_size`-byte body to
+/// `out[0, kMessageHeaderSize)`. The one header writer.
+void write_message_header(std::uint8_t* out, MessageType type, std::uint64_t sender,
+                          std::uint64_t sequence, core::SimTime timestamp,
+                          std::size_t body_size);
+
 struct Message {
   MessageType type = MessageType::kHeartbeat;
   std::uint64_t sender = 0;    ///< claimed sender id (spoofable in plaintext!)
@@ -39,27 +56,48 @@ struct Message {
   core::Bytes body;            ///< type-specific payload
 
   [[nodiscard]] core::Bytes encode() const;
+  /// Copies out of MessageView::decode.
   static std::optional<Message> decode(std::span<const std::uint8_t> data);
+};
+
+/// A message parsed in place: `body` views the decoded bytes, so it lives
+/// only as long as they do. The one message parser.
+struct MessageView {
+  MessageType type = MessageType::kHeartbeat;
+  std::uint64_t sender = 0;
+  std::uint64_t sequence = 0;
+  core::SimTime timestamp = 0;
+  std::span<const std::uint8_t> body;
+
+  static std::optional<MessageView> decode(std::span<const std::uint8_t> data);
 };
 
 /// Body codec for detection reports (drone/forwarder people detection).
 struct DetectionBody {
+  static constexpr std::size_t kSize = 28;
+
   double x = 0.0;
   double y = 0.0;
   double confidence = 0.0;
   std::uint32_t track_id = 0;
 
+  /// Writes the kSize-byte encoding to `out`.
+  void encode_into(std::uint8_t* out) const;
   [[nodiscard]] core::Bytes encode() const;
   static std::optional<DetectionBody> decode(std::span<const std::uint8_t> data);
 };
 
 /// Body codec for telemetry.
 struct TelemetryBody {
+  static constexpr std::size_t kSize = 32;
+
   double x = 0.0;
   double y = 0.0;
   double heading = 0.0;
   double speed = 0.0;
 
+  /// Writes the kSize-byte encoding to `out`.
+  void encode_into(std::uint8_t* out) const;
   [[nodiscard]] core::Bytes encode() const;
   static std::optional<TelemetryBody> decode(std::span<const std::uint8_t> data);
 };

@@ -137,13 +137,13 @@ void RadioMedium::step(core::SimTime now) {
   // Collect due frames in (deliver_at, send-order) order. The heap means
   // an in-flight frame with a large jitter draw cannot block already-due
   // frames queued behind it (head-of-line blocking of the old FIFO).
-  std::vector<Pending> due;
+  due_.clear();
   while (!queue_.empty() && queue_.front().deliver_at <= now) {
     std::pop_heap(queue_.begin(), queue_.end(), LaterDelivery{});
-    due.push_back(std::move(queue_.back()));
+    due_.push_back(std::move(queue_.back()));
     queue_.pop_back();
   }
-  if (due.empty()) return;
+  if (due_.empty()) return;
 
   // Collision detection: two due frames on the same channel whose send
   // times fall within the collision window interfere (simplified CSMA
@@ -151,36 +151,36 @@ void RadioMedium::step(core::SimTime now) {
   // sort on (channel, sent_at) lets each frame's forward sweep stop at the
   // first frame on another channel or past the window. The pair predicate
   // is symmetric, so the marked set does not depend on how ties sort.
-  std::vector<bool> collided(due.size(), false);
-  std::vector<std::size_t> order(due.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const Frame& fa = due[a].frame;
-    const Frame& fb = due[b].frame;
+  collided_.assign(due_.size(), false);
+  order_.resize(due_.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    const Frame& fa = due_[a].frame;
+    const Frame& fb = due_[b].frame;
     if (fa.channel != fb.channel) return fa.channel < fb.channel;
     return fa.sent_at < fb.sent_at;
   });
-  for (std::size_t u = 0; u < order.size(); ++u) {
-    const Frame& first = due[order[u]].frame;
-    for (std::size_t v = u + 1; v < order.size(); ++v) {
-      const Frame& second = due[order[v]].frame;
+  for (std::size_t u = 0; u < order_.size(); ++u) {
+    const Frame& first = due_[order_[u]].frame;
+    for (std::size_t v = u + 1; v < order_.size(); ++v) {
+      const Frame& second = due_[order_[v]].frame;
       if (second.channel != first.channel) break;
       const double gap = static_cast<double>(second.sent_at - first.sent_at);
       if (gap > config_.collision_window_ms) break;  // sorted: no later hit
       if (second.src == first.src) continue;
-      collided[order[u]] = collided[order[v]] = true;
+      collided_[order_[u]] = collided_[order_[v]] = true;
     }
   }
 
   // Broadcast fan-out ranges against one per-step position snapshot
   // (positions do not change within a sim step).
   const bool any_broadcast =
-      std::any_of(due.begin(), due.end(),
+      std::any_of(due_.begin(), due_.end(),
                   [](const Pending& p) { return !p.frame.dst.valid(); });
   if (any_broadcast) build_broadcast_snapshot();
 
-  for (std::size_t i = 0; i < due.size(); ++i) {
-    const Frame& frame = due[i].frame;
+  for (std::size_t i = 0; i < due_.size(); ++i) {
+    const Frame& frame = due_[i].frame;
     const auto src_it = endpoints_.find(frame.src);
     if (src_it == endpoints_.end()) continue;  // sender vanished mid-flight
     const core::Vec2 src_pos = src_it->second.position();
@@ -191,7 +191,7 @@ void RadioMedium::step(core::SimTime now) {
       // endpoints_), so the broadcast snapshot carries ids, not pointers.
       const auto dst_it = endpoints_.find(dst);
       if (dst_it == endpoints_.end()) return;  // receiver vanished mid-step
-      const DeliveryOutcome outcome = judge(frame, src_pos, dst_pos, collided[i]);
+      const DeliveryOutcome outcome = judge(frame, src_pos, dst_pos, collided_[i]);
       c_outcomes_[static_cast<std::size_t>(outcome)]->add();
       if (outcome != DeliveryOutcome::kDelivered &&
           outcome != DeliveryOutcome::kOutOfRange) {
@@ -220,6 +220,7 @@ void RadioMedium::step(core::SimTime now) {
       }
     }
   }
+  due_.clear();  // frees the payloads before the next step's sends
 }
 
 std::size_t RadioMedium::add_jammer(Jammer jammer) {

@@ -10,7 +10,9 @@
 // against one per-step position snapshot; co-channel collisions are found
 // by one sort of the step's due frames on (channel, sent_at) (DESIGN.md
 // §19). Receivers are handed the queued frame itself, as it was sent
-// (DESIGN.md §22).
+// (DESIGN.md §22). A frame's payload is the only allocation it costs the
+// medium: the queue and step()'s due, collision and sort lists are
+// members whose capacity is reused from step to step (DESIGN.md §25).
 #pragma once
 
 #include <array>
@@ -110,6 +112,8 @@ class RadioMedium {
   void send(Frame frame, core::SimTime now);
 
   /// Delivers all due frames; applies loss, collision, jamming, drops.
+  /// Not re-entrant: a receive callback may send(), attach() or
+  /// detach(), but must not call step().
   void step(core::SimTime now);
 
   // --- Attack surface controls (driven by attacker models / benches) ---
@@ -187,6 +191,11 @@ class RadioMedium {
   /// jitter draw stalled every already-due frame behind it.
   std::vector<Pending> queue_;
   std::uint64_t send_seq_ = 0;
+  /// step()'s scratch: the due frames in (deliver_at, seq) order, their
+  /// collision marks, and their (channel, sent_at) sort order.
+  std::vector<Pending> due_;
+  std::vector<bool> collided_;
+  std::vector<std::size_t> order_;
   std::vector<Jammer> jammers_;
   std::vector<DropRule> drop_rules_;
   std::vector<std::function<void(const Frame&)>> sniffers_;

@@ -4,6 +4,13 @@
 // net::Message baseline into an integrity- and confidentiality-protected
 // link.
 //
+// Two shapes of the same record path (DESIGN.md §25). The hot path seals
+// by appending the record's wire bytes to a caller's buffer
+// (seal_append) and opens a RecordView, parsed in place, into a caller's
+// scratch span (open_into); neither allocates once the caller's buffers
+// have the capacity. seal() and open() are owned-buffer adapters over
+// them for the console, the benches and the tests.
+//
 // Anti-replay design: the lossy RadioMedium delivers frames from a
 // min-heap keyed on (deliver_at, seq), so two records sealed in order can
 // legitimately arrive swapped whenever their propagation jitter differs.
@@ -21,6 +28,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/bytes.h"
@@ -34,6 +42,10 @@ struct SessionKeys {
   std::array<std::uint8_t, 32> recv_key{};
 };
 
+/// Wire size of a record header: le64 sequence, then the be32 length of
+/// the AEAD output that follows it.
+inline constexpr std::size_t kRecordHeaderSize = 12;
+
 /// A sealed record: sequence number + AEAD ciphertext. The sequence is
 /// bound into both the nonce and the AAD.
 struct Record {
@@ -41,7 +53,17 @@ struct Record {
   core::Bytes ciphertext;  ///< AEAD output (ct || tag)
 
   [[nodiscard]] core::Bytes encode() const;
+  /// Copies out of RecordView::decode.
   static std::optional<Record> decode(std::span<const std::uint8_t> data);
+};
+
+/// A record parsed in place: `ciphertext` views the decoded bytes, so it
+/// lives only as long as they do. The one record parser.
+struct RecordView {
+  std::uint64_t sequence = 0;
+  std::span<const std::uint8_t> ciphertext;  ///< AEAD output (ct || tag)
+
+  static std::optional<RecordView> decode(std::span<const std::uint8_t> data);
 };
 
 class Session {
@@ -52,16 +74,39 @@ class Session {
   /// reordering depth (propagation jitter is bounded by a few steps).
   static constexpr std::uint64_t kReplayWindow = 64;
 
+  /// Longest link AAD a record binds. The AEAD's AAD, le64(sequence) ||
+  /// aad, is built on the stack; a longer `aad` throws
+  /// std::invalid_argument.
+  static constexpr std::size_t kMaxAadSize = 56;
+
   Session(SessionKeys keys, std::string peer_subject);
 
-  /// Seals a payload; `aad` binds link metadata (e.g. message type).
+  /// Seals `plaintext` under the next sequence and appends the record's
+  /// wire bytes, exactly Record::encode() of the equivalent seal(), to
+  /// `out`: header, ciphertext, tag. Allocates only when `out` lacks the
+  /// capacity. `plaintext` must not view `out`.
+  void seal_append(std::span<const std::uint8_t> plaintext, core::Bytes& out,
+                   std::span<const std::uint8_t> aad = {});
+
+  /// Opens `record` into the front of `plaintext`, which must hold at least
+  /// record.ciphertext.size() - 16 bytes, and returns that front part.
+  /// Rejects authentication failures ("bad_record"), duplicates of
+  /// already-accepted sequences ("replay") and records older than the
+  /// sliding window ("too_old"); unseen sequences inside the window are
+  /// accepted even when they arrive out of order. A rejection bumps its
+  /// own counter and changes nothing else: not the window, not the other
+  /// counters, not `plaintext`.
+  [[nodiscard]] core::Result<std::span<const std::uint8_t>> open_into(
+      const RecordView& record, std::span<std::uint8_t> plaintext,
+      std::span<const std::uint8_t> aad = {});
+
+  /// Owned adapter over seal_append's sealing: one allocation, the
+  /// ciphertext. `aad` binds link metadata (e.g. message type).
   [[nodiscard]] Record seal(std::span<const std::uint8_t> plaintext,
                             std::span<const std::uint8_t> aad = {});
 
-  /// Opens a record. Rejects authentication failures ("bad_record"),
-  /// duplicates of already-accepted sequences ("replay") and records
-  /// older than the sliding window ("too_old"). Unseen sequences inside
-  /// the window are accepted even when they arrive out of order.
+  /// Owned adapter over open_into: same checks and errors, plaintext
+  /// returned in a new buffer.
   [[nodiscard]] core::Result<core::Bytes> open(const Record& record,
                                                std::span<const std::uint8_t> aad = {});
 
@@ -79,7 +124,21 @@ class Session {
   [[nodiscard]] std::uint64_t auth_failures() const { return auth_failures_; }
 
  private:
-  static std::array<std::uint8_t, 12> nonce_for(std::uint64_t sequence);
+  /// Where a received sequence falls against the window.
+  enum class WindowSlot : std::uint8_t {
+    kAhead,   ///< above the high-water mark (or the first record)
+    kUnseen,  ///< inside the window, not yet accepted
+    kReplay,  ///< inside the window, already accepted
+    kTooOld,  ///< behind the window
+  };
+  [[nodiscard]] WindowSlot classify(std::uint64_t seq) const;
+  /// Marks an authenticated `seq` of class kAhead or kUnseen accepted.
+  void advance(std::uint64_t seq, WindowSlot slot);
+  /// Seals `sealed` (plaintext, then tag room) under the next sequence
+  /// and returns that sequence. An oversized `aad` throws before anything
+  /// changes.
+  std::uint64_t seal_next(std::span<const std::uint8_t> aad,
+                          std::span<std::uint8_t> sealed);
 
   SessionKeys keys_;
   std::string peer_subject_;

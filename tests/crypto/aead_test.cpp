@@ -1,6 +1,8 @@
 // ChaCha20-Poly1305 AEAD against the RFC 8439 §2.8.2 test vector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/bytes.h"
 #include "crypto/aead.h"
 
@@ -121,6 +123,60 @@ TEST(Aead, DistinctNoncesDistinctCiphertexts) {
   const auto s1 = aead_seal(v.key, v.nonce, {}, v.plaintext);
   const auto s2 = aead_seal(v.key, n2, {}, v.plaintext);
   EXPECT_NE(to_hex(s1), to_hex(s2));
+}
+
+// The in-place pair is the implementation; the owned forms adapt it.
+TEST(Aead, SealInPlaceMatchesOwnedSeal) {
+  const Rfc8439Vector v;
+  core::Bytes buffer = v.plaintext;
+  buffer.resize(v.plaintext.size() + kAeadTagSize);
+  aead_seal_in_place(v.key, v.nonce, v.aad, buffer);
+  EXPECT_EQ(to_hex(buffer), to_hex(aead_seal(v.key, v.nonce, v.aad, v.plaintext)));
+}
+
+TEST(Aead, OpenIntoRoundTripAndLeavesTheRestOfTheSpan) {
+  const Rfc8439Vector v;
+  const auto sealed = aead_seal(v.key, v.nonce, v.aad, v.plaintext);
+  core::Bytes out(v.plaintext.size() + 5, 0xA5);
+  ASSERT_TRUE(aead_open_into(v.key, v.nonce, v.aad, sealed, out).ok());
+  EXPECT_TRUE(std::equal(v.plaintext.begin(), v.plaintext.end(), out.begin()));
+  EXPECT_EQ(to_hex(std::span(out).last(5)), "a5a5a5a5a5");
+}
+
+TEST(Aead, OpenIntoWritesNothingBeforeTheTagVerifies) {
+  const Rfc8439Vector v;
+  const auto sealed = aead_seal(v.key, v.nonce, v.aad, v.plaintext);
+  const core::Bytes sentinel(v.plaintext.size(), 0xA5);
+  // Every single-bit flip, in the ciphertext and in the tag.
+  for (std::size_t pos = 0; pos < sealed.size(); ++pos) {
+    auto damaged = sealed;
+    damaged[pos] ^= 0x10;
+    core::Bytes out = sentinel;
+    const auto status = aead_open_into(v.key, v.nonce, v.aad, damaged, out);
+    ASSERT_FALSE(status.ok()) << "pos=" << pos;
+    EXPECT_EQ(status.error().code, "bad_mac");
+    ASSERT_EQ(out, sentinel) << "pos=" << pos;
+  }
+  // Wrong AAD, wrong key and a truncated input write nothing either.
+  core::Bytes out = sentinel;
+  EXPECT_FALSE(aead_open_into(v.key, v.nonce, {}, sealed, out).ok());
+  auto wrong_key = v.key;
+  wrong_key[0] ^= 1;
+  EXPECT_FALSE(aead_open_into(wrong_key, v.nonce, v.aad, sealed, out).ok());
+  EXPECT_FALSE(
+      aead_open_into(v.key, v.nonce, v.aad, std::span(sealed).first(kAeadTagSize - 1), out)
+          .ok());
+  EXPECT_EQ(out, sentinel);
+}
+
+TEST(Aead, InPlaceRejectsUndersizedSpans) {
+  const Rfc8439Vector v;
+  core::Bytes short_buffer(kAeadTagSize - 1, 0);
+  EXPECT_THROW(aead_seal_in_place(v.key, v.nonce, {}, short_buffer), std::invalid_argument);
+  const auto sealed = aead_seal(v.key, v.nonce, {}, v.plaintext);
+  core::Bytes small(v.plaintext.size() - 1, 0);
+  EXPECT_THROW((void)aead_open_into(v.key, v.nonce, {}, sealed, small),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -15,7 +15,8 @@ TEST(ChaCha20, Rfc8439Section231BlockFunction) {
   const auto key =
       from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
   const auto nonce = from_hex("000000090000004a00000000");
-  const auto block = ChaCha20::block(key, nonce, 1);
+  // The keystream is the block function's output: XOR it into zeros.
+  const auto block = ChaCha20::crypt(key, nonce, 1, core::Bytes(64, 0));
   EXPECT_EQ(to_hex(block),
             "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
             "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e");
@@ -65,6 +66,26 @@ TEST(ChaCha20, StreamingMatchesOneShotAcrossBlockBoundaries) {
   }
   ASSERT_EQ(off, plaintext.size());
   EXPECT_EQ(streaming, expected);
+}
+
+// apply() splits a call into the rest of a part-used block, whole blocks
+// and a tail; every two-call split of 200 bytes must match one call.
+TEST(ChaCha20, EveryTwoCallSplitMatchesOneShot) {
+  const auto key = from_hex(
+      "4444444444444444444444444444444444444444444444444444444444444444");
+  const auto nonce = from_hex("000000000000000000000004");
+  core::Bytes plaintext(200);
+  for (std::size_t i = 0; i < plaintext.size(); ++i) {
+    plaintext[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  const auto expected = ChaCha20::crypt(key, nonce, 9, plaintext);
+  for (std::size_t cut = 0; cut <= plaintext.size(); ++cut) {
+    core::Bytes streaming = plaintext;
+    ChaCha20 c{key, nonce, 9};
+    c.apply(std::span(streaming).first(cut));
+    c.apply(std::span(streaming).subspan(cut));
+    ASSERT_EQ(streaming, expected) << "cut " << cut;
+  }
 }
 
 TEST(ChaCha20, CounterOffsetsDisjointKeystream) {

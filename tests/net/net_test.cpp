@@ -479,6 +479,38 @@ TEST(Message, EncodeDecodeRoundTrip) {
   EXPECT_EQ(body->track_id, 4u);
 }
 
+// The in-place writers produce exactly the owned encoders' bytes, and the
+// view decodes them with its body pointing into the decoded buffer.
+TEST(Message, InPlaceWritersMatchOwnedEncode) {
+  Message m;
+  m.type = MessageType::kTelemetry;
+  m.sender = 11;
+  m.sequence = 900;
+  m.timestamp = 77700;
+  const TelemetryBody telemetry{12.5, -4.0, 1.25, 3.0};
+  m.body = telemetry.encode();
+
+  core::Bytes written(kMessageHeaderSize + TelemetryBody::kSize);
+  write_message_header(written.data(), m.type, m.sender, m.sequence, m.timestamp,
+                       TelemetryBody::kSize);
+  telemetry.encode_into(written.data() + kMessageHeaderSize);
+  EXPECT_EQ(core::to_hex(written), core::to_hex(m.encode()));
+
+  const auto view = MessageView::decode(written);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->type, m.type);
+  EXPECT_EQ(view->sender, m.sender);
+  EXPECT_EQ(view->sequence, m.sequence);
+  EXPECT_EQ(view->timestamp, m.timestamp);
+  EXPECT_EQ(view->body.data(), written.data() + kMessageHeaderSize);
+  EXPECT_EQ(view->body.size(), TelemetryBody::kSize);
+
+  core::Bytes detection(DetectionBody::kSize);
+  const DetectionBody d{1.5, 2.5, 0.75, 9};
+  d.encode_into(detection.data());
+  EXPECT_EQ(detection, d.encode());
+}
+
 TEST(Message, DecodeRejectsGarbage) {
   EXPECT_FALSE(Message::decode(core::from_string("x")).has_value());
   core::Bytes junk(64, 0xFF);
