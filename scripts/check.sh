@@ -68,11 +68,15 @@ else
   # adds secure_test, ids_test and integration_test: message and record
   # views point into frame payloads and into each forwarder's reused open
   # scratch, so a view that outlives its bytes shows up here first, and
-  # secure_test runs the view decoders' mutation loop. UBSan findings
+  # secure_test runs the view decoders' mutation loop. safety_test and
+  # sensors_test cover fusion and sensing (DESIGN.md §26): fuse() returns
+  # a reference into the fusion's own reused track buffer, so a dangling
+  # reference shows up here first, and every sight line sensing resolves
+  # runs the squared-distance filter and the crest bound. UBSan findings
   # abort (AGRARSEC_SANITIZE builds with -fno-sanitize-recover), so any
   # one fails this leg.
   cmake --build build-asan -j "$JOBS" --target core_test crypto_test net_test sim_test \
-    secure_test ids_test integration_test service_test
+    secure_test ids_test integration_test service_test safety_test sensors_test
   ./build-asan/tests/core_test
   ./build-asan/tests/crypto_test
   ./build-asan/tests/net_test
@@ -80,6 +84,8 @@ else
   ./build-asan/tests/secure_test
   ./build-asan/tests/ids_test
   ./build-asan/tests/integration_test
+  ./build-asan/tests/safety_test
+  ./build-asan/tests/sensors_test
   run_filtered ./build-asan/tests/service_test \
     'ConsoleControl.DeeplyNestedRequestGetsParseErrorAndChannelSurvives:ConsoleControl.NonIntegralOrOutOfRangeIntegersRefused'
 fi

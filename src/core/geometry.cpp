@@ -24,11 +24,7 @@ Vec2 Aabb::clamp(Vec2 p) const {
 }
 
 double point_segment_distance(Vec2 p, Vec2 a, Vec2 b) {
-  const Vec2 ab = b - a;
-  const double len_sq = ab.norm_sq();
-  if (len_sq == 0.0) return distance(p, a);
-  const double t = std::clamp((p - a).dot(ab) / len_sq, 0.0, 1.0);
-  return distance(p, a + ab * t);
+  return distance(p, closest_point_on_segment(p, a, b));
 }
 
 bool segment_intersects_circle(Vec2 a, Vec2 b, const Circle& c) {

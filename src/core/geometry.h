@@ -5,6 +5,7 @@
 // the paper is about).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -85,8 +86,38 @@ struct Circle {
 /// radius at some point of the segment).
 [[nodiscard]] bool segment_intersects_circle(Vec2 a, Vec2 b, const Circle& c);
 
-/// Distance from point p to segment [a,b].
+/// The point of segment [a,b] closest to p: a when the segment has zero
+/// length, else a + ab * clamp(t, 0, 1) for the projection parameter t.
+/// The one closest-point formula; point_segment_distance measures to it.
+[[nodiscard]] inline Vec2 closest_point_on_segment(Vec2 p, Vec2 a, Vec2 b) {
+  const Vec2 ab = b - a;
+  const double len_sq = ab.norm_sq();
+  if (len_sq == 0.0) return a;
+  const double t = std::clamp((p - a).dot(ab) / len_sq, 0.0, 1.0);
+  return a + ab * t;
+}
+
+/// Distance from point p to segment [a,b]:
+/// distance(p, closest_point_on_segment(p, a, b)).
 [[nodiscard]] double point_segment_distance(Vec2 p, Vec2 a, Vec2 b);
+
+/// Exactly distance(a, b) <= r, for every input, NaN and infinities
+/// included, without std::hypot away from the boundary. For r in
+/// [1e-100, 1e100] the squared distance |a - b|^2 lands within a few ulps
+/// of its true value, or overflows to infinity, or underflows far below
+/// r^2; so outside the guard band r^2 * (1 +- 1e-9) no rounding of either
+/// side can flip the answer. Inside the band, for r outside that range
+/// (zero, negative, subnormal, huge, infinite, NaN) and for a NaN square,
+/// it asks distance() itself (DESIGN.md §26).
+[[nodiscard]] inline bool within(Vec2 a, Vec2 b, double r) {
+  if (r >= 1e-100 && r <= 1e100) {
+    const double d2 = (a - b).norm_sq();
+    const double r2 = r * r;
+    if (d2 < r2 * (1.0 - 1e-9)) return true;
+    if (d2 > r2 * (1.0 + 1e-9)) return false;
+  }
+  return distance(a, b) <= r;
+}
 
 /// Visits the grid cells of size `cell` crossed by segment [a,b] (2D DDA,
 /// Amanatides & Woo), in order from a's cell: visit(cx, cy) with

@@ -433,7 +433,7 @@ void SecuredWorksite::track_ground_truth(core::SimTime now) {
     const sim::Machine* forwarder = worksite_->machine(unit->machine);
 
     auto associated = [&](core::Vec2 person) {
-      for (const auto& track : unit->tracks) {
+      for (const auto& track : unit->fusion->tracks()) {
         if (core::distance(track.position, person) <= kTrackAssociationM) return true;
       }
       return false;
@@ -550,8 +550,7 @@ void SecuredWorksite::step() {
   }
 
   for (auto& unit : units_) {
-    unit->tracks = unit->fusion->fuse(now);
-    unit->monitor->update(unit->tracks, now);
+    unit->monitor->update(unit->fusion->fuse(now), now);
   }
   track_ground_truth(now);
 

@@ -233,10 +233,9 @@ class SecuredWorksite {
     /// sense draws, and nothing in the step loop touches the shared
     /// worksite stream.
     std::optional<core::Rng> sense_rng;
+    /// step() fuses once and hands the tracks to the monitor;
+    /// track_ground_truth reads the same tracks in place (fusion->tracks()).
     std::unique_ptr<safety::DetectionFusion> fusion;
-    /// This step's fused picture: step() fuses once, hands it to the
-    /// monitor, and track_ground_truth reads the same tracks.
-    std::vector<safety::FusedTrack> tracks;
     std::unique_ptr<safety::SafetyMonitor> monitor;
     std::optional<pki::Identity> identity;
     std::optional<secure::Session> rx_session;  ///< drone -> this machine

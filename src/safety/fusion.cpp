@@ -17,7 +17,7 @@ void DetectionFusion::add_remote(const sensors::Detection& detection) {
   ++remote_reports_;
 }
 
-std::vector<FusedTrack> DetectionFusion::fuse(core::SimTime now) {
+const std::vector<FusedTrack>& DetectionFusion::fuse(core::SimTime now) {
   auto drop_stale = [&](std::vector<sensors::Detection>& v) {
     std::erase_if(v, [&](const sensors::Detection& d) {
       return d.time + config_.freshness_window < now;
@@ -26,12 +26,12 @@ std::vector<FusedTrack> DetectionFusion::fuse(core::SimTime now) {
   drop_stale(local_);
   drop_stale(remote_);
 
-  std::vector<FusedTrack> tracks;
+  tracks_.clear();
   auto associate = [&](const sensors::Detection& d, bool remote) {
     const double weight = remote ? config_.remote_weight : 1.0;
     const double score = d.confidence * weight;
-    for (FusedTrack& t : tracks) {
-      if (core::distance(t.position, d.position) <= config_.association_radius_m) {
+    for (FusedTrack& t : tracks_) {
+      if (core::within(t.position, d.position, config_.association_radius_m)) {
         // Merge: keep the higher-confidence position, accumulate score
         // with a noisy-OR so two weak agreeing sources beat either alone.
         if (score > t.confidence) t.position = d.position;
@@ -48,18 +48,18 @@ std::vector<FusedTrack> DetectionFusion::fuse(core::SimTime now) {
     t.local_contribution = !remote;
     t.remote_contribution = remote;
     t.last_update = d.time;
-    tracks.push_back(t);
+    tracks_.push_back(t);
   };
 
   for (const auto& d : local_) associate(d, false);
   for (const auto& d : remote_) associate(d, true);
 
   if (config_.policy == FusionPolicy::kConfidenceWeighted) {
-    std::erase_if(tracks, [&](const FusedTrack& t) {
+    std::erase_if(tracks_, [&](const FusedTrack& t) {
       return t.confidence < config_.confidence_gate;
     });
   }
-  return tracks;
+  return tracks_;
 }
 
 }  // namespace agrarsec::safety

@@ -44,7 +44,12 @@ class DetectionFusion {
   void add_remote(const sensors::Detection& detection);
 
   /// Produces the current fused tracks at `now`, dropping stale inputs.
-  [[nodiscard]] std::vector<FusedTrack> fuse(core::SimTime now);
+  /// The tracks live in a buffer the fusion reuses: the reference stays
+  /// valid, and its contents current, until the next fuse().
+  [[nodiscard]] const std::vector<FusedTrack>& fuse(core::SimTime now);
+
+  /// The tracks of the last fuse() (empty before the first).
+  [[nodiscard]] const std::vector<FusedTrack>& tracks() const { return tracks_; }
 
   [[nodiscard]] const FusionConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t remote_reports() const { return remote_reports_; }
@@ -53,6 +58,7 @@ class DetectionFusion {
   FusionConfig config_;
   std::vector<sensors::Detection> local_;
   std::vector<sensors::Detection> remote_;
+  std::vector<FusedTrack> tracks_;
   std::uint64_t remote_reports_ = 0;
 };
 

@@ -8,9 +8,6 @@ namespace agrarsec::sim {
 Terrain::Terrain(core::Aabb bounds, std::vector<Obstacle> obstacles,
                  std::vector<Hill> hills)
     : bounds_(bounds), obstacles_(std::move(obstacles)), hills_(std::move(hills)) {
-  // Only raised hills lift the ground: a negative one is a hollow and
-  // must not pull the bound below a crest elsewhere.
-  for (const Hill& hill : hills_) hills_height_sum_ += std::max(hill.height_m, 0.0);
   build_index();
 }
 
@@ -138,10 +135,26 @@ double Terrain::gradient_bound(const core::Aabb& rect) const {
   return bound;
 }
 
-void Terrain::collect_segment_candidates(core::Vec2 a, core::Vec2 b) const {
+namespace {
+
+/// The segment queries' one predicate: the footprint comes within `margin`
+/// of [a, b], i.e. point_segment_distance(centre, a, b) <= radius + margin,
+/// decided by core::within from the same closest point.
+bool footprint_meets(const core::Circle& footprint, core::Vec2 a, core::Vec2 b,
+                     double margin) {
+  return core::within(footprint.center,
+                      core::closest_point_on_segment(footprint.center, a, b),
+                      footprint.radius + margin);
+}
+
+}  // namespace
+
+void Terrain::collect_segment_candidates(core::Vec2 a, core::Vec2 b,
+                                         double margin) const {
   // Expand the traversal by visiting the 3x3 neighbourhood of each crossed
   // cell so obstacles whose footprints straddle cell borders are found.
-  // Generation stamps dedup obstacles seen from several cells.
+  // Generation stamps dedup obstacles seen from several cells, so each is
+  // tested once; only the footprints that meet the segment are kept.
   const std::uint64_t gen = ++stamp_gen_;
   candidate_scratch_.clear();
   core::traverse_grid(a, b, cell_size_, [&](std::int64_t cx, std::int64_t cy) {
@@ -152,7 +165,9 @@ void Terrain::collect_segment_candidates(core::Vec2 a, core::Vec2 b) const {
           const std::uint32_t i = cell_items_[k];
           if (visit_stamp_[i] == gen) continue;
           visit_stamp_[i] = gen;
-          candidate_scratch_.push_back(i);
+          if (footprint_meets(obstacles_[i].footprint, a, b, margin)) {
+            candidate_scratch_.push_back(i);
+          }
         }
       }
     }
@@ -166,15 +181,10 @@ void Terrain::collect_segment_candidates(core::Vec2 a, core::Vec2 b) const {
 
 std::vector<const Obstacle*> Terrain::obstacles_near_segment(core::Vec2 a, core::Vec2 b,
                                                              double margin) const {
-  collect_segment_candidates(a, b);
+  collect_segment_candidates(a, b, margin);
   std::vector<const Obstacle*> out;
-  for (std::uint32_t i : candidate_scratch_) {
-    const Obstacle& o = obstacles_[i];
-    if (core::point_segment_distance(o.footprint.center, a, b) <=
-        o.footprint.radius + margin) {
-      out.push_back(&o);
-    }
-  }
+  out.reserve(candidate_scratch_.size());
+  for (std::uint32_t i : candidate_scratch_) out.push_back(&obstacles_[i]);
   return out;
 }
 
@@ -185,9 +195,7 @@ bool Terrain::segment_blocked(core::Vec2 a, core::Vec2 b, double margin) const {
       for (std::int64_t dx = -1; dx <= 1; ++dx) {
         const std::size_t s = cell_slot(cx + dx, cy + dy);
         for (std::uint32_t k = cell_start_[s]; k < cell_start_[s + 1]; ++k) {
-          const Obstacle& o = obstacles_[cell_items_[k]];
-          if (core::point_segment_distance(o.footprint.center, a, b) <=
-              o.footprint.radius + margin) {
+          if (footprint_meets(obstacles_[cell_items_[k]].footprint, a, b, margin)) {
             hit = true;
             return false;  // stop the traversal on the first blocker
           }
@@ -197,6 +205,17 @@ bool Terrain::segment_blocked(core::Vec2 a, core::Vec2 b, double margin) const {
     return true;
   });
   return hit;
+}
+
+double Terrain::crest_bound(core::Vec2 a, core::Vec2 b) const {
+  double bound = 0.0;
+  for (const Hill& hill : hills_) {
+    if (!(hill.height_m > 0.0)) continue;  // a hollow only lowers the ground
+    const double d2 =
+        (hill.center - core::closest_point_on_segment(hill.center, a, b)).norm_sq();
+    bound += hill.height_m * std::exp(-d2 / (2.0 * hill.radius_m * hill.radius_m));
+  }
+  return bound;
 }
 
 Terrain::OcclusionCause Terrain::occlusion_cause(core::Vec2 from_xy, double from_agl,
@@ -209,16 +228,12 @@ Terrain::OcclusionCause Terrain::occlusion_cause(core::Vec2 from_xy, double from
 
   // Obstacle occlusion: an obstacle blocks the ray when the ray's height
   // at the crossing point is below the obstacle's top (ground + height).
-  // Candidates come straight from the stamp walk (ascending index, exact
-  // distance predicate applied inline) — no per-ray result vector.
-  collect_segment_candidates(from_xy, to_xy);
+  // Candidates come straight from the stamp walk: the footprints the ray
+  // meets, in ascending index order — no per-ray result vector.
+  collect_segment_candidates(from_xy, to_xy, 0.0);
   const core::Vec2 dir = (to_xy - from_xy) * (1.0 / planar_len);
   for (const std::uint32_t idx : candidate_scratch_) {
     const Obstacle& o = obstacles_[idx];
-    if (core::point_segment_distance(o.footprint.center, from_xy, to_xy) >
-        o.footprint.radius) {
-      continue;
-    }
     const double t = std::clamp((o.footprint.center - from_xy).dot(dir), 0.0,
                                 planar_len);
     // Skip obstacles essentially at an endpoint (the observer/target's own
@@ -237,10 +252,13 @@ Terrain::OcclusionCause Terrain::occlusion_cause(core::Vec2 from_xy, double from
   }
 
   // Terrain occlusion: sample the ground along the ray — unless the ray's
-  // lowest endpoint already clears the summed hill amplitudes, in which
-  // case no sample could come within 1e-9 of the ray (the lerp stays
-  // within a few ulps of [min(z), max(z)], far inside that margin).
-  if (std::min(z_from, z_to) >= hills_height_sum_) return OcclusionCause::kNone;
+  // lower endpoint already clears its crest bound, in which case no sample
+  // could come within 1e-9 of the ray (the lerp stays within a few ulps of
+  // [min(z), max(z)] and the samples within a few ulps of the ray, far
+  // inside that margin; DESIGN.md §26).
+  if (std::min(z_from, z_to) >= crest_bound(from_xy, to_xy)) {
+    return OcclusionCause::kNone;
+  }
   constexpr double kSample = 5.0;
   const int samples = std::max(2, static_cast<int>(planar_len / kSample));
   for (int i = 1; i < samples; ++i) {

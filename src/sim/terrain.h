@@ -66,7 +66,8 @@ class Terrain {
   /// up to d = s and falls after it, so over the rectangle's distance range
   /// [dmin, dmax] it peaks at clamp(s, dmin, dmax); the bound sums those
   /// peaks. NaN or infinite when a hill is degenerate (s = 0). The
-  /// planner's tile slope test uses it (DESIGN.md §21).
+  /// planner's tile slope test uses it (DESIGN.md §21); crest_bound bounds
+  /// a ray's ground height the same way, hill by hill.
   [[nodiscard]] double gradient_bound(const core::Aabb& rect) const;
 
   /// What (if anything) blocks the 3D sight line between two points given
@@ -96,7 +97,8 @@ class Terrain {
   }
 
   /// Obstacles whose footprint comes within `margin` of segment [a,b],
-  /// in ascending obstacle-index order (occlusion_cause depends on it).
+  /// in ascending obstacle-index order: the walk and order occlusion_cause
+  /// uses at margin 0.
   [[nodiscard]] std::vector<const Obstacle*> obstacles_near_segment(
       core::Vec2 a, core::Vec2 b, double margin = 0.0) const;
 
@@ -113,10 +115,20 @@ class Terrain {
  private:
   void build_index();
   /// Stamp-walk of the 3x3 cell neighbourhoods crossed by [a, b] into
-  /// candidate_scratch_ (deduped, sorted ascending) — the shared
-  /// candidate-collection core of obstacles_near_segment and
-  /// occlusion_cause.
-  void collect_segment_candidates(core::Vec2 a, core::Vec2 b) const;
+  /// candidate_scratch_: the obstacles whose footprint comes within
+  /// `margin` of the segment, deduped and sorted ascending. Each walked
+  /// obstacle is tested once, so only the ones kept are sorted. The shared
+  /// core of obstacles_near_segment and occlusion_cause (margin 0).
+  void collect_segment_candidates(core::Vec2 a, core::Vec2 b, double margin) const;
+  /// Upper bound on ground_height along segment [a,b]: the sum, over hills
+  /// of positive height h, of h * exp(-d^2 / 2s^2) at the squared distance
+  /// d^2 from the hill's centre to its closest point on the segment. Each
+  /// term is the hill's largest contribution anywhere on the segment, so
+  /// a ray whose lower endpoint clears the bound skips terrain sampling
+  /// exactly (DESIGN.md §26). A term is at most h, so every ray that
+  /// clears the summed hill heights clears this bound too; a person's
+  /// torso never clears that sum, but mostly clears this bound.
+  [[nodiscard]] double crest_bound(core::Vec2 a, core::Vec2 b) const;
   /// Dense-grid slot for a raw cell coordinate (the traverse_grid
   /// convention: floor(v / cell_size)); out-of-range coordinates clamp to
   /// the border, which only widens candidate sets — the exact distance
@@ -126,13 +138,6 @@ class Terrain {
   core::Aabb bounds_;
   std::vector<Obstacle> obstacles_;
   std::vector<Hill> hills_;
-  /// Upper bound on ground_height anywhere (sum of the positive hill
-  /// amplitudes): rays whose lowest endpoint clears it can skip terrain
-  /// sampling entirely — exact, because the skipped test could never fire
-  /// (the occlusion margin is 1e-9 m, orders of magnitude above the lerp's
-  /// rounding error). This is what makes drone-altitude rays cheap.
-  /// gradient_bound applies the same reasoning to the ground's slope.
-  double hills_height_sum_ = 0.0;
   double cell_size_ = 10.0;
 
   // CSR cell index over a dense grid: obstacles are static after

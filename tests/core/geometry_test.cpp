@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <numbers>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -85,6 +90,156 @@ TEST(Segment, IntersectsCircle) {
   EXPECT_FALSE(segment_intersects_circle({-2, 2}, {2, 2}, c));
   // Tangent (distance == radius) does not count as blocking.
   EXPECT_FALSE(segment_intersects_circle({-2, 1}, {2, 1}, c));
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// point_segment_distance as it read before closest_point_on_segment
+/// existed, kept verbatim as the bit-exact reference.
+double reference_point_segment_distance(Vec2 p, Vec2 a, Vec2 b) {
+  const Vec2 ab = b - a;
+  const double len_sq = ab.norm_sq();
+  if (len_sq == 0.0) return distance(p, a);
+  const double t = std::clamp((p - a).dot(ab) / len_sq, 0.0, 1.0);
+  return distance(p, a + ab * t);
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+TEST(Segment, ClosestPointIsOnTheSegment) {
+  EXPECT_EQ(closest_point_on_segment({0, 1}, {-1, 0}, {1, 0}), (Vec2{0, 0}));
+  EXPECT_EQ(closest_point_on_segment({3, 5}, {-1, 0}, {1, 0}), (Vec2{1, 0}));
+  EXPECT_EQ(closest_point_on_segment({-3, 5}, {-1, 0}, {1, 0}), (Vec2{-1, 0}));
+  EXPECT_EQ(closest_point_on_segment({3, 4}, {2, 2}, {2, 2}), (Vec2{2, 2}));
+}
+
+TEST(Segment, PointSegmentDistanceBitEqualToTheReference) {
+  // Random segments at several scales, a fifth of them zero-length, and
+  // points on, beside and beyond them.
+  Rng rng{2208};
+  std::size_t zero_length = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double scale = std::ldexp(1.0, static_cast<int>(rng.next_below(41)) - 20);
+    const Vec2 a{rng.uniform(-1.0, 1.0) * scale, rng.uniform(-1.0, 1.0) * scale};
+    const Vec2 b = i % 5 == 0
+                       ? a
+                       : Vec2{rng.uniform(-1.0, 1.0) * scale, rng.uniform(-1.0, 1.0) * scale};
+    const Vec2 p{rng.uniform(-2.0, 2.0) * scale, rng.uniform(-2.0, 2.0) * scale};
+    if (a == b) ++zero_length;
+    const double got = point_segment_distance(p, a, b);
+    const double want = reference_point_segment_distance(p, a, b);
+    ASSERT_TRUE(same_bits(got, want))
+        << "p (" << p.x << "," << p.y << ") a (" << a.x << "," << a.y << ") b ("
+        << b.x << "," << b.y << "): " << got << " vs " << want;
+    ASSERT_TRUE(same_bits(got, distance(p, closest_point_on_segment(p, a, b))));
+  }
+  EXPECT_EQ(zero_length, 20000u);
+}
+
+/// Checks within against the hypot comparison it must equal, counting
+/// the disagreements and keeping the first for the failure message.
+struct WithinCheck {
+  std::size_t cases = 0;
+  std::size_t inside = 0;
+  std::size_t mismatches = 0;
+  std::string first;
+
+  void operator()(Vec2 a, Vec2 b, double r) {
+    ++cases;
+    const bool want = distance(a, b) <= r;
+    if (want) ++inside;
+    if (within(a, b, r) == want || mismatches++ > 0) return;
+    std::ostringstream out;
+    out << std::hexfloat << "a (" << a.x << "," << a.y << ") b (" << b.x << "," << b.y
+        << ") r " << r << " distance " << distance(a, b);
+    first = out.str();
+  }
+};
+
+TEST(Within, MatchesDistanceComparisonAtEveryScale) {
+  // Pairs drawn at scales 2^-330 .. 2^300, each tested against thresholds
+  // a few ulps either side of its own distance: where the squared test
+  // would go wrong first if its guard band were too narrow.
+  Rng rng{8198};
+  WithinCheck check;
+  for (int e = -330; e <= 300; e += 5) {
+    const double scale = std::ldexp(1.0, e);
+    for (int i = 0; i < 300; ++i) {
+      const Vec2 a{rng.uniform(-1.0, 1.0) * scale, rng.uniform(-1.0, 1.0) * scale};
+      const Vec2 b{rng.uniform(-1.0, 1.0) * scale, rng.uniform(-1.0, 1.0) * scale};
+      const double d = distance(a, b);
+      for (int k = -8; k <= 8; ++k) check(a, b, d * (1.0 + k * std::ldexp(1.0, -52)));
+      for (const double r : {d, std::nextafter(d, kInf), std::nextafter(d, -kInf),
+                             d * 0.5, d * 2.0}) {
+        check(a, b, r);
+        check(b, a, r);
+      }
+    }
+  }
+  EXPECT_EQ(check.mismatches, 0u) << "of " << check.cases << ", first: " << check.first;
+  // Both answers occur, so the comparison proves something either way.
+  EXPECT_GT(check.inside, 0u);
+  EXPECT_LT(check.inside, check.cases);
+}
+
+TEST(Within, SpecialThresholdsAndDifferences) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const double thresholds[] = {0.0,
+                               -0.0,
+                               -1.0,
+                               -kInf,
+                               kInf,
+                               kNan,
+                               kTiny,
+                               kMax,
+                               1e-100,
+                               std::nextafter(1e-100, 0.0),
+                               std::nextafter(1e-100, kInf),
+                               1e100,
+                               std::nextafter(1e100, 0.0),
+                               std::nextafter(1e100, kInf),
+                               1e-160,
+                               1e160,
+                               5.0,
+                               1.0};
+  const std::pair<Vec2, Vec2> pairs[] = {
+      {{0, 0}, {0, 0}},                // zero distance
+      {{-0.0, 0.0}, {0.0, -0.0}},      // signed zeros
+      {{3, 4}, {0, 0}},                // distance exactly 5
+      {{1, 0}, {0, 0}},                // distance exactly 1
+      {{1e-200, 0}, {0, 0}},           // square underflows to zero
+      {{1e-160, 1e-160}, {0, 0}},      // square subnormal
+      {{1e-100, 0}, {0, 0}},           // distance exactly the lower edge
+      {{1e100, 0}, {0, 0}},            // distance exactly the upper edge
+      {{1e160, 0}, {0, 0}},            // square overflows
+      {{kMax, 0}, {-kMax, 0}},         // difference overflows
+      {{kInf, 0}, {0, 0}},             // infinite difference
+      {{kInf, kNan}, {0, 0}},          // hypot(inf, NaN) is inf
+      {{kNan, 0}, {0, 0}},             // NaN difference
+      {{kTiny, kTiny}, {0, 0}},        // subnormal difference
+      {{0.1, 0.2}, {0.3, -0.4}},       // ordinary, inexact
+  };
+  WithinCheck check;
+  for (const auto& [a, b] : pairs) {
+    for (const double r : thresholds) {
+      check(a, b, r);
+      check(b, a, r);
+    }
+    // And thresholds at the pair's own distance.
+    const double d = distance(a, b);
+    for (const double r : {d, std::nextafter(d, kInf), std::nextafter(d, -kInf)}) {
+      check(a, b, r);
+    }
+  }
+  EXPECT_EQ(check.mismatches, 0u) << "of " << check.cases << ", first: " << check.first;
+  EXPECT_TRUE(within({3, 4}, {0, 0}, 5.0));
+  EXPECT_FALSE(within({3, 4}, {0, 0}, std::nextafter(5.0, 0.0)));
+  EXPECT_TRUE(within({0, 0}, {0, 0}, 0.0));
+  EXPECT_FALSE(within({0, 0}, {0, 0}, kNan));
 }
 
 TEST(GridTraversal, VisitsStartAndEndCells) {

@@ -1,12 +1,16 @@
 // Occlusion-cause attribution (feeds the SOTIF census), plus exactness
-// of the one sight-line path against a brute-force reference over
-// randomized obstacle/hill fields and degenerate rays: zero-length rays,
-// from == to with differing heights, endpoints on cell boundaries, and
-// drone-altitude rays that take the hills-height-sum terrain skip.
+// of the one sight-line path and of the two other segment queries against
+// brute-force references over randomized obstacle/hill fields and
+// degenerate rays: zero-length rays, from == to with differing heights,
+// endpoints on cell boundaries, footprints whose edge lies exactly on the
+// segment, and rays that clear, or sit exactly on, their crest bound and
+// so skip terrain sampling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -19,9 +23,10 @@ namespace {
 using Cause = Terrain::OcclusionCause;
 
 /// Reference resolve with neither acceleration of occlusion_cause: every
-/// obstacle in index order instead of the CSR grid walk, and terrain
-/// sampled on every ray instead of skipping rays that clear the summed
-/// hill heights. Same predicates otherwise.
+/// obstacle in index order, tested with point_segment_distance, instead of
+/// the CSR grid walk and its squared-distance filter, and terrain sampled
+/// on every ray instead of skipping rays whose lower endpoint clears their
+/// crest bound. Same predicates otherwise.
 Cause brute_force_cause(const Terrain& t, core::Vec2 from, double from_agl,
                         core::Vec2 to, double to_agl) {
   const double z_from = t.ground_height(from) + from_agl;
@@ -75,6 +80,21 @@ Obstacle make(ObstacleKind kind, core::Vec2 at, double radius, double height) {
   o.footprint = {at, radius};
   o.height_m = height;
   return o;
+}
+
+/// Reference for obstacles_near_segment (and, by emptiness, for
+/// segment_blocked): every obstacle in index order, tested with
+/// point_segment_distance.
+std::vector<const Obstacle*> brute_force_near(const Terrain& t, core::Vec2 a, core::Vec2 b,
+                                              double margin) {
+  std::vector<const Obstacle*> near;
+  for (const Obstacle& o : t.obstacles()) {
+    if (core::point_segment_distance(o.footprint.center, a, b) <=
+        o.footprint.radius + margin) {
+      near.push_back(&o);
+    }
+  }
+  return near;
 }
 
 TEST(OcclusionCause, NoneOnOpenGround) {
@@ -279,13 +299,7 @@ TEST(CornerEndpoint, TerrainQueriesMatchObstacleScan) {
         if (last != end_cell) ++short_walks;
 
         for (const double m : kMargins) {
-          std::vector<const Obstacle*> scan;
-          for (const Obstacle& o : terrain.obstacles()) {
-            if (core::point_segment_distance(o.footprint.center, a, b) <=
-                o.footprint.radius + m) {
-              scan.push_back(&o);
-            }
-          }
+          const std::vector<const Obstacle*> scan = brute_force_near(terrain, a, b, m);
           ++queries;
           if (!scan.empty()) ++blocked;
           EXPECT_EQ(terrain.segment_blocked(a, b, m), !scan.empty())
@@ -303,6 +317,114 @@ TEST(CornerEndpoint, TerrainQueriesMatchObstacleScan) {
   EXPECT_GT(short_walks, 0u);
   EXPECT_GT(blocked, 0u);
   EXPECT_LT(blocked, queries);
+}
+
+TEST(SegmentQueries, FootprintEdgesOnTheSegmentMatchBruteForce) {
+  // Footprints whose edge, widened by the query's margin, lies exactly on
+  // segment (0,0)->(100,0) or one ulp either side of it: beside its middle,
+  // below it, and beyond its start. Then near-ties on slanted segments,
+  // where the distance is inexact and the squared test's guard band
+  // decides. Each footprint is a tall stem alone on flat ground, so
+  // occlusion_cause reports it exactly when the ray meets it mid-span.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMargins[] = {0.0, 0.6, 2.0};
+  const core::Aabb bounds{{-20, -20}, {200, 200}};
+  std::size_t met = 0;
+  std::size_t missed = 0;
+  const auto check = [&](core::Vec2 a, core::Vec2 b, const Obstacle& o, double margin) {
+    SCOPED_TRACE(testing::Message()
+                 << std::hexfloat << "(" << a.x << "," << a.y << ")->(" << b.x << ","
+                 << b.y << ") centre (" << o.footprint.center.x << ","
+                 << o.footprint.center.y << ") radius " << o.footprint.radius
+                 << " margin " << margin);
+    const Terrain t{bounds, {o}, {}};
+    const auto near = brute_force_near(t, a, b, margin);
+    (near.empty() ? missed : met) += 1;
+    EXPECT_EQ(t.obstacles_near_segment(a, b, margin), near);
+    EXPECT_EQ(t.segment_blocked(a, b, margin), !near.empty());
+    EXPECT_EQ(t.occlusion_cause(a, 2.6, b, 1.2), brute_force_cause(t, a, 2.6, b, 1.2));
+  };
+
+  const core::Vec2 a{0, 0}, b{100, 0};
+  std::vector<Obstacle> edges;
+  for (const double margin : kMargins) {
+    for (const double radius : {1.5, std::nextafter(1.5, 0.0), std::nextafter(1.5, kInf)}) {
+      const double reach = 1.5 + margin;
+      for (const double offset :
+           {reach, std::nextafter(reach, 0.0), std::nextafter(reach, kInf)}) {
+        for (const core::Vec2 centre :
+             {core::Vec2{50, offset}, core::Vec2{50, -offset}, core::Vec2{-offset, 0}}) {
+          const Obstacle o = make(ObstacleKind::kTree, centre, radius, 16.0);
+          edges.push_back(o);
+          for (const double m : kMargins) check(a, b, o, m);
+        }
+      }
+    }
+  }
+  // All of them in one field: the same subset, in index order.
+  const Terrain field{bounds, edges, {}};
+  for (const double m : kMargins) {
+    EXPECT_EQ(field.obstacles_near_segment(a, b, m), brute_force_near(field, a, b, m))
+        << "margin " << m;
+  }
+
+  core::Rng rng{1521};
+  for (int i = 0; i < 400; ++i) {
+    const core::Vec2 p{rng.uniform(0.0, 180.0), rng.uniform(0.0, 180.0)};
+    const core::Vec2 q{rng.uniform(0.0, 180.0), rng.uniform(0.0, 180.0)};
+    const core::Vec2 centre{rng.uniform(0.0, 180.0), rng.uniform(0.0, 180.0)};
+    const double margin = kMargins[i % 3];
+    const double reach = core::point_segment_distance(centre, p, q) - margin;
+    if (reach <= 0.0) continue;  // footprints have a positive radius
+    for (const double radius :
+         {reach, std::nextafter(reach, 0.0), std::nextafter(reach, kInf)}) {
+      check(p, q, make(ObstacleKind::kTree, centre, radius, 16.0), margin);
+    }
+  }
+  // Both answers occur, so the comparison proves something either way.
+  EXPECT_GT(met, 0u);
+  EXPECT_GT(missed, 0u);
+}
+
+TEST(OcclusionCause, LowerEndpointOnItsCrestBoundMatchesBruteForce) {
+  // One hill beside a level ray. The ray's crest bound is the hill's
+  // height at the ray's closest point, (50, 0), where the brute force also
+  // samples the ground (20 samples over 100 m). Endpoint heights step
+  // through the bound, one ulp either side of it, and the 1e-9 m terrain
+  // margin: on and above the bound the skip decides, below it the samples
+  // do, and the answers must agree throughout.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Hill hill{{50, 10}, 4.0, 5.0};
+  const Terrain t{core::Aabb{{0, 0}, {200, 200}}, {}, {hill}};
+  const core::Vec2 from{0, 0}, to{100, 0};
+  const double d2 =
+      (hill.center - core::closest_point_on_segment(hill.center, from, to)).norm_sq();
+  const double bound =
+      hill.height_m * std::exp(-d2 / (2.0 * hill.radius_m * hill.radius_m));
+  // The endpoints' own ground is far below an ulp of the bound, so an
+  // endpoint given `bound` above ground sits exactly on the bound.
+  ASSERT_EQ(t.ground_height(from) + bound, bound);
+  ASSERT_EQ(t.ground_height(to) + bound, bound);
+  ASSERT_EQ(t.ground_height({50, 0}), bound);
+
+  std::size_t terrain = 0;
+  std::size_t clear = 0;
+  for (const double low : {bound, std::nextafter(bound, 0.0), std::nextafter(bound, kInf),
+                           bound - 1e-9, bound - 2e-9, bound - 1e-6, bound + 1e-6}) {
+    for (const double high : {low, low + 1e-9, low + 1.0}) {
+      for (const bool swap : {false, true}) {
+        const core::Vec2 p = swap ? to : from;
+        const core::Vec2 q = swap ? from : to;
+        const Cause want = brute_force_cause(t, p, low, q, high);
+        EXPECT_EQ(t.occlusion_cause(p, low, q, high), want)
+            << std::hexfloat << "low " << low << " high " << high << " bound " << bound;
+        (want == Cause::kTerrain ? terrain : clear) += 1;
+      }
+    }
+  }
+  EXPECT_EQ(t.occlusion_cause(from, bound, to, bound), Cause::kNone);
+  EXPECT_GT(terrain, 0u);
+  EXPECT_GT(clear, 0u);
 }
 
 }  // namespace
