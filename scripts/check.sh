@@ -12,9 +12,11 @@ JOBS="$(nproc)"
 # Runs a gtest binary under --gtest_filter, failing first when any of the
 # filter's ':'-separated patterns selects no test: gtest passes an empty
 # selection silently, so a renamed or deleted suite would drop out of the
-# gate unnoticed.
+# gate unnoticed. Arguments after the filter go to the binary as they are
+# (e.g. --gtest_repeat=N).
 run_filtered() {
   local binary="$1" filter="$2" pattern count
+  shift 2
   local -a patterns
   IFS=':' read -ra patterns <<< "$filter"
   for pattern in "${patterns[@]}"; do
@@ -24,7 +26,7 @@ run_filtered() {
       exit 1
     fi
   done
-  "$binary" --gtest_filter="$filter"
+  "$binary" --gtest_filter="$filter" "$@"
 }
 
 echo "== tier-1: build + ctest =="
@@ -103,10 +105,12 @@ echo "== sanitizers: TSan over the threaded paths =="
 # against a stepping fleet, and the control-plane IDS sensor written by
 # the control thread while /ids reads it. Ed25519Concurrency runs alone in
 # its process, so the lazily built Ed25519 base-point table is first used
-# by four threads at once.
+# by four threads at once. The pool's shards claim indices from each
+# other's home ranges (DESIGN.md §27), so which claims race differs from
+# run to run: its suite runs 25 times over.
 cmake -B build-tsan -S . -DAGRARSEC_TSAN=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-tsan -j "$JOBS" --target core_test crypto_test net_test service_test
-run_filtered ./build-tsan/tests/core_test 'ThreadPool*'
+run_filtered ./build-tsan/tests/core_test 'ThreadPool*' --gtest_repeat=25
 run_filtered ./build-tsan/tests/crypto_test 'Ed25519Concurrency*'
 run_filtered ./build-tsan/tests/net_test 'HttpServerTorture*'
 run_filtered ./build-tsan/tests/service_test \

@@ -19,8 +19,9 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   shard_count_ = threads;
-  shard_errors_.assign(shard_count_, nullptr);
-  workers_.reserve(shard_count_ > 0 ? shard_count_ - 1 : 0);
+  ranges_ = std::make_unique<HomeRange[]>(shard_count_);
+  shard_errors_.resize(shard_count_);
+  workers_.reserve(shard_count_ - 1);
   for (std::size_t w = 1; w < shard_count_; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
   }
@@ -35,21 +36,41 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::run_shard(std::size_t shard) {
-  // Contiguous split: shard s covers [s*n/S, (s+1)*n/S). Depends only on
-  // (n, S); empty when n < S for the high shards.
-  const std::size_t n = job_n_;
+void ThreadPool::prepare_job(std::size_t n, const ShardFn& fn) {
+  job_fn_ = &fn;
   const std::size_t s = shard_count_;
-  const std::size_t begin = shard * n / s;
-  const std::size_t end = (shard + 1) * n / s;
-  if (begin >= end) return;
-  const std::uint64_t start_ns = steady_now_ns();
-  try {
-    (*job_fn_)(begin, end, shard);
-  } catch (...) {
-    shard_errors_[shard] = std::current_exception();
+  for (std::size_t shard = 0; shard < s; ++shard) {
+    ranges_[shard].next.store(shard * n / s, std::memory_order_relaxed);
+    ranges_[shard].end = (shard + 1) * n / s;
   }
-  if (observer_) observer_(shard, steady_now_ns() - start_ns);
+  std::fill(shard_errors_.begin(), shard_errors_.end(), ShardError{});
+}
+
+void ThreadPool::run_shard(std::size_t shard) {
+  // Claims need only be atomic: the bodies' data is ordered by the mutex
+  // handoff around the job, not by the cursors.
+  std::uint64_t start_ns = 0;
+  bool ran = false;
+  ShardError& failed = shard_errors_[shard];
+  for (std::size_t visited = 0; visited < shard_count_; ++visited) {
+    HomeRange& range = ranges_[(shard + visited) % shard_count_];
+    for (;;) {
+      const std::size_t index = range.next.fetch_add(1, std::memory_order_relaxed);
+      if (index >= range.end) break;
+      if (!ran) {
+        ran = true;
+        if (observer_) start_ns = steady_now_ns();
+      }
+      try {
+        (*job_fn_)(index, shard);
+      } catch (...) {
+        if (!failed.error || index < failed.index) {
+          failed = ShardError{index, std::current_exception()};
+        }
+      }
+    }
+  }
+  if (ran && observer_) observer_(shard, steady_now_ns() - start_ns);
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
@@ -63,9 +84,10 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       if (stopping_) return;
       seen_generation = job_generation_;
     }
-    // job_fn_/job_n_ are written before the generation bump under the
-    // mutex and stay frozen until every shard reports done, so reading
-    // them outside the lock is race-free.
+    // job_fn_, the range ends and the cursors' starting values are written
+    // before the generation bump under the mutex, and the ends stay frozen
+    // until every shard reports done, so reading them outside the lock is
+    // race-free.
     run_shard(worker_index);
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -76,34 +98,33 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
 
 void ThreadPool::parallel_for(std::size_t n, const ShardFn& fn) {
   if (n == 0) return;
-  if (shard_count_ <= 1 || workers_.empty()) {
-    const std::uint64_t start_ns = observer_ ? steady_now_ns() : 0;
-    fn(0, n, 0);
-    if (observer_) observer_(0, steady_now_ns() - start_ns);
-    return;
-  }
+  if (workers_.empty()) {
+    // One shard: the whole job runs inline on the caller, no handoff.
+    prepare_job(n, fn);
+    run_shard(0);
+  } else {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      prepare_job(n, fn);
+      shards_remaining_ = shard_count_ - 1;  // workers; the caller runs shard 0
+      ++job_generation_;
+    }
+    job_ready_.notify_all();
 
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_fn_ = &fn;
-    job_n_ = n;
-    std::fill(shard_errors_.begin(), shard_errors_.end(), nullptr);
-    shards_remaining_ = shard_count_ - 1;  // workers; the caller runs shard 0
-    ++job_generation_;
-  }
-  job_ready_.notify_all();
+    run_shard(0);
 
-  run_shard(0);
-
-  {
     std::unique_lock<std::mutex> lock(mutex_);
     job_done_.wait(lock, [&] { return shards_remaining_ == 0; });
-    job_fn_ = nullptr;
   }
-  // First error in shard order (deterministic regardless of timing).
-  for (const std::exception_ptr& err : shard_errors_) {
-    if (err) std::rethrow_exception(err);
+  job_fn_ = nullptr;
+  // Every index ran, so the lowest failing one does not depend on timing.
+  const ShardError* lowest = nullptr;
+  for (const ShardError& failed : shard_errors_) {
+    if (failed.error && (lowest == nullptr || failed.index < lowest->index)) {
+      lowest = &failed;
+    }
   }
+  if (lowest != nullptr) std::rethrow_exception(lowest->error);
 }
 
 }  // namespace agrarsec::core

@@ -2,7 +2,7 @@
 // is its one user: it steps whole worksite sessions across a small set of
 // persistent workers (std::thread + condition_variable, no external
 // dependencies), one session per index, so no simulation state is ever
-// shared between workers (DESIGN.md §12, §17).
+// shared between workers (DESIGN.md §12, §17, §27).
 //
 // Design notes:
 //  - Workers are started once and parked on a condition variable between
@@ -10,19 +10,26 @@
 //    parallel_for costs two notify/wait handshakes, not thread spawns.
 //  - The calling thread participates as shard 0, so a pool of size N uses
 //    N-1 background workers and never idles the caller.
-//  - [0, n) is split into at most shard_count() contiguous ranges; the
-//    split depends only on (n, shard_count()), never on timing. Callers
-//    must still not depend on the index->shard mapping: work items must
-//    be independent for the result to be thread-count-invariant.
-//  - Exceptions thrown by shard bodies are captured; the first one in
-//    shard order is rethrown on the caller.
+//  - Home ranges with stealing: shard s owns the home range
+//    [s*n/S, (s+1)*n/S) of [0, n). It claims its own indices one at a
+//    time from the range's atomic cursor, then visits shards s+1, s+2, ...
+//    (mod S) and claims what is left of their ranges the same way. Every
+//    index runs exactly once; which shard runs it depends on timing, but
+//    an index stays with its home shard unless that shard falls behind,
+//    so only the tail of a job moves between threads. Work items must be
+//    independent for the result to be thread-count-invariant.
+//  - Each index's exception is caught on its own, so every other index
+//    still runs; the caller rethrows the error of the lowest failing
+//    index, which does not depend on timing.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,7 +40,7 @@ class ThreadPool {
  public:
   /// A pool executing across `threads` shards in total (the caller counts
   /// as one). `threads <= 1` creates no background workers; parallel_for
-  /// then runs inline. `threads = 0` resolves to
+  /// then runs inline on the caller. `threads = 0` resolves to
   /// std::thread::hardware_concurrency().
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
@@ -44,30 +51,43 @@ class ThreadPool {
   /// Total shards (caller + workers), >= 1.
   [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
 
-  /// Shard body: the contiguous [begin, end) index range plus the shard
-  /// index (stable scratch-buffer key: shard s only ever runs on one
-  /// thread per job).
-  using ShardFn = std::function<void(std::size_t begin, std::size_t end,
-                                     std::size_t shard)>;
+  /// Body: one claimed index plus the executing shard (stable
+  /// scratch-buffer key: shard s only ever runs on one thread per job).
+  using ShardFn = std::function<void(std::size_t index, std::size_t shard)>;
 
-  /// Runs `fn` over [0, n) and blocks until every shard finished. Safe to
-  /// call repeatedly; not reentrant from within a shard body.
+  /// Runs `fn` once for every index of [0, n) and blocks until all have
+  /// finished. Safe to call repeatedly; not reentrant from within a body.
   void parallel_for(std::size_t n, const ShardFn& fn);
 
-  /// Observation hook: called once per participating shard per job with
-  /// the wall-clock nanoseconds the shard spent in the job. Invoked on the
-  /// thread that ran the shard, so it fires concurrently for different
-  /// shards — observers must be safe for that (per-shard accumulator
-  /// lanes are enough, see obs::Tracer). Must not be swapped while a job
-  /// is in flight. Pass nullptr to disable. Observation-only: the timings
-  /// must never feed back into simulation state.
+  /// Observation hook: called once per job for each shard that ran at
+  /// least one index, with the wall-clock nanoseconds from that shard's
+  /// first claim to its last finish. Invoked on the thread that ran the
+  /// shard, so it fires concurrently for different shards — observers
+  /// must be safe for that (per-shard accumulator lanes are enough, see
+  /// obs::Tracer). Must not be swapped while a job is in flight. Pass
+  /// nullptr to disable. Observation-only: the timings must never feed
+  /// back into simulation state.
   using ShardObserver = std::function<void(std::size_t shard, std::uint64_t busy_ns)>;
   void set_shard_observer(ShardObserver observer) { observer_ = std::move(observer); }
 
  private:
+  /// One shard's home range of the current job. Each sits on its own
+  /// cache line: its owner claims from it on every index.
+  struct alignas(64) HomeRange {
+    std::atomic<std::size_t> next{0};  ///< next unclaimed index
+    std::size_t end = 0;               ///< one past the range's last index
+  };
+  /// The error of the lowest index that failed on one shard.
+  struct ShardError {
+    std::size_t index = 0;
+    std::exception_ptr error;
+  };
+
   void worker_loop(std::size_t worker_index);
-  /// Runs one participant's contiguous range of the current job,
-  /// capturing any exception.
+  /// Sets the home ranges and clears the errors; the caller publishes
+  /// them to the workers under the mutex.
+  void prepare_job(std::size_t n, const ShardFn& fn);
+  /// Drains this shard's home range, then steals from the others.
   void run_shard(std::size_t shard);
 
   std::size_t shard_count_ = 1;
@@ -78,11 +98,11 @@ class ThreadPool {
   std::condition_variable job_ready_;
   std::condition_variable job_done_;
   const ShardFn* job_fn_ = nullptr;  ///< valid while a job is in flight
-  std::size_t job_n_ = 0;
+  std::unique_ptr<HomeRange[]> ranges_;  ///< one per shard
   std::uint64_t job_generation_ = 0;  ///< bumped to publish a job
   std::size_t shards_remaining_ = 0;
   bool stopping_ = false;
-  std::vector<std::exception_ptr> shard_errors_;  ///< one slot per shard
+  std::vector<ShardError> shard_errors_;  ///< one slot per shard
 };
 
 }  // namespace agrarsec::core

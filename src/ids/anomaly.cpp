@@ -1,5 +1,6 @@
 #include "ids/anomaly.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -57,9 +58,21 @@ void RateWindow::rotate(std::int64_t now_ms) {
     started_ = true;
     return;
   }
-  while (head_bucket_ < bucket) {
-    ++head_bucket_;
-    head_ = (head_ + 1) % buckets_.size();
+  if (bucket <= head_bucket_) return;
+  // The gap in unsigned arithmetic: exact for any pair of int64 buckets.
+  const std::uint64_t gap =
+      static_cast<std::uint64_t>(bucket) - static_cast<std::uint64_t>(head_bucket_);
+  head_bucket_ = bucket;
+  if (gap >= buckets_.size()) {
+    // Every stored bucket has left the window: clear the ring in one pass.
+    // Its rotation does not matter once all of it is zero.
+    std::fill(buckets_.begin(), buckets_.end(), 0);
+    total_ = 0;
+    return;
+  }
+  for (std::uint64_t step = 0; step < gap; ++step) {
+    head_ = head_ + 1 == buckets_.size() ? 0 : head_ + 1;
+    total_ -= buckets_[head_];
     buckets_[head_] = 0;
   }
 }
@@ -67,11 +80,14 @@ void RateWindow::rotate(std::int64_t now_ms) {
 void RateWindow::add(std::int64_t now_ms) {
   rotate(now_ms);
   ++buckets_[head_];
+  ++total_;
 }
 
 std::uint64_t RateWindow::count(std::int64_t now_ms) const {
   if (!started_) return 0;
   const std::int64_t bucket = now_ms / bucket_ms_;
+  // Asked at the head bucket, the window covers every stored bucket.
+  if (bucket == head_bucket_) return total_;
   // buckets_[(head_ - j) mod n] holds absolute bucket head_bucket_ - j.
   // A stored bucket is inside the window [bucket - n + 1, bucket] iff
   // head_bucket_ - j >= bucket - n + 1.

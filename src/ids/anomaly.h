@@ -52,12 +52,16 @@ class CusumDetector {
   double s_ = 0.0;
 };
 
-/// Sliding-window rate counter: events per window, O(1) ring of buckets.
+/// Sliding-window rate counter: events per window, ring of buckets. An
+/// add, and a count at the newest bucket, cost O(1); a gap of at least
+/// the window's length clears the ring in one pass (DESIGN.md §27).
 class RateWindow {
  public:
   /// `bucket_ms` granularity, `buckets` window length in buckets.
   RateWindow(std::int64_t bucket_ms, std::size_t buckets);
 
+  /// Counts one event at `now_ms`; an event in the past counts in the
+  /// newest bucket.
   void add(std::int64_t now_ms);
   /// Events within the window ending at `now_ms`.
   [[nodiscard]] std::uint64_t count(std::int64_t now_ms) const;
@@ -67,6 +71,7 @@ class RateWindow {
 
   std::int64_t bucket_ms_;
   std::vector<std::uint64_t> buckets_;
+  std::uint64_t total_ = 0;       ///< sum of buckets_
   std::int64_t head_bucket_ = 0;  ///< absolute bucket index of buckets_[head_]
   std::size_t head_ = 0;
   bool started_ = false;

@@ -275,15 +275,15 @@ void SecuredWorksite::send_from_drone(ForwarderUnit& unit, std::uint64_t sequenc
 void SecuredWorksite::drone_report_cycle(core::SimTime now) {
   if (!config_.drone_enabled || !drone_sensor_) return;
   const sim::Machine* drone = worksite_->machine(drone_id_);
-  const auto detections =
-      drone_sensor_->sense(*worksite_, *drone, now, *drone_sense_rng_);
+  drone_sensor_->sense_into(*worksite_, *drone, now, *drone_sense_rng_,
+                            drone_detections_);
 
   // One report per detection per fleet member, plus a heartbeat carrying
   // "cover alive" (sessions are per machine, so sealed copies differ).
   // Each inner message is encoded on the stack.
   std::array<std::uint8_t, net::kMessageHeaderSize + net::DetectionBody::kSize> inner;
   for (auto& unit : units_) {
-    for (const auto& d : detections) {
+    for (const auto& d : drone_detections_) {
       const std::uint64_t sequence = ++drone_sequence_;
       net::write_message_header(inner.data(), net::MessageType::kDetectionReport,
                                 kDroneSender, sequence, now, net::DetectionBody::kSize);
@@ -402,8 +402,9 @@ void SecuredWorksite::on_forwarder_frame(ForwarderUnit& unit, const net::Frame& 
 void SecuredWorksite::forwarder_sense_cycle(core::SimTime now) {
   for (auto& unit : units_) {
     const sim::Machine* forwarder = worksite_->machine(unit->machine);
-    unit->fusion->add_local(
-        unit->sensor->sense(*worksite_, *forwarder, now, *unit->sense_rng));
+    unit->sensor->sense_into(*worksite_, *forwarder, now, *unit->sense_rng,
+                             unit->detections);
+    unit->fusion->add_local(unit->detections);
   }
 }
 

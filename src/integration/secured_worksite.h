@@ -233,6 +233,8 @@ class SecuredWorksite {
     /// sense draws, and nothing in the step loop touches the shared
     /// worksite stream.
     std::optional<core::Rng> sense_rng;
+    /// This step's detections, sensed into a buffer reused across steps.
+    std::vector<sensors::Detection> detections;
     /// step() fuses once and hands the tracks to the monitor;
     /// track_ground_truth reads the same tracks in place (fusion->tracks()).
     std::unique_ptr<safety::DetectionFusion> fusion;
@@ -286,6 +288,9 @@ class SecuredWorksite {
 
   std::unique_ptr<sensors::PerceptionSensor> drone_sensor_;
   std::optional<core::Rng> drone_sense_rng_;
+  /// The drone's detections this step, sensed into a buffer reused
+  /// across steps.
+  std::vector<sensors::Detection> drone_detections_;
   std::unique_ptr<secure::AuditLog> audit_;
   std::unique_ptr<sos::EmergentBehaviorMonitor> emergent_;
   std::vector<std::unique_ptr<net::AttackerNode>> attackers_;

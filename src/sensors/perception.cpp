@@ -41,6 +41,14 @@ std::vector<Detection> PerceptionSensor::sense(const sim::Worksite& site,
                                                core::SimTime now,
                                                core::Rng& rng) const {
   std::vector<Detection> out;
+  sense_into(site, carrier, now, rng, out);
+  return out;
+}
+
+void PerceptionSensor::sense_into(const sim::Worksite& site, const sim::Machine& carrier,
+                                  core::SimTime now, core::Rng& rng,
+                                  std::vector<Detection>& out) const {
+  out.clear();
   if (attack_.blind) {
     // A blinded sensor produces nothing (plus any injected ghosts below —
     // saturation attacks can coexist with spoofed returns).
@@ -102,7 +110,6 @@ std::vector<Detection> PerceptionSensor::sense(const sim::Worksite& site,
     d.ghost = true;
     out.push_back(d);
   }
-  return out;
 }
 
 }  // namespace agrarsec::sensors

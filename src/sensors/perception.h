@@ -64,6 +64,12 @@ class PerceptionSensor {
   /// detection rolls consume the stream in ascending-id order. Uses
   /// mutable candidate scratch, so a sensor instance is not thread-safe
   /// (matches the rest of the simulation core).
+  ///
+  /// Clears `out` and fills it with the frame's detections, so a caller
+  /// that keeps `out` senses without allocating once it has grown.
+  void sense_into(const sim::Worksite& site, const sim::Machine& carrier,
+                  core::SimTime now, core::Rng& rng, std::vector<Detection>& out) const;
+  /// sense_into into a fresh vector (same detections, same draws).
   [[nodiscard]] std::vector<Detection> sense(const sim::Worksite& site,
                                              const sim::Machine& carrier,
                                              core::SimTime now, core::Rng& rng) const;

@@ -101,14 +101,12 @@ void FleetService::step_batch_locked(std::uint64_t steps) {
   for (auto& [id, session] : sessions_) batch_.push_back(session.get());
 
   obs::Tracer::Span span{telemetry_->tracer(), ph_batch_};
-  const auto body = [this, steps](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t i = begin; i < end; ++i) {
-      Session& session = *batch_[i];
-      // The whole session steps on this shard: no other thread touches
-      // any of its state for the duration of the batch.
-      for (std::uint64_t s = 0; s < steps; ++s) session.site->step();
-      session.steps += steps;
-    }
+  const auto body = [this, steps](std::size_t index, std::size_t) {
+    Session& session = *batch_[index];
+    // The whole session steps on the shard that claimed it: no other
+    // thread touches any of its state for the duration of the batch.
+    for (std::uint64_t s = 0; s < steps; ++s) session.site->step();
+    session.steps += steps;
   };
   pool_->parallel_for(batch_.size(), body);
   // Serial again: the service registry has one writer.

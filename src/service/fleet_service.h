@@ -77,7 +77,10 @@ class FleetService {
   /// Advances every live session by `steps` full-stack steps. Sessions
   /// are batched across the pool in ascending id order, one session per
   /// work item; a session never splits across shards, so all its state
-  /// stays thread-local for the whole batch. No-op while paused.
+  /// stays thread-local for the whole batch. A session usually steps on
+  /// its home shard, but may step on a different worker in the next batch
+  /// when an idle shard steals it; the pool's mutex handoff between
+  /// batches orders those accesses. No-op while paused.
   void step_all(std::uint64_t steps = 1);
   /// Advances one session serially (false when the id is unknown).
   /// No-op (returning true) while paused.

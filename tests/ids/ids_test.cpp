@@ -1,6 +1,11 @@
 // IDS rule engine and anomaly detectors.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "core/rng.h"
 #include "ids/anomaly.h"
 #include "ids/ids.h"
 
@@ -356,6 +361,127 @@ TEST(RateWindow, HandlesBurstThenSilence) {
   for (int i = 0; i < 50; ++i) w.add(i * 10);  // 50 events in 0.5 s
   EXPECT_EQ(w.count(500), 50u);
   EXPECT_EQ(w.count(5000), 0u);  // long silence: all expired
+}
+
+TEST(RateWindow, HugeGapClearsTheRingInOnePass) {
+  // A bucket-by-bucket rotation would take about 1e15 steps here.
+  RateWindow w{1000, 10};
+  for (int i = 0; i < 3; ++i) w.add(500);
+  const std::int64_t later = std::numeric_limits<std::int64_t>::max() / 8;
+  w.add(later);
+  EXPECT_EQ(w.count(later), 1u);
+  EXPECT_EQ(w.count(later - 1000), 0u);
+  w.add(later + 1000);
+  EXPECT_EQ(w.count(later + 1000), 2u);
+}
+
+/// The bucket-by-bucket ring walk that RateWindow replaced, kept verbatim
+/// as the oracle for its running total and one-pass clear.
+class ReferenceRateWindow {
+ public:
+  ReferenceRateWindow(std::int64_t bucket_ms, std::size_t buckets)
+      : bucket_ms_(bucket_ms), buckets_(buckets, 0) {}
+
+  void add(std::int64_t now_ms) {
+    rotate(now_ms);
+    ++buckets_[head_];
+  }
+
+  [[nodiscard]] std::uint64_t count(std::int64_t now_ms) const {
+    if (!started_) return 0;
+    const std::int64_t bucket = now_ms / bucket_ms_;
+    const auto n = static_cast<std::int64_t>(buckets_.size());
+    std::uint64_t total = 0;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const std::int64_t abs_bucket = head_bucket_ - j;
+      if (abs_bucket < bucket - n + 1 || abs_bucket > bucket) continue;
+      const std::size_t idx =
+          (head_ + buckets_.size() - static_cast<std::size_t>(j)) % buckets_.size();
+      total += buckets_[idx];
+    }
+    return total;
+  }
+
+ private:
+  void rotate(std::int64_t now_ms) {
+    const std::int64_t bucket = now_ms / bucket_ms_;
+    if (!started_) {
+      head_bucket_ = bucket;
+      started_ = true;
+      return;
+    }
+    while (head_bucket_ < bucket) {
+      ++head_bucket_;
+      head_ = (head_ + 1) % buckets_.size();
+      buckets_[head_] = 0;
+    }
+  }
+
+  std::int64_t bucket_ms_;
+  std::vector<std::uint64_t> buckets_;
+  std::int64_t head_bucket_ = 0;
+  std::size_t head_ = 0;
+  bool started_ = false;
+};
+
+TEST(RateWindow, MatchesTheRingWalkReferenceOnSeededCalls) {
+  // 800,000 seeded add and count calls over several window shapes: steps
+  // inside a bucket, across a few buckets and across gaps of up to 1,000
+  // buckets, past timestamps for both calls, counts ahead of the newest
+  // bucket, and streams that start at negative times.
+  struct Shape {
+    std::int64_t bucket_ms;
+    std::size_t buckets;
+  };
+  const std::vector<Shape> shapes{{100, 10}, {1000, 10}, {1, 1}, {7, 3}, {50, 64}};
+  constexpr int kStreamsPerShape = 8;
+  constexpr int kCallsPerStream = 20000;
+  core::Rng rng{0x5EED'2A7Eull};
+  std::uint64_t compared = 0;
+  for (const Shape& shape : shapes) {
+    for (int stream = 0; stream < kStreamsPerShape; ++stream) {
+      RateWindow window{shape.bucket_ms, shape.buckets};
+      ReferenceRateWindow reference{shape.bucket_ms, shape.buckets};
+      std::int64_t now = stream % 2 == 0
+                             ? 0
+                             : -static_cast<std::int64_t>(rng.next_below(100000));
+      for (int call = 0; call < kCallsPerStream; ++call) {
+        const std::uint64_t roll = rng.next_below(100);
+        if (roll < 50) {
+          now += static_cast<std::int64_t>(rng.next_below(
+              static_cast<std::uint64_t>(shape.bucket_ms)));
+        } else if (roll < 80) {
+          now += shape.bucket_ms * static_cast<std::int64_t>(rng.next_below(4));
+        } else if (roll < 85) {
+          now += shape.bucket_ms * static_cast<std::int64_t>(rng.next_below(1001));
+        }
+        std::int64_t at = now;
+        const std::uint64_t when = rng.next_below(10);
+        if (when == 0) {
+          at -= static_cast<std::int64_t>(rng.next_below(
+              static_cast<std::uint64_t>(shape.bucket_ms) * (shape.buckets + 3)));
+        } else if (when == 1) {
+          at += static_cast<std::int64_t>(rng.next_below(
+              static_cast<std::uint64_t>(shape.bucket_ms) * (shape.buckets + 3)));
+        }
+        if (rng.next_below(2) == 0) {
+          window.add(at);
+          reference.add(at);
+        } else {
+          ASSERT_EQ(window.count(at), reference.count(at))
+              << "bucket_ms=" << shape.bucket_ms << " buckets=" << shape.buckets
+              << " stream=" << stream << " call=" << call << " at=" << at;
+          ++compared;
+        }
+        // Every call is also checked at the newest time, the count the
+        // IDS makes after each add.
+        ASSERT_EQ(window.count(now), reference.count(now))
+            << "bucket_ms=" << shape.bucket_ms << " buckets=" << shape.buckets
+            << " stream=" << stream << " call=" << call << " now=" << now;
+      }
+    }
+  }
+  EXPECT_GT(compared, 300000u);
 }
 
 }  // namespace

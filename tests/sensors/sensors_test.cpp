@@ -148,6 +148,38 @@ TEST(Perception, GhostInjectionProducesPhantoms) {
   }
 }
 
+TEST(Perception, SenseIntoReplacesTheBufferWithTheSameFrame) {
+  // Two workers in range plus two ghosts, a detection probability below
+  // one: sense_into must draw exactly what sense draws and leave nothing
+  // of the buffer's previous contents.
+  Scene s;
+  s.site.add_worker("w1", {60, 50}, {60, 50});
+  s.site.add_worker("w2", {50, 75}, {50, 75});
+  PerceptionConfig config = lidar_config();
+  config.base_detect_prob = 0.8;
+  PerceptionSensor sensor{SensorId{1}, config};
+  SensorAttack attack;
+  attack.ghosts = 2;
+  sensor.set_attack(attack);
+  core::Rng fresh_rng{13};
+  core::Rng into_rng{13};
+  std::vector<Detection> buffer(5);
+  for (int frame = 0; frame < 50; ++frame) {
+    const auto fresh = sensor.sense(s.site, s.carrier(), frame, fresh_rng);
+    sensor.sense_into(s.site, s.carrier(), frame, into_rng, buffer);
+    ASSERT_EQ(buffer.size(), fresh.size()) << "frame " << frame;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(buffer[i].target, fresh[i].target);
+      EXPECT_EQ(buffer[i].position.x, fresh[i].position.x);
+      EXPECT_EQ(buffer[i].position.y, fresh[i].position.y);
+      EXPECT_EQ(buffer[i].confidence, fresh[i].confidence);
+      EXPECT_EQ(buffer[i].time, fresh[i].time);
+      EXPECT_EQ(buffer[i].ghost, fresh[i].ghost);
+    }
+  }
+  EXPECT_EQ(fresh_rng.next_u64(), into_rng.next_u64());
+}
+
 TEST(Perception, DetectionProbabilityDecaysWithDistance) {
   PerceptionConfig config = lidar_config();
   config.base_detect_prob = 0.9;
