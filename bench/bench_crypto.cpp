@@ -93,6 +93,15 @@ void BM_AeadOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_AeadOpen)->Arg(64)->Arg(4096);
 
+void BM_X25519Base(benchmark::State& state) {
+  crypto::Drbg drbg{2, "x25519"};
+  const auto priv = drbg.generate32();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::x25519_base(priv));
+  }
+}
+BENCHMARK(BM_X25519Base);
+
 void BM_X25519Shared(benchmark::State& state) {
   crypto::Drbg drbg{2, "x25519"};
   const auto a_priv = drbg.generate32();

@@ -74,15 +74,20 @@ else
   # sensors_test cover fusion and sensing (DESIGN.md §26): fuse() returns
   # a reference into the fusion's own reused track buffer, so a dangling
   # reference shows up here first, and every sight line sensing resolves
-  # runs the squared-distance filter and the crest bound. UBSan findings
-  # abort (AGRARSEC_SANITIZE builds with -fno-sanitize-recover), so any
-  # one fails this leg.
+  # runs the squared-distance filter and the crest bound. pki_test and
+  # secure_test run seeded single-byte mutation loops over certificates
+  # and the signed handshake flights (DESIGN.md §28): every mutant that
+  # still decodes reaches chain validation and the sliding-window Ed25519
+  # verify, which indexes its tables by digits of attacker-chosen scalars.
+  # UBSan findings abort (AGRARSEC_SANITIZE builds with
+  # -fno-sanitize-recover), so any one fails this leg.
   cmake --build build-asan -j "$JOBS" --target core_test crypto_test net_test sim_test \
-    secure_test ids_test integration_test service_test safety_test sensors_test
+    pki_test secure_test ids_test integration_test service_test safety_test sensors_test
   ./build-asan/tests/core_test
   ./build-asan/tests/crypto_test
   ./build-asan/tests/net_test
   ./build-asan/tests/sim_test
+  ./build-asan/tests/pki_test
   ./build-asan/tests/secure_test
   ./build-asan/tests/ids_test
   ./build-asan/tests/integration_test
@@ -104,10 +109,12 @@ echo "== sanitizers: TSan over the threaded paths =="
 # the poll-driven HTTP server under concurrent clients, SSE subscribers
 # against a stepping fleet, and the control-plane IDS sensor written by
 # the control thread while /ids reads it. Ed25519Concurrency runs alone in
-# its process, so the lazily built Ed25519 base-point table is first used
-# by four threads at once. The pool's shards claim indices from each
-# other's home ranges (DESIGN.md §27), so which claims race differs from
-# run to run: its suite runs 25 times over.
+# its process, and each of its threads verifies and derives an X25519
+# public key before its first keypair, so both lazily built static tables
+# (B's odd multiples for verify, the base-point table for keys and
+# signatures) are first used by four threads at once. The pool's shards
+# claim indices from each other's home ranges (DESIGN.md §27), so which
+# claims race differs from run to run: its suite runs 25 times over.
 cmake -B build-tsan -S . -DAGRARSEC_TSAN=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-tsan -j "$JOBS" --target core_test crypto_test net_test service_test
 run_filtered ./build-tsan/tests/core_test 'ThreadPool*' --gtest_repeat=25

@@ -1,8 +1,9 @@
 // ChaCha20-Poly1305 AEAD (RFC 8439 §2.8), used by the secure-channel
 // record layer. One ChaCha20 state serves each call: block 0 keys
-// Poly1305 and blocks 1... encrypt. The in-place pair is the
-// implementation; aead_seal and aead_open are owned-buffer adapters over
-// it for callers that want a fresh vector.
+// Poly1305 and blocks 1... encrypt. The cipher makes two blocks at a
+// time, so a text of up to 64 bytes costs one block-function call. The
+// in-place pair is the implementation; aead_seal and aead_open are
+// owned-buffer adapters over it for callers that want a fresh vector.
 #pragma once
 
 #include <cstdint>

@@ -1,39 +1,84 @@
 #include "crypto/chacha20.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
 namespace agrarsec::crypto {
 
 namespace {
-using Words = std::array<std::uint32_t, 16>;
 
-inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
-                          std::uint32_t& d) {
-  a += b; d ^= a; d = std::rotl(d, 16);
-  c += d; b ^= c; b = std::rotl(b, 12);
-  a += b; d ^= a; d = std::rotl(d, 8);
-  c += d; b ^= c; b = std::rotl(b, 7);
+/// One row of the 4x4 state: four 32-bit words in a 128-bit vector.
+using Row = std::uint32_t __attribute__((vector_size(16)));
+
+/// A block's four rows.
+struct Rows {
+  Row a, b, c, d;
+};
+
+template <int N>
+Row rotl(Row v) {
+  return (v << N) | (v >> (32 - N));
 }
 
-/// The 20-round block function with its feed-forward. The keystream block
-/// is the 16 words serialized little-endian.
-Words core_block(const Words& input) {
-  Words x = input;
-  for (int i = 0; i < 10; ++i) {
-    quarter_round(x[0], x[4], x[8], x[12]);
-    quarter_round(x[1], x[5], x[9], x[13]);
-    quarter_round(x[2], x[6], x[10], x[14]);
-    quarter_round(x[3], x[7], x[11], x[15]);
-    quarter_round(x[0], x[5], x[10], x[15]);
-    quarter_round(x[1], x[6], x[11], x[12]);
-    quarter_round(x[2], x[7], x[8], x[13]);
-    quarter_round(x[3], x[4], x[9], x[14]);
+/// Lane i takes lane (i + N) mod 4.
+template <int N>
+Row rotate_lanes(Row v) {
+  return __builtin_shufflevector(v, v, N % 4, (N + 1) % 4, (N + 2) % 4, (N + 3) % 4);
+}
+
+/// The four column (or, diagonalized, diagonal) quarter rounds at once.
+void quarter_rounds(Rows& x) {
+  x.a += x.b; x.d ^= x.a; x.d = rotl<16>(x.d);
+  x.c += x.d; x.b ^= x.c; x.b = rotl<12>(x.b);
+  x.a += x.b; x.d ^= x.a; x.d = rotl<8>(x.d);
+  x.c += x.d; x.b ^= x.c; x.b = rotl<7>(x.b);
+}
+
+/// A column round then a diagonal round. Rotating rows b, c and d by one,
+/// two and three lanes lines the diagonals up as columns.
+void double_round(Rows& x) {
+  quarter_rounds(x);
+  x.b = rotate_lanes<1>(x.b);
+  x.c = rotate_lanes<2>(x.c);
+  x.d = rotate_lanes<3>(x.d);
+  quarter_rounds(x);
+  x.b = rotate_lanes<3>(x.b);
+  x.c = rotate_lanes<2>(x.c);
+  x.d = rotate_lanes<1>(x.d);
+}
+
+/// The block's 16 words, serialized little-endian. Kept a loop over the
+/// lanes: unrolled, GCC 12 assembles each word's bytes with shifts.
+void store_rows(std::uint8_t* out, const Rows& x) {
+  for (int i = 0; i < 4; ++i) {
+    core::store_le32(out + 4 * i, x.a[i]);
+    core::store_le32(out + 16 + 4 * i, x.b[i]);
+    core::store_le32(out + 32 + 4 * i, x.c[i]);
+    core::store_le32(out + 48 + 4 * i, x.d[i]);
   }
-  for (int i = 0; i < 16; ++i) x[i] += input[i];
-  return x;
+}
+
+/// The 20-round block function with its feed-forward, for the blocks at
+/// the state's counter and the next one (the counter wraps within its
+/// word), two 64-byte keystream blocks serialized little-endian.
+void two_blocks(const std::array<std::uint32_t, 16>& state, std::uint8_t out[128]) {
+  const Rows in0{{state[0], state[1], state[2], state[3]},
+                 {state[4], state[5], state[6], state[7]},
+                 {state[8], state[9], state[10], state[11]},
+                 {state[12], state[13], state[14], state[15]}};
+  Rows in1 = in0;
+  in1.d += Row{1, 0, 0, 0};
+  Rows x0 = in0;
+  Rows x1 = in1;
+  for (int i = 0; i < 10; ++i) {
+    double_round(x0);
+    double_round(x1);
+  }
+  x0.a += in0.a; x0.b += in0.b; x0.c += in0.c; x0.d += in0.d;
+  x1.a += in1.a; x1.b += in1.b; x1.c += in1.c; x1.d += in1.d;
+  store_rows(out, x0);
+  store_rows(out + 64, x1);
 }
 
 /// p[0, n) ^= ks[0, n), eight bytes at a time while it can.
@@ -65,35 +110,21 @@ ChaCha20::ChaCha20(std::span<const std::uint8_t> key, std::span<const std::uint8
 }
 
 void ChaCha20::refill() {
-  const Words w = core_block(state_);
-  ++state_[12];
-  for (int i = 0; i < 16; ++i) core::store_le32(keystream_.data() + 4 * i, w[i]);
+  two_blocks(state_, keystream_.data());
+  state_[12] += 2;
+  keystream_used_ = 0;
 }
 
 void ChaCha20::apply(std::span<std::uint8_t> data) {
-  if (data.empty()) return;
   std::uint8_t* p = data.data();
   std::size_t n = data.size();
-
-  // Finish the block an earlier call left part-used.
-  const std::size_t carried = std::min(n, kBlockSize - keystream_used_);
-  xor_bytes(p, keystream_.data() + keystream_used_, carried);
-  keystream_used_ += carried;
-  p += carried;
-  n -= carried;
-
-  for (; n >= kBlockSize; p += kBlockSize, n -= kBlockSize) {
-    const Words w = core_block(state_);
-    ++state_[12];
-    for (int i = 0; i < 16; ++i) {
-      core::store_le32(p + 4 * i, core::load_le32(p + 4 * i) ^ w[i]);
-    }
-  }
-
-  if (n > 0) {
-    refill();
-    xor_bytes(p, keystream_.data(), n);
-    keystream_used_ = n;
+  while (n > 0) {
+    if (keystream_used_ == keystream_.size()) refill();
+    const std::size_t take = std::min(n, keystream_.size() - keystream_used_);
+    xor_bytes(p, keystream_.data() + keystream_used_, take);
+    keystream_used_ += take;
+    p += take;
+    n -= take;
   }
 }
 

@@ -20,9 +20,9 @@ class ChaCha20 {
            std::uint32_t initial_counter = 0);
 
   /// XORs the keystream into `data` in place (encrypt == decrypt). Calls
-  /// continue one stream: a call ending inside a block leaves the rest of
-  /// that block to the next call. Whole blocks are XORed a word at a time
-  /// straight from the block function.
+  /// continue one stream: the keystream is made two blocks (128 bytes) at
+  /// a time, and a call that ends inside them leaves the rest to the next
+  /// call. The XOR runs eight bytes at a time.
   void apply(std::span<std::uint8_t> data);
 
   /// One-shot encrypt/decrypt returning a new buffer.
@@ -31,12 +31,13 @@ class ChaCha20 {
                            std::span<const std::uint8_t> data);
 
  private:
-  /// Buffers the block at the current counter and advances the counter.
+  /// Buffers the two blocks at the current counter and advances the
+  /// counter past them.
   void refill();
 
   std::array<std::uint32_t, 16> state_;
-  std::array<std::uint8_t, kBlockSize> keystream_;
-  std::size_t keystream_used_ = kBlockSize;
+  std::array<std::uint8_t, 2 * kBlockSize> keystream_;
+  std::size_t keystream_used_ = 2 * kBlockSize;
 };
 
 }  // namespace agrarsec::crypto

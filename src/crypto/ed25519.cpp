@@ -19,13 +19,27 @@ using detail::Fe;
 
 // --- Edwards curve points. ---
 
-/// Extended coordinates (X:Y:Z:T): x = X/Z, y = Y/Z, x*y = T/Z.
+/// Extended coordinates (X:Y:Z:T): x = X/Z, y = Y/Z, x*y = T/Z. What an
+/// addition reads.
 struct GePoint {
   Fe x, y, z, t;
 };
 
+/// Projective coordinates (X:Y:Z): all a doubling reads. A doubling or
+/// addition whose result only feeds a doubling (or an encoding) finishes
+/// here and skips T's multiplication.
+struct GeProjective {
+  Fe x, y, z;
+};
+
+/// An addition's or a doubling's E, F, G, H before the last products:
+/// X = EF, Y = GH, Z = FG and T = EH.
+struct GeCompleted {
+  Fe e, f, g, h;
+};
+
 /// Affine point prepared for mixed addition: (y+x, y-x, 2dxy). The
-/// base-point table holds these.
+/// base-point tables hold these.
 struct GePrecomp {
   Fe yplusx, yminusx, xy2d;
 };
@@ -64,24 +78,37 @@ GePoint ge_base() {
   return p;
 }
 
+GePoint to_extended(const GeCompleted& c) {
+  GePoint r;
+  detail::fe_mul(r.x, c.e, c.f);
+  detail::fe_mul(r.y, c.g, c.h);
+  detail::fe_mul(r.t, c.e, c.h);
+  detail::fe_mul(r.z, c.f, c.g);
+  return r;
+}
+
+GeProjective to_projective(const GeCompleted& c) {
+  GeProjective r;
+  detail::fe_mul(r.x, c.e, c.f);
+  detail::fe_mul(r.y, c.g, c.h);
+  detail::fe_mul(r.z, c.f, c.g);
+  return r;
+}
+
+GeProjective to_projective(const GePoint& p) { return {p.x, p.y, p.z}; }
+
 /// Shared tail of the unified addition (RFC 8032 §5.1.4, extended coords),
 /// given A = (Y1-X1)(Y2-X2), B = (Y1+X1)(Y2+X2), C = 2d T1 T2, D = 2 Z1 Z2.
-GePoint ge_add_finish(const Fe& a, const Fe& b, const Fe& c, const Fe& d) {
-  Fe e, f, g, h;
-  detail::fe_sub(e, b, a);                     // E = B - A
-  detail::fe_carry(e);
-  detail::fe_sub(f, d, c);                     // F = D - C
-  detail::fe_carry(f);
-  detail::fe_add(g, d, c);                     // G = D + C
-  detail::fe_carry(g);
-  detail::fe_add(h, b, a);                     // H = B + A
-  detail::fe_carry(h);
-
-  GePoint r;
-  detail::fe_mul(r.x, e, f);
-  detail::fe_mul(r.y, g, h);
-  detail::fe_mul(r.t, e, h);
-  detail::fe_mul(r.z, f, g);
+GeCompleted ge_add_finish(const Fe& a, const Fe& b, const Fe& c, const Fe& d) {
+  GeCompleted r;
+  detail::fe_sub(r.e, b, a);                   // E = B - A
+  detail::fe_carry(r.e);
+  detail::fe_sub(r.f, d, c);                   // F = D - C
+  detail::fe_carry(r.f);
+  detail::fe_add(r.g, d, c);                   // G = D + C
+  detail::fe_carry(r.g);
+  detail::fe_add(r.h, b, a);                   // H = B + A
+  detail::fe_carry(r.h);
   ++detail::ed25519_point_ops.adds;
   return r;
 }
@@ -95,7 +122,7 @@ void ge_sum_diff(Fe& ypx, Fe& ymx, const GePoint& p) {
 }
 
 /// p + q.
-GePoint ge_add(const GePoint& p, const GeCached& q) {
+GeCompleted ge_add(const GePoint& p, const GeCached& q) {
   Fe ypx, ymx, a, b, c, d;
   ge_sum_diff(ypx, ymx, p);
   detail::fe_mul(a, ymx, q.yminusx);
@@ -108,7 +135,7 @@ GePoint ge_add(const GePoint& p, const GeCached& q) {
 }
 
 /// p + q for an affine q (Z2 = 1): one multiplication fewer.
-GePoint ge_madd(const GePoint& p, const GePrecomp& q) {
+GeCompleted ge_madd(const GePoint& p, const GePrecomp& q) {
   Fe ypx, ymx, a, b, c, d;
   ge_sum_diff(ypx, ymx, p);
   detail::fe_mul(a, ymx, q.yminusx);
@@ -119,10 +146,10 @@ GePoint ge_madd(const GePoint& p, const GePrecomp& q) {
   return ge_add_finish(a, b, c, d);
 }
 
-/// 2p with the dedicated doubling (4 squarings + 4 multiplications instead
-/// of the addition's 9 multiplications).
-GePoint ge_double(const GePoint& p) {
-  Fe xx, yy, zz2, s, ss, g, h, e, f;
+/// 2p with the dedicated doubling: 4 squarings where the addition has 4
+/// multiplications before its last products. T is not read.
+GeCompleted ge_double(const GeProjective& p) {
+  Fe xx, yy, zz2, s, ss, e, f, g, h;
   detail::fe_sq(xx, p.x);
   detail::fe_sq(yy, p.y);
   detail::fe_sq(zz2, p.z);
@@ -139,14 +166,10 @@ GePoint ge_double(const GePoint& p) {
   detail::fe_carry(e);
   detail::fe_sub(f, zz2, h);                   // F = 2Z^2 - H
   detail::fe_carry(f);
-
-  GePoint r;
-  detail::fe_mul(r.x, e, f);
-  detail::fe_mul(r.y, g, h);
-  detail::fe_mul(r.t, e, g);
-  detail::fe_mul(r.z, h, f);
   ++detail::ed25519_point_ops.doubles;
-  return r;
+  // The doubling's X = EF, Y = GH, Z = HF, T = EG: the addition's finish
+  // with G and H trading places.
+  return GeCompleted{e, f, h, g};
 }
 
 GeCached ge_to_cached(const GePoint& p) {
@@ -170,7 +193,7 @@ GeCached ge_neg(const GeCached& q) {
   return r;
 }
 
-void ge_tobytes(std::uint8_t out[32], const GePoint& p) {
+void ge_tobytes(std::uint8_t out[32], const GeProjective& p) {
   Fe recip, x, y;
   detail::fe_invert(recip, p.z);
   detail::fe_mul(x, p.x, recip);
@@ -231,32 +254,21 @@ bool ge_frombytes(GePoint& p, const std::uint8_t in[32]) {
   return true;
 }
 
-// --- Fixed-window base-point multiplication. ---
+// --- Precomputed multiples of B. ---
 
-/// Row j holds (k+1) * 16^(2j) * B for k = 0..7: 256 affine entries, 30 KB.
-using BaseRow = std::array<GePrecomp, 8>;
-using BaseTable = std::array<BaseRow, 32>;
-
-BaseTable build_base_table() {
-  std::array<GePoint, 256> points;
-  GePoint row_base = ge_base();
-  for (std::size_t j = 0; j < 32; ++j) {
-    const GeCached q = ge_to_cached(row_base);
-    points[8 * j] = row_base;
-    for (std::size_t k = 1; k < 8; ++k) points[8 * j + k] = ge_add(points[8 * j + k - 1], q);
-    for (int i = 0; i < 8; ++i) row_base = ge_double(row_base);  // * 16^2
-  }
-
-  // One field inversion for all 256 Z coordinates (Montgomery's trick):
-  // prefix[i] = Z_0 ... Z_i, so 1/Z_i = prefix[i-1] / prefix[i].
-  std::array<Fe, 256> prefix;
+/// The affine (y+x, y-x, 2dxy) forms of `points`, with one field inversion
+/// for all their Z coordinates (Montgomery's trick): prefix[i] = Z_0 ... Z_i,
+/// so 1/Z_i = prefix[i-1] / prefix[i].
+template <std::size_t N>
+std::array<GePrecomp, N> to_precomp(const std::array<GePoint, N>& points) {
+  std::array<Fe, N> prefix;
   prefix[0] = points[0].z;
-  for (std::size_t i = 1; i < 256; ++i) detail::fe_mul(prefix[i], prefix[i - 1], points[i].z);
+  for (std::size_t i = 1; i < N; ++i) detail::fe_mul(prefix[i], prefix[i - 1], points[i].z);
   Fe inv;  // 1 / prefix[i] for the current i
-  detail::fe_invert(inv, prefix[255]);
+  detail::fe_invert(inv, prefix[N - 1]);
 
-  BaseTable table;
-  for (std::size_t i = 256; i-- > 0;) {
+  std::array<GePrecomp, N> out;
+  for (std::size_t i = N; i-- > 0;) {
     Fe zinv = inv;
     if (i > 0) {
       detail::fe_mul(zinv, inv, prefix[i - 1]);
@@ -265,7 +277,7 @@ BaseTable build_base_table() {
     Fe x, y;
     detail::fe_mul(x, points[i].x, zinv);
     detail::fe_mul(y, points[i].y, zinv);
-    GePrecomp& entry = table[i / 8][i % 8];
+    GePrecomp& entry = out[i];
     detail::fe_add(entry.yplusx, y, x);
     detail::fe_carry(entry.yplusx);
     detail::fe_sub(entry.yminusx, y, x);
@@ -273,13 +285,52 @@ BaseTable build_base_table() {
     detail::fe_mul(entry.xy2d, x, y);
     detail::fe_mul(entry.xy2d, entry.xy2d, kD2);
   }
-  return table;
+  return out;
+}
+
+/// Entry 8j + k is (k+1) * 16^(2j) * B for k = 0..7: 32 rows of 8, 256
+/// affine entries, 30 KB.
+using BaseTable = std::array<GePrecomp, 256>;
+
+BaseTable build_base_table() {
+  std::array<GePoint, 256> points;
+  GePoint row_base = ge_base();
+  for (std::size_t j = 0; j < 32; ++j) {
+    const GeCached q = ge_to_cached(row_base);
+    points[8 * j] = row_base;
+    for (std::size_t k = 1; k < 8; ++k) {
+      points[8 * j + k] = to_extended(ge_add(points[8 * j + k - 1], q));
+    }
+    GeProjective p = to_projective(row_base);
+    for (int i = 0; i < 7; ++i) p = to_projective(ge_double(p));
+    row_base = to_extended(ge_double(p));  // * 16^2
+  }
+  return to_precomp(points);
 }
 
 const BaseTable& base_table() {
   static const BaseTable table = build_base_table();
   return table;
 }
+
+/// Entry i is (2i + 1) * B: the odd multiples 1B..63B that verification's
+/// width-7 digits of S index, 32 affine entries, 3.75 KB.
+using OddTable = std::array<GePrecomp, 32>;
+
+OddTable build_odd_table() {
+  std::array<GePoint, 32> points;
+  points[0] = ge_base();
+  const GeCached twice = ge_to_cached(to_extended(ge_double(to_projective(points[0]))));
+  for (std::size_t i = 1; i < 32; ++i) points[i] = to_extended(ge_add(points[i - 1], twice));
+  return to_precomp(points);
+}
+
+const OddTable& odd_table() {
+  static const OddTable table = build_odd_table();
+  return table;
+}
+
+// --- Fixed-window base-point multiplication. ---
 
 /// Signed radix-16 digits of a 32-byte little-endian scalar whose top byte
 /// is at most 127: a = sum e[i] 16^i with every e[i] in [-8, 8].
@@ -298,19 +349,21 @@ void recode_radix16(std::int8_t e[64], const std::uint8_t a[32]) {
   e[63] = static_cast<std::int8_t>(e[63] + carry);
 }
 
-/// b * row[0] for b in [-8, 8], in constant time: every entry of the row is
-/// read and masked in, and the negation is a masked select too.
-GePrecomp select(const BaseRow& row, std::int8_t b) {
+/// b times the first entry of table row `row`, for b in [-8, 8], in
+/// constant time: every entry of the row is read and masked in, and the
+/// negation is a masked select too.
+GePrecomp select(const BaseTable& table, int row, std::int8_t b) {
   const auto ub = static_cast<std::uint8_t>(b);
   const std::uint64_t negative = ub >> 7;
   const std::uint64_t babs = static_cast<std::uint8_t>((ub ^ (0 - negative)) + negative);
 
   GePrecomp t{detail::fe_one(), detail::fe_one(), detail::fe_zero()};
   for (std::uint64_t k = 0; k < 8; ++k) {
+    const GePrecomp& entry = table[8 * static_cast<std::size_t>(row) + k];
     const std::uint64_t match = ((babs ^ (k + 1)) - 1) >> 63;  // babs == k + 1
-    detail::fe_cmov(t.yplusx, row[k].yplusx, match);
-    detail::fe_cmov(t.yminusx, row[k].yminusx, match);
-    detail::fe_cmov(t.xy2d, row[k].xy2d, match);
+    detail::fe_cmov(t.yplusx, entry.yplusx, match);
+    detail::fe_cmov(t.yminusx, entry.yminusx, match);
+    detail::fe_cmov(t.xy2d, entry.xy2d, match);
   }
   const GePrecomp minus_t = ge_neg(t);
   detail::fe_cmov(t.yplusx, minus_t.yplusx, negative);
@@ -319,18 +372,26 @@ GePrecomp select(const BaseRow& row, std::int8_t b) {
   return t;
 }
 
+/// h plus the selected multiples for digits e[first], e[first + 2], ...,
+/// e[first + 62], left completed for the caller to finish.
+GeCompleted ge_madd_digits(const GePoint& h, const std::int8_t e[64], int first) {
+  const BaseTable& table = base_table();
+  GeCompleted sum = ge_madd(h, select(table, 0, e[first]));
+  for (int i = first + 2; i < 64; i += 2) {
+    sum = ge_madd(to_extended(sum), select(table, i / 2, e[i]));
+  }
+  return sum;
+}
+
 /// [a]B for a[31] <= 127 in constant time: 64 selects, 64 mixed additions
 /// and 4 doublings for every a. Odd digits go first and are scaled by 16,
 /// so 32 table rows cover all 64 digit positions.
-GePoint ge_scalarmult_base(const std::uint8_t a[32]) {
+GeProjective ge_scalarmult_base(const std::uint8_t a[32]) {
   std::int8_t e[64];
   recode_radix16(e, a);
-  const BaseTable& table = base_table();
-  GePoint h = ge_identity();
-  for (int i = 1; i < 64; i += 2) h = ge_madd(h, select(table[i / 2], e[i]));
-  for (int i = 0; i < 4; ++i) h = ge_double(h);
-  for (int i = 0; i < 64; i += 2) h = ge_madd(h, select(table[i / 2], e[i]));
-  return h;
+  GeProjective h = to_projective(ge_madd_digits(ge_identity(), e, 1));
+  for (int i = 0; i < 3; ++i) h = to_projective(ge_double(h));
+  return to_projective(ge_madd_digits(to_extended(ge_double(h)), e, 0));
 }
 
 // --- Scalar arithmetic modulo the group order L. ---
@@ -402,32 +463,67 @@ bool scalar_is_canonical(std::span<const std::uint8_t> s) {
   return false;
 }
 
-/// [s]B - [k]A in one Straus pass over both scalars' signed radix-16 digits:
-/// the four doublings per digit are shared. Variable-time (zero digits are
-/// skipped, tables are indexed by digit), which is fine because s, k and A
-/// are all public in verification.
-GePoint ge_double_scalarmult_vartime(const Scalar& s, const Scalar& k, const GePoint& a) {
-  std::array<GeCached, 8> a_multiples;  // (j + 1) * A
-  GePoint multiple = a;
-  a_multiples[0] = ge_to_cached(a);
-  for (std::size_t j = 1; j < 8; ++j) {
-    multiple = ge_add(multiple, a_multiples[0]);
-    a_multiples[j] = ge_to_cached(multiple);
-  }
-  std::int8_t es[64], ek[64];
-  recode_radix16(es, s.data());
-  recode_radix16(ek, k.data());
-  const BaseRow& b_multiples = base_table()[0];  // (j + 1) * B
-
-  GePoint h = ge_identity();
-  for (int i = 63; i >= 0; --i) {
-    if (i != 63) {
-      for (int d = 0; d < 4; ++d) h = ge_double(h);
+/// Sliding-window signed digits of a little-endian scalar below 2^253
+/// (ref10's slide, at window width w): a = sum r[i] 2^i, where every
+/// non-zero r[i] is odd with |r[i]| < 2^(w-1).
+void slide(std::int8_t r[256], const std::uint8_t a[32], int w) {
+  const int bound = (1 << (w - 1)) - 1;
+  for (int i = 0; i < 256; ++i) r[i] = static_cast<std::int8_t>((a[i >> 3] >> (i & 7)) & 1);
+  for (int i = 0; i < 256; ++i) {
+    if (r[i] == 0) continue;
+    for (int b = 1; b < w && i + b < 256; ++b) {
+      if (r[i + b] == 0) continue;
+      const int step = r[i + b] << b;
+      if (r[i] + step <= bound) {
+        r[i] = static_cast<std::int8_t>(r[i] + step);
+        r[i + b] = 0;
+      } else if (r[i] - step >= -bound) {
+        r[i] = static_cast<std::int8_t>(r[i] - step);
+        for (int k = i + b; k < 256; ++k) {  // add 2^(i+b) to the bits above
+          if (r[k] == 0) {
+            r[k] = 1;
+            break;
+          }
+          r[k] = 0;
+        }
+      } else {
+        break;
+      }
     }
-    if (es[i] > 0) h = ge_madd(h, b_multiples[es[i] - 1]);
-    if (es[i] < 0) h = ge_madd(h, ge_neg(b_multiples[-es[i] - 1]));
-    if (ek[i] > 0) h = ge_add(h, ge_neg(a_multiples[ek[i] - 1]));
-    if (ek[i] < 0) h = ge_add(h, a_multiples[-ek[i] - 1]);
+  }
+}
+
+/// [s]B - [k]A in one pass over the bits, one shared doubling per bit:
+/// width-5 sliding-window digits of k index 8 cached odd multiples of -A
+/// built per call, and width-7 digits of s index the static odd multiples
+/// of B. Variable-time (zero digits are skipped, tables are indexed by
+/// digit), which is fine because s, k and A are all public in verification.
+GeProjective ge_double_scalarmult_vartime(const Scalar& s, const Scalar& k, const GePoint& a) {
+  GePoint minus_a = a;
+  detail::fe_neg(minus_a.x, a.x);
+  detail::fe_neg(minus_a.t, a.t);
+  std::array<GeCached, 8> a_odd;  // (2j + 1) * -A
+  a_odd[0] = ge_to_cached(minus_a);
+  const GePoint twice = to_extended(ge_double(to_projective(minus_a)));
+  for (std::size_t j = 1; j < 8; ++j) {
+    a_odd[j] = ge_to_cached(to_extended(ge_add(twice, a_odd[j - 1])));
+  }
+  const OddTable& b_odd = odd_table();
+
+  std::int8_t ds[256], dk[256];
+  slide(ds, s.data(), 7);
+  slide(dk, k.data(), 5);
+  int i = 255;
+  while (i >= 0 && ds[i] == 0 && dk[i] == 0) --i;
+
+  GeProjective h = to_projective(ge_identity());
+  for (; i >= 0; --i) {
+    GeCompleted t = ge_double(h);
+    if (dk[i] > 0) t = ge_add(to_extended(t), a_odd[dk[i] / 2]);
+    if (dk[i] < 0) t = ge_add(to_extended(t), ge_neg(a_odd[-dk[i] / 2]));
+    if (ds[i] > 0) t = ge_madd(to_extended(t), b_odd[ds[i] / 2]);
+    if (ds[i] < 0) t = ge_madd(to_extended(t), ge_neg(b_odd[-ds[i] / 2]));
+    h = to_projective(t);
   }
   return h;
 }
@@ -449,6 +545,23 @@ ExpandedKey expand_seed(std::span<const std::uint8_t> seed) {
 }
 
 }  // namespace
+
+namespace detail {
+
+void x25519_base_u(std::uint8_t out[32], const std::uint8_t e[32]) {
+  // u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y) (RFC 7748 §4.1).
+  const GeProjective p = ge_scalarmult_base(e);
+  Fe num, den, inv, u;
+  fe_add(num, p.z, p.y);
+  fe_carry(num);
+  fe_sub(den, p.z, p.y);
+  fe_carry(den);
+  fe_invert(inv, den);
+  fe_mul(u, num, inv);
+  fe_tobytes(out, u);
+}
+
+}  // namespace detail
 
 Ed25519PublicKey ed25519_public_key(std::span<const std::uint8_t> seed) {
   if (seed.size() != kEd25519SeedSize) {

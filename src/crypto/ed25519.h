@@ -2,13 +2,15 @@
 // boot), certificate signatures in the PKI, and handshake authentication.
 // Verified against the RFC 8032 §7.1 test vectors in tests/crypto.
 //
-// Timing: ed25519_public_key, ed25519_keypair and ed25519_sign handle the
+// Timing: ed25519_public_key, ed25519_keypair and ed25519_sign (and
+// x25519_base, which shares the base-point multiplication) handle the
 // secret scalars in constant time. Base-point multiplication reads a
 // fixed-window table (signed radix-16 digits) with masked selects, so every
 // scalar runs the same point operations and the same table reads; scalar
 // reduction and multiply-add mod L run on fixed-width limbs with no
 // data-dependent branch. SHA-512 time depends on the (public) message length
-// only. ed25519_verify is variable-time: every input to it is public.
+// only. ed25519_verify is variable-time (sliding-window digits over odd
+// multiples of the key and of B): every input to it is public.
 #pragma once
 
 #include <array>

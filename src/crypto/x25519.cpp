@@ -9,15 +9,24 @@ namespace agrarsec::crypto {
 
 using detail::Fe;
 
+namespace {
+
+/// The RFC 7748 clamped copy of a 32-byte scalar.
+void clamp(std::uint8_t e[32], std::span<const std::uint8_t> scalar) {
+  std::memcpy(e, scalar.data(), 32);
+  e[0] &= 248;
+  e[31] &= 127;
+  e[31] |= 64;
+}
+
+}  // namespace
+
 X25519Key x25519(std::span<const std::uint8_t> scalar, std::span<const std::uint8_t> u) {
   if (scalar.size() != 32 || u.size() != 32) {
     throw std::invalid_argument("x25519: scalar and u must be 32 bytes");
   }
   std::uint8_t e[32];
-  std::memcpy(e, scalar.data(), 32);
-  e[0] &= 248;
-  e[31] &= 127;
-  e[31] |= 64;
+  clamp(e, scalar);
 
   Fe x1;
   detail::fe_frombytes(x1, u.data());
@@ -77,9 +86,12 @@ X25519Key x25519(std::span<const std::uint8_t> scalar, std::span<const std::uint
 }
 
 X25519Key x25519_base(std::span<const std::uint8_t> scalar) {
-  X25519Key base{};
-  base[0] = 9;
-  return x25519(scalar, base);
+  if (scalar.size() != 32) throw std::invalid_argument("x25519: scalar must be 32 bytes");
+  std::uint8_t e[32];
+  clamp(e, scalar);
+  X25519Key out{};
+  detail::x25519_base_u(out.data(), e);
+  return out;
 }
 
 bool x25519_shared(std::span<const std::uint8_t> private_key,

@@ -1,6 +1,8 @@
-// X25519 Diffie–Hellman (RFC 7748). Constant-time Montgomery ladder.
-// Verified against the RFC 7748 test vectors (including the 1k-iteration
-// vector) in tests/crypto.
+// X25519 Diffie–Hellman (RFC 7748). Shared secrets run the constant-time
+// Montgomery ladder; public keys come from the constant-time Ed25519
+// base-point table through the birational map (DESIGN.md §28). Verified
+// against the RFC 7748 test vectors (including the 1k-iteration vector)
+// in tests/crypto.
 #pragma once
 
 #include <array>
@@ -17,7 +19,9 @@ using X25519Key = std::array<std::uint8_t, kX25519KeySize>;
 [[nodiscard]] X25519Key x25519(std::span<const std::uint8_t> scalar,
                                std::span<const std::uint8_t> u);
 
-/// Public key derivation: scalar * base point (u = 9).
+/// Public key derivation: scalar * base point (u = 9), equal to
+/// x25519(scalar, 9). Throws std::invalid_argument unless the scalar is
+/// 32 bytes.
 [[nodiscard]] X25519Key x25519_base(std::span<const std::uint8_t> scalar);
 
 /// Shared secret; returns false (and zeros `out`) when the result is the

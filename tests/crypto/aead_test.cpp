@@ -5,6 +5,8 @@
 
 #include "core/bytes.h"
 #include "crypto/aead.h"
+#include "crypto/random.h"
+#include "crypto/sha256.h"
 
 namespace agrarsec::crypto {
 namespace {
@@ -167,6 +169,29 @@ TEST(Aead, OpenIntoWritesNothingBeforeTheTagVerifies) {
       aead_open_into(v.key, v.nonce, v.aad, std::span(sealed).first(kAeadTagSize - 1), out)
           .ok());
   EXPECT_EQ(out, sentinel);
+}
+
+// Byte-identity pin for the record layer's cipher and MAC: one digest over
+// every sealed output for texts of 0..300 bytes under AADs of 0, 8, 13 and
+// 56 bytes, captured from the one-block scalar ChaCha20. Any rewrite of
+// the cipher, the MAC or the AEAD's use of them must reproduce it exactly.
+TEST(Aead, SealInPlaceDigestPinnedAtParent) {
+  Drbg drbg{20261019, "aead-pinned-sweep"};
+  const auto key = drbg.generate32();
+  const auto nonce = drbg.generate(kAeadNonceSize);
+  const auto text = drbg.generate(300);
+  const auto aad = drbg.generate(56);
+  Sha256 transcript;
+  for (std::size_t len = 0; len <= text.size(); ++len) {
+    for (std::size_t aad_len : {0u, 8u, 13u, 56u}) {
+      core::Bytes buffer(text.begin(), text.begin() + static_cast<std::ptrdiff_t>(len));
+      buffer.resize(len + kAeadTagSize);
+      aead_seal_in_place(key, nonce, std::span(aad).first(aad_len), buffer);
+      transcript.update(buffer);
+    }
+  }
+  EXPECT_EQ(to_hex(transcript.finish()),
+            "ad5d6e27c425e54514e4ff0bfa838dc61ff06f0ac334afe0c5ca814a5827f1f3");
 }
 
 TEST(Aead, InPlaceRejectsUndersizedSpans) {

@@ -1,6 +1,10 @@
 // ChaCha20 against RFC 8439 test vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+
 #include "core/bytes.h"
 #include "crypto/chacha20.h"
 
@@ -85,6 +89,72 @@ TEST(ChaCha20, EveryTwoCallSplitMatchesOneShot) {
     c.apply(std::span(streaming).first(cut));
     c.apply(std::span(streaming).subspan(cut));
     ASSERT_EQ(streaming, expected) << "cut " << cut;
+  }
+}
+
+// The one-block scalar block function the two-block vector one replaced,
+// kept as its oracle.
+std::array<std::uint32_t, 16> reference_block(const std::array<std::uint32_t, 16>& input) {
+  const auto quarter_round = [](std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
+                                std::uint32_t& d) {
+    a += b; d ^= a; d = std::rotl(d, 16);
+    c += d; b ^= c; b = std::rotl(b, 12);
+    a += b; d ^= a; d = std::rotl(d, 8);
+    c += d; b ^= c; b = std::rotl(b, 7);
+  };
+  auto x = input;
+  for (int i = 0; i < 10; ++i) {
+    quarter_round(x[0], x[4], x[8], x[12]);
+    quarter_round(x[1], x[5], x[9], x[13]);
+    quarter_round(x[2], x[6], x[10], x[14]);
+    quarter_round(x[3], x[7], x[11], x[15]);
+    quarter_round(x[0], x[5], x[10], x[15]);
+    quarter_round(x[1], x[6], x[11], x[12]);
+    quarter_round(x[2], x[7], x[8], x[13]);
+    quarter_round(x[3], x[4], x[9], x[14]);
+  }
+  for (int i = 0; i < 16; ++i) x[i] += input[i];
+  return x;
+}
+
+/// `n` keystream bytes from the reference, one block per counter value;
+/// the counter wraps within its word.
+core::Bytes reference_keystream(std::span<const std::uint8_t> key,
+                                std::span<const std::uint8_t> nonce, std::uint32_t counter,
+                                std::size_t n) {
+  std::array<std::uint32_t, 16> state{0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+  for (int i = 0; i < 8; ++i) state[4 + i] = core::load_le32(key.data() + 4 * i);
+  state[12] = counter;
+  for (int i = 0; i < 3; ++i) state[13 + i] = core::load_le32(nonce.data() + 4 * i);
+  core::Bytes out((n + 63) / 64 * 64);
+  for (std::size_t block = 0; block < out.size(); block += 64) {
+    const auto words = reference_block(state);
+    ++state[12];
+    for (std::size_t i = 0; i < 16; ++i) core::store_le32(out.data() + block + 4 * i, words[i]);
+  }
+  out.resize(n);
+  return out;
+}
+
+// The keystream equals the scalar reference's at the counter's edges (the
+// second block of the pair wraps at 2^32 - 1) under every two-call split
+// of every length up to 300 bytes.
+TEST(ChaCha20, KeystreamMatchesScalarReferenceAtCounterEdges) {
+  const auto key = from_hex(
+      "5555555555555555555555555555555555555555555555555555555555555555");
+  const auto nonce = from_hex("000000090000004a00000005");
+  for (const std::uint32_t counter : {0u, 1u, 0xfffffffeu, 0xffffffffu}) {
+    const auto expected = reference_keystream(key, nonce, counter, 300);
+    for (std::size_t n = 0; n <= expected.size(); ++n) {
+      for (std::size_t cut = 0; cut <= n; ++cut) {
+        core::Bytes keystream(n, 0);
+        ChaCha20 c{key, nonce, counter};
+        c.apply(std::span(keystream).first(cut));
+        c.apply(std::span(keystream).subspan(cut));
+        ASSERT_TRUE(std::equal(keystream.begin(), keystream.end(), expected.begin()))
+            << "counter " << counter << " length " << n << " cut " << cut;
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include "crypto/ed25519.h"
 #include "crypto/random.h"
 #include "crypto/sha256.h"
+#include "crypto/x25519.h"
 
 namespace agrarsec::crypto {
 namespace {
@@ -259,13 +260,86 @@ TEST(Ed25519, PinnedSweepMatchesParent) {
             "238424242809500201826020481241442804829c100240bc0899207424025100");
 }
 
-// Keypair derivation and signing run the same Edwards point operations for
-// every secret scalar: 64 mixed additions and 4 doublings per base-point
-// multiplication, counted through the crypto test hook.
+// Verdict pin for the hostile corners of verification. The eight
+// small-order points, the y >= p encodings of the two with y < 19, the
+// x = 0 points with the sign bit set, and B and -B are each used as the
+// key A and as the signature's R, with S = 0 and S = L - 1, over four
+// messages. The verdict bitmap's digest and its count of accepted
+// signatures were captured from the radix-16 Straus verifier; any
+// rewrite of verification must reproduce both exactly.
+TEST(Ed25519, VerifyEdgeVerdictsPinnedAtParent) {
+  const std::vector<core::Bytes> points = {
+      // Small order: identity, order 2, two of order 4, four of order 8.
+      from_hex("0100000000000000000000000000000000000000000000000000000000000000"),
+      from_hex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+      from_hex("0000000000000000000000000000000000000000000000000000000000000000"),
+      from_hex("0000000000000000000000000000000000000000000000000000000000000080"),
+      from_hex("c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a"),
+      from_hex("c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa"),
+      from_hex("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"),
+      from_hex("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85"),
+      // y = p + 1 (the identity) and y = p (order 4), each sign bit.
+      from_hex("eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+      from_hex("eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
+      from_hex("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+      from_hex("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
+      // x = 0 with the sign bit set: the identity and the order-2 point.
+      from_hex("0100000000000000000000000000000000000000000000000000000000000080"),
+      from_hex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
+      // B and -B.
+      from_hex("5866666666666666666666666666666666666666666666666666666666666666"),
+      from_hex("58666666666666666666666666666666666666666666666666666666666666e6"),
+  };
+  // S = 0 and S = L - 1.
+  const std::array<core::Bytes, 2> scalars = {
+      core::Bytes(32, 0),
+      from_hex("ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010"),
+  };
+  Drbg drbg{20261019, "ed25519-edge-verdicts"};
+  std::vector<core::Bytes> messages;
+  for (std::size_t len : {0u, 1u, 32u, 77u}) messages.push_back(drbg.generate(len));
+
+  std::vector<std::uint8_t> bitmap;
+  std::size_t accepted = 0;
+  std::size_t bit = 0;
+  for (const auto& a : points) {
+    for (const auto& r : points) {
+      for (const auto& s : scalars) {
+        Ed25519Signature sig{};
+        std::copy(r.begin(), r.end(), sig.begin());
+        std::copy(s.begin(), s.end(), sig.begin() + 32);
+        for (const auto& msg : messages) {
+          if (bit % 8 == 0) bitmap.push_back(0);
+          if (ed25519_verify(a, msg, sig)) {
+            bitmap.back() |= static_cast<std::uint8_t>(1u << (bit % 8));
+            ++accepted;
+          }
+          ++bit;
+        }
+      }
+    }
+  }
+  ASSERT_EQ(bit, 2048u);
+  EXPECT_EQ(accepted, 59u);
+  EXPECT_EQ(to_hex(Sha256::hash(bitmap)),
+            "892838b1dd03cda628a4f0b749b8483d4169578876d4794d34bf3b53c3f5beb9");
+}
+
+// Keypair derivation, signing and X25519 public keys run the same Edwards
+// point operations for every secret scalar: 64 mixed additions and 4
+// doublings per base-point multiplication, counted through the crypto
+// test hook.
 TEST(Ed25519, PointOpsIndependentOfSecrets) {
   // The one-time base-table build also counts; get it out of the way.
   (void)ed25519_public_key(Ed25519Seed{});
   Drbg drbg{99, "ed25519-point-ops"};
+  for (int i = 0; i < 64; ++i) {
+    const auto scalar = drbg.generate32();
+    detail::ed25519_point_ops = {};
+    (void)x25519_base(scalar);
+    EXPECT_EQ(detail::ed25519_point_ops.adds, 64u) << i;
+    EXPECT_EQ(detail::ed25519_point_ops.doubles, 4u) << i;
+  }
   for (int i = 0; i < 64; ++i) {
     const auto seed = drbg.generate32();
     const auto msg = drbg.generate(drbg.generate(1)[0]);
@@ -291,6 +365,17 @@ struct ConcurrencyResult {
 std::vector<ConcurrencyResult> keypair_sign_verify_rounds(std::uint64_t seed) {
   Drbg drbg{seed, "ed25519-concurrency"};
   std::vector<ConcurrencyResult> out;
+  // A verify (of RFC 8032 §7.1 test 1) and an X25519 public key come
+  // first, so that each lazily built static table is first used by all
+  // threads at once: B's odd multiples by the verify, then the base-point
+  // table by x25519_base.
+  ConcurrencyResult first{};
+  first.verifies = ed25519_verify(
+      from_hex("d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"), {},
+      from_hex("e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+               "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"));
+  first.public_key = x25519_base(drbg.generate32());
+  out.push_back(first);
   for (std::size_t round = 0; round < 8; ++round) {
     const auto kp = ed25519_keypair(drbg.generate32());
     const auto msg = drbg.generate(40 + round);
@@ -303,10 +388,12 @@ std::vector<ConcurrencyResult> keypair_sign_verify_rounds(std::uint64_t seed) {
   return out;
 }
 
-// Four threads run keypair, sign and verify on their own seeds at once and
-// must match a serial run. The threads go first, so when this suite runs
-// alone (the TSan leg of scripts/check.sh selects only it) the shared
-// base-point table is first built under contention.
+// Four threads run verify, X25519 public keys, keypair and sign on their
+// own seeds at once and must match a serial run. The threads go first, so
+// when this suite runs alone (the TSan leg of scripts/check.sh selects only
+// it) both static tables are first built under contention: B's odd
+// multiples by the first verify, the base-point table by the first
+// x25519_base.
 TEST(Ed25519Concurrency, ParallelFirstUseMatchesSerial) {
   constexpr std::size_t kThreads = 4;
   std::array<std::vector<ConcurrencyResult>, kThreads> parallel;

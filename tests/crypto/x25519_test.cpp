@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bytes.h"
+#include "crypto/random.h"
 #include "crypto/x25519.h"
 
 namespace agrarsec::crypto {
@@ -90,6 +91,26 @@ TEST(X25519, RejectsBadInputSizes) {
   const core::Bytes scalar(32, 0);
   const core::Bytes short_u(31, 0);
   EXPECT_THROW((void)x25519(scalar, short_u), std::invalid_argument);
+  const core::Bytes long_scalar(33, 0);
+  EXPECT_THROW((void)x25519_base(short_scalar), std::invalid_argument);
+  EXPECT_THROW((void)x25519_base(long_scalar), std::invalid_argument);
+}
+
+// x25519_base maps [k]B on the Edwards curve to its Montgomery u; the
+// ladder on u = 9 is the oracle it must match byte for byte.
+TEST(X25519, BaseMatchesLadderOnU9) {
+  X25519Key nine{};
+  nine[0] = 9;
+  for (const char* hex : {"77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
+                          "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"}) {
+    const auto scalar = from_hex(hex);
+    EXPECT_EQ(to_hex(x25519_base(scalar)), to_hex(x25519(scalar, nine))) << hex;
+  }
+  Drbg drbg{20261019, "x25519-base-vs-ladder"};
+  for (int i = 0; i < 10000; ++i) {
+    const auto scalar = drbg.generate32();
+    ASSERT_EQ(x25519_base(scalar), x25519(scalar, nine)) << to_hex(scalar);
+  }
 }
 
 TEST(X25519, ClampingIgnoresForbiddenScalarBits) {

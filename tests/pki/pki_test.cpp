@@ -263,6 +263,32 @@ TEST(TrustStore, RevocationOfIntermediateKillsSubtree) {
   EXPECT_EQ(r.error().code, "revoked");
 }
 
+// Certificates under seeded single-byte mutation (ROADMAP item 4): the
+// encoding round-trips, a mutant that still decodes re-encodes to exactly
+// its own bytes, and TrustStore::validate refuses every such mutant, which
+// feeds the Ed25519 verify of the issuer's signature hostile input.
+TEST(CertificateMutation, DecodableMutantsFailValidation) {
+  Fixture f;
+  const Identity id = f.enroll_machine("forwarder-07");
+  const core::Bytes wire = id.leaf().encode();
+  ASSERT_EQ(Certificate::decode(wire)->encode(), wire);
+  ASSERT_TRUE(f.trust.validate({id.leaf()}, 10).ok());
+
+  crypto::Drbg mutations{20261019, "certificate-mutation"};
+  std::size_t decoded = 0;
+  for (int i = 0; i < 512; ++i) {
+    const auto r = mutations.generate(5);
+    core::Bytes bad = wire;
+    bad[core::load_le32(r.data()) % bad.size()] ^= r[4] == 0 ? std::uint8_t{1} : r[4];
+    if (const auto cert = Certificate::decode(bad)) {
+      ++decoded;
+      EXPECT_EQ(cert->encode(), bad) << "mutant " << i;
+      EXPECT_FALSE(f.trust.validate({*cert}, 10).ok()) << "mutant " << i;
+    }
+  }
+  EXPECT_GT(decoded, 256u);
+}
+
 TEST(Identity, EnrollProducesUsableKeys) {
   Fixture f;
   const Identity m = f.enroll_machine("machine-1");
