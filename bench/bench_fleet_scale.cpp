@@ -175,11 +175,17 @@ FleetRunResult run_fleet(std::size_t threads, std::size_t sessions,
 
 // --- line-of-sight micro-bench ----------------------------------------------
 
+struct LosResult {
+  double rate = 0.0;
+  std::uint64_t occluded = 0;  ///< rays some obstacle or crest blocks
+};
+
 /// Resolves perception-shaped sight lines through Terrain::occlusion_cause,
 /// one ray at a time as PerceptionSensor::sense does: 64 sensor frames
 /// (half ground-mast, half drone-altitude origins) x 96 targets over a
-/// dense stand. Returns rays/sec.
-double run_los(std::uint64_t rounds) {
+/// dense stand. Returns rays/sec and the occluded count, the work counter
+/// beside the rate.
+LosResult run_los(std::uint64_t rounds) {
   sim::ForestConfig forest;  // defaults: 500x500, 400 stems/ha, 6 hills
   core::Rng terrain_rng{99};
   const sim::Terrain terrain = sim::Terrain::generate(forest, terrain_rng);
@@ -208,7 +214,7 @@ double run_los(std::uint64_t rounds) {
   }
 
   std::uint64_t resolved = 0;
-  std::uint64_t occluded = 0;  // keeps the resolves observable
+  std::uint64_t occluded = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t round = 0; round < rounds; ++round) {
     for (std::size_t f = 0; f < kFrames; ++f) {
@@ -228,7 +234,7 @@ double run_los(std::uint64_t rounds) {
               " (%llu occluded)\n",
               kFrames, kRays, static_cast<unsigned long long>(rounds), secs,
               rays_per_sec, static_cast<unsigned long long>(occluded));
-  return rays_per_sec;
+  return {rays_per_sec, occluded};
 }
 
 struct RadioResult {
@@ -365,7 +371,7 @@ int main(int argc, char** argv) {
               " cross-check)\n", fleet_mismatches, sessions, threads);
 
   std::printf("\nline-of-sight resolve, perception-shaped frames:\n");
-  const double los_rays_per_sec = run_los(quick ? 20 : 100);
+  const LosResult los = run_los(quick ? 20 : 100);
 
   std::printf("\nradio medium, jittered broadcast fan-out:\n");
   const RadioResult radio = run_radio(64, quick ? 2000 : 10000);
@@ -374,11 +380,12 @@ int main(int argc, char** argv) {
   // gate: the fleet's parallel rate depends on the runner's core count.
   // "*_exact" metrics are deterministic semantics, not rates: bench_gate.py
   // requires them to match the baseline exactly (full-length run) in both
-  // directions, so a behaviour change to the planner cache or the radio
-  // loss model cannot hide inside the perf tolerance.
+  // directions, so a behaviour change to the planner cache, the radio
+  // loss model or the sight-line answers cannot hide inside the perf
+  // tolerance.
   std::printf("\nBENCH worksite_steps_per_sec=%.0f\n", serial.rate);
   std::printf("BENCH worksite_steps_per_sec_large=%.0f\n", large_serial.rate);
-  std::printf("BENCH los_rays_per_sec=%.0f\n", los_rays_per_sec);
+  std::printf("BENCH los_rays_per_sec=%.0f\n", los.rate);
   // parity_mismatches totals this bench's parity checks; the fleet check
   // is its only one.
   std::printf("BENCH parity_mismatches=%d\n", fleet_mismatches);
@@ -398,6 +405,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fleet_sharded.sessions_stepped));
     std::printf("BENCH radio_dropped_frames_exact=%llu\n",
                 static_cast<unsigned long long>(radio.dropped));
+    std::printf("BENCH los_occluded_exact=%llu\n",
+                static_cast<unsigned long long>(los.occluded));
   }
   return fleet_mismatches == 0 ? 0 : 1;
 }

@@ -80,7 +80,12 @@ else
   # still decodes reaches chain validation and the sliding-window Ed25519
   # verify, which indexes its tables by digits of attacker-chosen scalars.
   # UBSan findings abort (AGRARSEC_SANITIZE builds with
-  # -fno-sanitize-recover), so any one fails this leg.
+  # -fno-sanitize-recover), so any one fails this leg. AGRARSEC_SANITIZE
+  # also defines _GLIBCXX_ASSERTIONS: a vector index past size() but within
+  # capacity reads memory ASan considers valid, and the checked operator[]
+  # aborts on it instead. The terrain's band walk (DESIGN.md §29) indexes
+  # the obstacle grid's CSR arrays out to margin-sized reaches, which
+  # sim_test's margin tests drive past one index cell.
   cmake --build build-asan -j "$JOBS" --target core_test crypto_test net_test sim_test \
     pki_test secure_test ids_test integration_test service_test safety_test sensors_test
   ./build-asan/tests/core_test

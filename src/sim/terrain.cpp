@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace agrarsec::sim {
 
@@ -50,29 +51,50 @@ Terrain Terrain::generate(const ForestConfig& config, core::Rng& rng) {
   return Terrain{config.bounds, std::move(obstacles), std::move(hills)};
 }
 
+namespace {
+
+/// How far past its bounding box the index lists a footprint. It covers
+/// the rounding of the grid walk, of the distance predicate and of the
+/// band's and the index's cell keys, which stays below 2e-9 m for
+/// coordinates within 1e6 m of the origin and segments up to 1e4 m long
+/// (DESIGN.md §29).
+constexpr double kRoundingCover = 1e-6;
+
+}  // namespace
+
 std::size_t Terrain::cell_slot(std::int64_t cx, std::int64_t cy) const {
-  cx = std::clamp<std::int64_t>(cx - min_cx_, 0, width_ - 1);
-  cy = std::clamp<std::int64_t>(cy - min_cy_, 0, height_ - 1);
-  return static_cast<std::size_t>(cy) * static_cast<std::size_t>(width_) +
-         static_cast<std::size_t>(cx);
+  return static_cast<std::size_t>(cy - min_cy_) * static_cast<std::size_t>(width_) +
+         static_cast<std::size_t>(cx - min_cx_);
 }
 
 void Terrain::build_index() {
   const auto cell_of = [this](double v) {
     return static_cast<std::int64_t>(std::floor(v / cell_size_));
   };
+  // The cells a footprint is listed in: those its bounding box, widened by
+  // the rounding cover, touches.
+  struct Span {
+    std::int64_t lo_x, hi_x, lo_y, hi_y;
+  };
+  const auto span = [&](const Obstacle& o) {
+    const core::Vec2 c = o.footprint.center;
+    const double reach = o.footprint.radius + kRoundingCover;
+    return Span{cell_of(c.x - reach), cell_of(c.x + reach), cell_of(c.y - reach),
+                cell_of(c.y + reach)};
+  };
 
-  // Grid extent: the worksite bounds, widened to any footprint that pokes
-  // past them, so every obstacle has an in-range home cell.
+  // Grid extent: the worksite bounds, widened to every footprint's span,
+  // so every listing is in range.
   min_cx_ = cell_of(bounds_.min.x);
   min_cy_ = cell_of(bounds_.min.y);
   std::int64_t max_cx = cell_of(bounds_.max.x);
   std::int64_t max_cy = cell_of(bounds_.max.y);
   for (const Obstacle& o : obstacles_) {
-    min_cx_ = std::min(min_cx_, cell_of(o.footprint.center.x - o.footprint.radius));
-    min_cy_ = std::min(min_cy_, cell_of(o.footprint.center.y - o.footprint.radius));
-    max_cx = std::max(max_cx, cell_of(o.footprint.center.x + o.footprint.radius));
-    max_cy = std::max(max_cy, cell_of(o.footprint.center.y + o.footprint.radius));
+    const Span s = span(o);
+    min_cx_ = std::min(min_cx_, s.lo_x);
+    min_cy_ = std::min(min_cy_, s.lo_y);
+    max_cx = std::max(max_cx, s.hi_x);
+    max_cy = std::max(max_cy, s.hi_y);
   }
   width_ = max_cx - min_cx_ + 1;
   height_ = max_cy - min_cy_ + 1;
@@ -82,15 +104,11 @@ void Terrain::build_index() {
   cell_start_.assign(cell_count + 1, 0);
 
   // Two-pass counting sort into the CSR arrays. Iterating obstacles in
-  // index order in the fill pass leaves each cell's list ascending, which
-  // obstacles_near_segment relies on for its ordered output.
+  // index order in the fill pass leaves each cell's list ascending.
   const auto each_cell = [&](const Obstacle& o, const auto& fn) {
-    const std::int64_t lo_x = cell_of(o.footprint.center.x - o.footprint.radius);
-    const std::int64_t hi_x = cell_of(o.footprint.center.x + o.footprint.radius);
-    const std::int64_t lo_y = cell_of(o.footprint.center.y - o.footprint.radius);
-    const std::int64_t hi_y = cell_of(o.footprint.center.y + o.footprint.radius);
-    for (std::int64_t cy = lo_y; cy <= hi_y; ++cy) {
-      for (std::int64_t cx = lo_x; cx <= hi_x; ++cx) {
+    const Span s = span(o);
+    for (std::int64_t cy = s.lo_y; cy <= s.hi_y; ++cy) {
+      for (std::int64_t cx = s.lo_x; cx <= s.hi_x; ++cx) {
         fn(cell_slot(cx, cy));
       }
     }
@@ -104,9 +122,6 @@ void Terrain::build_index() {
   for (std::uint32_t i = 0; i < obstacles_.size(); ++i) {
     each_cell(obstacles_[i], [&](std::size_t s) { cell_items_[cursor[s]++] = i; });
   }
-
-  visit_stamp_.assign(obstacles_.size(), 0);
-  stamp_gen_ = 0;
 }
 
 double Terrain::ground_height(core::Vec2 p) const {
@@ -139,9 +154,11 @@ namespace {
 
 /// The segment queries' one predicate: the footprint comes within `margin`
 /// of [a, b], i.e. point_segment_distance(centre, a, b) <= radius + margin,
-/// decided by core::within from the same closest point.
-bool footprint_meets(const core::Circle& footprint, core::Vec2 a, core::Vec2 b,
-                     double margin) {
+/// decided by core::within from the same closest point. Inline, so the
+/// walk's loop keeps the segment's terms in registers instead of calling
+/// out for every footprint (DESIGN.md §29).
+inline bool footprint_meets(const core::Circle& footprint, core::Vec2 a, core::Vec2 b,
+                            double margin) {
   return core::within(footprint.center,
                       core::closest_point_on_segment(footprint.center, a, b),
                       footprint.radius + margin);
@@ -149,34 +166,97 @@ bool footprint_meets(const core::Circle& footprint, core::Vec2 a, core::Vec2 b,
 
 }  // namespace
 
+template <typename Visit>
+bool Terrain::walk_band(core::Vec2 a, core::Vec2 b, double margin, Visit&& visit) const {
+  const auto cell = [&](std::int64_t cx, std::int64_t cy) {
+    if (cx < min_cx_ || cx >= min_cx_ + width_ || cy < min_cy_ || cy >= min_cy_ + height_) {
+      return true;
+    }
+    const std::size_t s = cell_slot(cx, cy);
+    for (std::uint32_t k = cell_start_[s]; k < cell_start_[s + 1]; ++k) {
+      if (!visit(cell_items_[k])) return false;
+    }
+    return true;
+  };
+  bool go = true;
+  if (!(margin > 0.0)) {
+    core::traverse_grid(a, b, cell_size_, [&](std::int64_t cx, std::int64_t cy) {
+      return go = cell(cx, cy);
+    });
+    return go;
+  }
+
+  // Cells meeting [lo, hi] on one axis, cut to the grid's [first, first +
+  // count): lo > hi when none does. Clamped before the cast, so a huge or
+  // infinite margin stays in range.
+  const auto axis = [this](double lo, double hi, std::int64_t first, std::int64_t count) {
+    const auto first_d = static_cast<double>(first);
+    const auto last_d = static_cast<double>(first + count - 1);
+    return std::pair{
+        static_cast<std::int64_t>(std::clamp(std::floor(lo / cell_size_), first_d, last_d + 1)),
+        static_cast<std::int64_t>(std::clamp(std::floor(hi / cell_size_), first_d - 1, last_d))};
+  };
+  const core::Vec2 d = b - a;
+  std::int64_t done_x0 = 1, done_x1 = 0, done_y0 = 1, done_y1 = 0;  // none yet
+  // The cells meeting the box of the part [t0, t1], widened by the margin,
+  // less those the previous part's band visited.
+  const auto band = [&](double t0, double t1) {
+    const core::Vec2 p = a + d * t0, q = a + d * t1;
+    const auto [x0, x1] = axis(std::min(p.x, q.x) - margin, std::max(p.x, q.x) + margin,
+                               min_cx_, width_);
+    const auto [y0, y1] = axis(std::min(p.y, q.y) - margin, std::max(p.y, q.y) + margin,
+                               min_cy_, height_);
+    for (std::int64_t cy = y0; cy <= y1; ++cy) {
+      const bool done_row = cy >= done_y0 && cy <= done_y1;
+      for (std::int64_t cx = x0; cx <= x1; ++cx) {
+        if (done_row && cx >= done_x0 && cx <= done_x1) continue;
+        if (!cell(cx, cy)) return false;
+      }
+    }
+    done_x0 = x0;
+    done_x1 = x1;
+    done_y0 = y0;
+    done_y1 = y1;
+    return true;
+  };
+  // Each crossed cell's part ends where the walk crosses the border into
+  // the next cell, at the parameter computed for that border, clamped to
+  // [0, 1]. Consecutive parts share that end, so the parts chain from 0
+  // to 1 even where rounding makes the walk step early or late.
+  bool first = true;
+  std::int64_t px = 0, py = 0;
+  double entered = 0.0;
+  core::traverse_grid(a, b, cell_size_, [&](std::int64_t cx, std::int64_t cy) {
+    if (!first) {
+      const double t =
+          cx != px ? (static_cast<double>(std::max(cx, px)) * cell_size_ - a.x) / d.x
+                   : (static_cast<double>(std::max(cy, py)) * cell_size_ - a.y) / d.y;
+      const double left = std::clamp(t, 0.0, 1.0);
+      go = band(entered, left);
+      entered = left;
+    }
+    first = false;
+    px = cx;
+    py = cy;
+    return go;
+  });
+  return go && band(entered, 1.0);
+}
+
 void Terrain::collect_segment_candidates(core::Vec2 a, core::Vec2 b,
                                          double margin) const {
-  // Expand the traversal by visiting the 3x3 neighbourhood of each crossed
-  // cell so obstacles whose footprints straddle cell borders are found.
-  // Generation stamps dedup obstacles seen from several cells, so each is
-  // tested once; only the footprints that meet the segment are kept.
-  const std::uint64_t gen = ++stamp_gen_;
   candidate_scratch_.clear();
-  core::traverse_grid(a, b, cell_size_, [&](std::int64_t cx, std::int64_t cy) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      for (std::int64_t dx = -1; dx <= 1; ++dx) {
-        const std::size_t s = cell_slot(cx + dx, cy + dy);
-        for (std::uint32_t k = cell_start_[s]; k < cell_start_[s + 1]; ++k) {
-          const std::uint32_t i = cell_items_[k];
-          if (visit_stamp_[i] == gen) continue;
-          visit_stamp_[i] = gen;
-          if (footprint_meets(obstacles_[i].footprint, a, b, margin)) {
-            candidate_scratch_.push_back(i);
-          }
-        }
-      }
+  walk_band(a, b, margin, [&](std::uint32_t i) {
+    if (footprint_meets(obstacles_[i].footprint, a, b, margin)) {
+      candidate_scratch_.push_back(i);
     }
     return true;
   });
-
-  // Ascending index order, matching the old std::set-based collection
-  // (occlusion attribution returns the lowest-index blocker).
+  // Ascending index order (occlusion attribution returns the lowest-index
+  // blocker); a footprint met from several cells is kept once.
   std::sort(candidate_scratch_.begin(), candidate_scratch_.end());
+  candidate_scratch_.erase(std::unique(candidate_scratch_.begin(), candidate_scratch_.end()),
+                           candidate_scratch_.end());
 }
 
 std::vector<const Obstacle*> Terrain::obstacles_near_segment(core::Vec2 a, core::Vec2 b,
@@ -189,22 +269,10 @@ std::vector<const Obstacle*> Terrain::obstacles_near_segment(core::Vec2 a, core:
 }
 
 bool Terrain::segment_blocked(core::Vec2 a, core::Vec2 b, double margin) const {
-  bool hit = false;
-  core::traverse_grid(a, b, cell_size_, [&](std::int64_t cx, std::int64_t cy) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      for (std::int64_t dx = -1; dx <= 1; ++dx) {
-        const std::size_t s = cell_slot(cx + dx, cy + dy);
-        for (std::uint32_t k = cell_start_[s]; k < cell_start_[s + 1]; ++k) {
-          if (footprint_meets(obstacles_[cell_items_[k]].footprint, a, b, margin)) {
-            hit = true;
-            return false;  // stop the traversal on the first blocker
-          }
-        }
-      }
-    }
-    return true;
+  // The walk stops on the first footprint that meets the segment.
+  return !walk_band(a, b, margin, [&](std::uint32_t i) {
+    return !footprint_meets(obstacles_[i].footprint, a, b, margin);
   });
-  return hit;
 }
 
 double Terrain::crest_bound(core::Vec2 a, core::Vec2 b) const {
@@ -228,7 +296,7 @@ Terrain::OcclusionCause Terrain::occlusion_cause(core::Vec2 from_xy, double from
 
   // Obstacle occlusion: an obstacle blocks the ray when the ray's height
   // at the crossing point is below the obstacle's top (ground + height).
-  // Candidates come straight from the stamp walk: the footprints the ray
+  // Candidates come straight from the band walk: the footprints the ray
   // meets, in ascending index order — no per-ray result vector.
   collect_segment_candidates(from_xy, to_xy, 0.0);
   const core::Vec2 dir = (to_xy - from_xy) * (1.0 / planar_len);

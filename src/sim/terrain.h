@@ -4,7 +4,8 @@
 // is about: terrain obstacles occlude the forwarder's ground-level view
 // of people, while an elevated drone viewpoint clears them. One per-ray
 // path, occlusion_cause, answers every sight-line question (DESIGN.md
-// §19); a CSR obstacle grid keeps each ray's candidate walk local.
+// §19); a CSR obstacle grid and one band walk keep every segment query to
+// the cells within its margin of the segment (DESIGN.md §29).
 #pragma once
 
 #include <cstdint>
@@ -97,16 +98,16 @@ class Terrain {
   }
 
   /// Obstacles whose footprint comes within `margin` of segment [a,b],
-  /// in ascending obstacle-index order: the walk and order occlusion_cause
-  /// uses at margin 0.
+  /// at any margin, in ascending obstacle-index order: the walk and order
+  /// occlusion_cause uses at margin 0.
   [[nodiscard]] std::vector<const Obstacle*> obstacles_near_segment(
       core::Vec2 a, core::Vec2 b, double margin = 0.0) const;
 
   /// True when any obstacle footprint comes within `margin` of segment
-  /// [a,b]. Same predicate as obstacles_near_segment but returns on the
-  /// first hit without materialising the result — this is the planner's
-  /// inner-loop query (path smoothing probes thousands of segments and
-  /// only cares about clear/not-clear).
+  /// [a,b]. Same predicate and walk as obstacles_near_segment but returns
+  /// on the first hit without materialising the result — this is the
+  /// planner's inner-loop query (path smoothing probes thousands of
+  /// segments and only cares about clear/not-clear).
   [[nodiscard]] bool segment_blocked(core::Vec2 a, core::Vec2 b,
                                      double margin = 0.0) const;
 
@@ -114,11 +115,25 @@ class Terrain {
 
  private:
   void build_index();
-  /// Stamp-walk of the 3x3 cell neighbourhoods crossed by [a, b] into
-  /// candidate_scratch_: the obstacles whose footprint comes within
-  /// `margin` of the segment, deduped and sorted ascending. Each walked
-  /// obstacle is tested once, so only the ones kept are sorted. The shared
-  /// core of obstacles_near_segment and occlusion_cause (margin 0).
+  /// The one walk of the segment queries: calls visit(i) for every
+  /// obstacle i listed in an index cell within `margin` of [a, b], once
+  /// per such cell, and returns false as soon as visit does. At margin 0
+  /// (or below, or NaN) the cells are exactly those core::traverse_grid
+  /// crosses. At a positive margin they are, for each crossed cell, the
+  /// cells meeting the box of the segment's part in it widened by
+  /// `margin`: the part runs between the computed parameters of the
+  /// borders the walk crossed into and out of the cell, so the parts
+  /// chain from a to b whatever the walk's rounding. A cell the previous
+  /// part's band visited is skipped; cells off the grid list nothing.
+  /// Every footprint the distance predicate accepts is listed in a
+  /// visited cell (DESIGN.md §29).
+  template <typename Visit>
+  bool walk_band(core::Vec2 a, core::Vec2 b, double margin, Visit&& visit) const;
+  /// The obstacles whose footprint comes within `margin` of [a, b], from
+  /// walk_band, into candidate_scratch_, sorted ascending without
+  /// duplicates (a footprint listed in several visited cells is met once
+  /// per cell). The shared core of obstacles_near_segment and
+  /// occlusion_cause (margin 0).
   void collect_segment_candidates(core::Vec2 a, core::Vec2 b, double margin) const;
   /// Upper bound on ground_height along segment [a,b]: the sum, over hills
   /// of positive height h, of h * exp(-d^2 / 2s^2) at the squared distance
@@ -130,9 +145,7 @@ class Terrain {
   /// torso never clears that sum, but mostly clears this bound.
   [[nodiscard]] double crest_bound(core::Vec2 a, core::Vec2 b) const;
   /// Dense-grid slot for a raw cell coordinate (the traverse_grid
-  /// convention: floor(v / cell_size)); out-of-range coordinates clamp to
-  /// the border, which only widens candidate sets — the exact distance
-  /// predicates keep results identical.
+  /// convention: floor(v / cell_size)) inside the grid.
   [[nodiscard]] std::size_t cell_slot(std::int64_t cx, std::int64_t cy) const;
 
   core::Aabb bounds_;
@@ -145,6 +158,8 @@ class Terrain {
   // (cell_items_[cell_start_[s] .. cell_start_[s+1]]) instead of a
   // hash map of vectors — the segment queries dominate the simulation
   // profile and become pure pointer arithmetic over contiguous memory.
+  // A footprint is listed in every cell its bounding box, widened by a
+  // fixed rounding cover, touches; the grid spans all of them.
   std::int64_t min_cx_ = 0;  ///< raw cell coordinate of grid column 0
   std::int64_t min_cy_ = 0;
   std::int64_t width_ = 1;
@@ -152,12 +167,9 @@ class Terrain {
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> cell_items_;
 
-  // Generation-stamp dedup for obstacles_near_segment (an obstacle spans
-  // several cells and neighbourhoods overlap). Replaces a std::set per
-  // call; mutable scratch keeps the query allocation-free after warmup.
-  // Not thread-safe, like the rest of the simulation core.
-  mutable std::vector<std::uint64_t> visit_stamp_;
-  mutable std::uint64_t stamp_gen_ = 0;
+  // Kept candidates of the last collect_segment_candidates; mutable
+  // scratch keeps the query allocation-free after warmup. Not
+  // thread-safe, like the rest of the simulation core.
   mutable std::vector<std::uint32_t> candidate_scratch_;
 };
 

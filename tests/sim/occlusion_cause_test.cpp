@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -265,8 +266,9 @@ TEST(CornerEndpoint, TerrainQueriesMatchObstacleScan) {
   // 2 + 4k m) that end on a 10 m obstacle-index corner, (10 + 20i, 10 + 20j)
   // m. Many of their grid walks stop one step short of the end cell
   // (core::traverse_grid); every answer must still equal a scan over all
-  // obstacles, at the worksite planners' clearances and none.
-  constexpr double kMargins[] = {0.0, 0.6, 2.0};
+  // obstacles, at the worksite planners' clearances, none, and margins of
+  // one and two and a half index cells.
+  constexpr double kMargins[] = {0.0, 0.6, 2.0, 10.0, 25.0};
   std::size_t blocked = 0;
   std::size_t queries = 0;
   std::size_t short_walks = 0;
@@ -324,10 +326,11 @@ TEST(SegmentQueries, FootprintEdgesOnTheSegmentMatchBruteForce) {
   // segment (0,0)->(100,0) or one ulp either side of it: beside its middle,
   // below it, and beyond its start. Then near-ties on slanted segments,
   // where the distance is inexact and the squared test's guard band
-  // decides. Each footprint is a tall stem alone on flat ground, so
+  // decides, and legs that hug a 10 m index-cell border. Margins run past
+  // the index cell. Each footprint is a tall stem alone on flat ground, so
   // occlusion_cause reports it exactly when the ray meets it mid-span.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr double kMargins[] = {0.0, 0.6, 2.0};
+  constexpr double kMargins[] = {0.0, 0.6, 2.0, 10.0, 25.0};
   const core::Aabb bounds{{-20, -20}, {200, 200}};
   std::size_t met = 0;
   std::size_t missed = 0;
@@ -373,9 +376,48 @@ TEST(SegmentQueries, FootprintEdgesOnTheSegmentMatchBruteForce) {
     const core::Vec2 p{rng.uniform(0.0, 180.0), rng.uniform(0.0, 180.0)};
     const core::Vec2 q{rng.uniform(0.0, 180.0), rng.uniform(0.0, 180.0)};
     const core::Vec2 centre{rng.uniform(0.0, 180.0), rng.uniform(0.0, 180.0)};
-    const double margin = kMargins[i % 3];
+    const double margin = kMargins[static_cast<std::size_t>(i) % std::size(kMargins)];
     const double reach = core::point_segment_distance(centre, p, q) - margin;
     if (reach <= 0.0) continue;  // footprints have a positive radius
+    for (const double radius :
+         {reach, std::nextafter(reach, 0.0), std::nextafter(reach, kInf)}) {
+      check(p, q, make(ObstacleKind::kTree, centre, radius, 16.0), margin);
+    }
+  }
+
+  // One boulder 22 m from a 100 m leg: inside a 25 m margin, outside a
+  // 21 m one. A walk of each crossed cell's 3x3 neighbourhood never
+  // reached its cell.
+  for (const double m : {21.0, 25.0}) {
+    check({0, 2}, {100, 2}, make(ObstacleKind::kBoulder, {50, 24}, 0.5, 1.0), m);
+  }
+
+  // Legs that hug a 10 m index-cell border from one ulp inside the cell
+  // beside it, each with a footprint tangent to the leg from the border's
+  // far side. The walk stays in the leg's own column (row) while the
+  // footprint's bounding box lies in the next one, so the footprint is
+  // found only because the index lists it in the cells its box comes
+  // within the rounding cover of (DESIGN.md §29). The first is a case a
+  // search over such footprints found.
+  check({0x1.dffffffffffffp+4, -0x1.30ab02d7f17d9p+4}, {0x1.ep+4, 0x1.e150282f7f57dp+4},
+        make(ObstacleKind::kTree, {0x1.042451593b6cbp+5, 0x1.325b7cd6dbe95p+3},
+             0x1.42451593b6cbp+1, 16.0),
+        0.0);
+  for (int i = 0; i < 2000; ++i) {
+    const double border = 10.0 * static_cast<double>(1 + rng.next_below(16));
+    const double side = i % 2 == 0 ? -1.0 : 1.0;  // which cell the leg starts in
+    const double inside = std::nextafter(border, side * kInf);
+    const double from = rng.uniform(-10.0, 170.0), to = rng.uniform(-10.0, 170.0);
+    const double along = rng.uniform(std::min(from, to), std::max(from, to));
+    const double across = border - side * rng.uniform(0.05, 3.0);
+    const bool rows = i % 4 >= 2;  // hug a row border instead of a column's
+    const auto at = [rows](double u, double v) {
+      return rows ? core::Vec2{v, u} : core::Vec2{u, v};
+    };
+    const core::Vec2 p = at(inside, from), q = at(border, to), centre = at(across, along);
+    const double margin = i % 8 < 4 ? 0.0 : kMargins[1 + rng.next_below(2)];
+    const double reach = core::point_segment_distance(centre, p, q) - margin;
+    if (reach <= 0.0) continue;
     for (const double radius :
          {reach, std::nextafter(reach, 0.0), std::nextafter(reach, kInf)}) {
       check(p, q, make(ObstacleKind::kTree, centre, radius, 16.0), margin);
