@@ -1,7 +1,7 @@
 // Fleet-scale hot-loop baseline with --threads and --sessions axes.
 // Steps the 16-machine Figure-1-style site (2 harvesters, 12 forwarders,
-// 2 drones, 48 workers, windthrow hazards on) and a 4x larger preset, and
-// reports their steps/sec. A worksite steps on one thread; parallelism
+// 2 drones, 48 workers, windthrow hazards on) and reports its steps/sec.
+// A worksite steps on one thread; parallelism
 // lives one level up, so the --sessions axis measures a FleetService
 // stepping N independent secured worksite sessions, serial vs batched
 // across a pool of --threads shards, as session-steps/sec.
@@ -32,25 +32,17 @@ using namespace agrarsec;
 
 namespace {
 
-/// Population/extent preset for the worksite axis. The default preset is
-/// the 16-machine Figure-1-style site every baseline key gates on; the
-/// large preset (4x machines, 4x workers, 4x area) is a fleet-scale
-/// configuration well beyond what one secured session holds.
-struct SitePreset {
-  const char* name;
-  std::size_t harvesters;
-  std::size_t forwarders;
-  std::size_t drones;
-  std::size_t workers;
-  double extent_m;
-  std::size_t worker_cols;  ///< worker-anchor grid width (keeps anchors in bounds)
-};
-constexpr SitePreset kDefaultPreset{"default", 2, 12, 2, 48, 500.0, 8};
-constexpr SitePreset kLargePreset{"large", 4, 48, 8, 192, 1000.0, 16};
+// The worksite axis's Figure-1-style site.
+constexpr std::size_t kHarvesters = 2;
+constexpr std::size_t kForwarders = 12;
+constexpr std::size_t kDrones = 2;
+constexpr std::size_t kWorkers = 48;
+constexpr double kExtentM = 500.0;
+constexpr std::size_t kWorkerCols = 8;  // worker-anchor grid width (keeps anchors in bounds)
 
-sim::WorksiteConfig site_config(const SitePreset& preset) {
+sim::WorksiteConfig site_config() {
   sim::WorksiteConfig config;
-  config.forest.bounds = {{0, 0}, {preset.extent_m, preset.extent_m}};
+  config.forest.bounds = {{0, 0}, {kExtentM, kExtentM}};
   config.forest.trees_per_hectare = 250;
   config.landing_area = {40, 40};
   // Enough production and short enough handling times that the whole
@@ -65,28 +57,27 @@ sim::WorksiteConfig site_config(const SitePreset& preset) {
   return config;
 }
 
-void populate(sim::Worksite& site, const SitePreset& preset) {
-  const double mid = preset.extent_m / 2.0;
+void populate(sim::Worksite& site) {
+  const double mid = kExtentM / 2.0;
   std::vector<MachineId> forwarders;
-  for (std::size_t i = 0; i < preset.harvesters; ++i) {
+  for (std::size_t i = 0; i < kHarvesters; ++i) {
     site.add_harvester("h" + std::to_string(i),
                        {mid + 100.0 * static_cast<double>(i % 4), mid});
   }
-  for (std::size_t i = 0; i < preset.forwarders; ++i) {
+  for (std::size_t i = 0; i < kForwarders; ++i) {
     forwarders.push_back(
         site.add_forwarder("f" + std::to_string(i),
                            {60.0 + 12.0 * static_cast<double>(i % 8),
                             60.0 + 15.0 * static_cast<double>(i / 8)}));
   }
-  for (std::size_t i = 0; i < preset.drones; ++i) {
+  for (std::size_t i = 0; i < kDrones; ++i) {
     const MachineId drone =
         site.add_drone("d" + std::to_string(i), {60.0 + 30.0 * static_cast<double>(i), 50.0});
     site.set_drone_orbit(drone, forwarders[i], 25.0);
   }
-  for (std::size_t i = 0; i < preset.workers; ++i) {
-    const core::Vec2 anchor{
-        80.0 + 45.0 * static_cast<double>(i % preset.worker_cols),
-        80.0 + 45.0 * static_cast<double>(i / preset.worker_cols)};
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    const core::Vec2 anchor{80.0 + 45.0 * static_cast<double>(i % kWorkerCols),
+                            80.0 + 45.0 * static_cast<double>(i / kWorkerCols)};
     site.add_worker("w" + std::to_string(i), anchor, anchor);
   }
 }
@@ -96,10 +87,9 @@ struct RunResult {
   sim::Worksite::Metrics metrics;
 };
 
-RunResult run_worksite(std::uint64_t steps, const SitePreset& preset,
-                       bool write_artifact = false) {
-  sim::Worksite site{site_config(preset), 42};
-  populate(site, preset);
+RunResult run_worksite(std::uint64_t steps) {
+  sim::Worksite site{site_config(), 42};
+  populate(site);
 
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t s = 0; s < steps; ++s) site.step();
@@ -109,9 +99,7 @@ RunResult run_worksite(std::uint64_t steps, const SitePreset& preset,
   RunResult r;
   r.rate = static_cast<double>(steps) / secs;
   r.metrics = site.metrics();
-  if (write_artifact) {
-    obs::write_bench_artifact(site.telemetry(), "bench_fleet_scale");
-  }
+  obs::write_bench_artifact(site.telemetry(), "bench_fleet_scale");
   return r;
 }
 
@@ -309,15 +297,11 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>((quick ? 2 : 10) * core::kMinute) / 100;
 
   std::printf("=== fleet-scale hot-loop benchmark ===\n\n");
-  std::printf("worksite [default]: %zu machines (%zuh+%zuf+%zud) + %zu workers,"
-              " %llu steps\n",
-              kDefaultPreset.harvesters + kDefaultPreset.forwarders +
-                  kDefaultPreset.drones,
-              kDefaultPreset.harvesters, kDefaultPreset.forwarders,
-              kDefaultPreset.drones, kDefaultPreset.workers,
-              static_cast<unsigned long long>(steps));
+  std::printf("worksite: %zu machines (%zuh+%zuf+%zud) + %zu workers, %llu steps\n",
+              kHarvesters + kForwarders + kDrones, kHarvesters, kForwarders, kDrones,
+              kWorkers, static_cast<unsigned long long>(steps));
 
-  const RunResult serial = run_worksite(steps, kDefaultPreset, /*write_artifact=*/true);
+  const RunResult serial = run_worksite(steps);
   std::printf("  %.0f steps/sec\n", serial.rate);
   std::printf("  cross-check: delivered=%.1fm3 cycles=%llu min_sep=%.2fm"
               " windthrow=%llu reuses=%llu\n",
@@ -326,16 +310,6 @@ int main(int argc, char** argv) {
               serial.metrics.min_human_separation,
               static_cast<unsigned long long>(serial.metrics.windthrow_events),
               static_cast<unsigned long long>(serial.metrics.route_reuses));
-
-  // Large preset: 4x the default site's machines, workers and area.
-  const std::uint64_t large_steps = quick ? 120 : 600;
-  std::printf("\nworksite [large]: %zu machines (%zuh+%zuf+%zud) + %zu workers,"
-              " %llu steps\n",
-              kLargePreset.harvesters + kLargePreset.forwarders + kLargePreset.drones,
-              kLargePreset.harvesters, kLargePreset.forwarders, kLargePreset.drones,
-              kLargePreset.workers, static_cast<unsigned long long>(large_steps));
-  const RunResult large_serial = run_worksite(large_steps, kLargePreset);
-  std::printf("  %.0f steps/sec\n", large_serial.rate);
 
   // Fleet-service axis: N independent secured-worksite sessions batched
   // across the pool, one session per work item. Aggregate throughput is
@@ -384,7 +358,6 @@ int main(int argc, char** argv) {
   // loss model or the sight-line answers cannot hide inside the perf
   // tolerance.
   std::printf("\nBENCH worksite_steps_per_sec=%.0f\n", serial.rate);
-  std::printf("BENCH worksite_steps_per_sec_large=%.0f\n", large_serial.rate);
   std::printf("BENCH los_rays_per_sec=%.0f\n", los.rate);
   // parity_mismatches totals this bench's parity checks; the fleet check
   // is its only one.

@@ -68,7 +68,7 @@ CorridorResult drive_corridor(const sensors::GnssAttack& attack, bool monitor_on
           // when the belief is shifted.
           const core::Vec2 target{believed.x + 25.0, 0.0};
           const core::Vec2 offset = target - believed;  // intended motion
-          forwarder.set_route({forwarder.position() + offset});
+          forwarder.head_to(forwarder.position() + offset);
         }
       }
     }

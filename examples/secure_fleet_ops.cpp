@@ -151,7 +151,7 @@ int main() {
     stands.push_back(id);
   }
   const std::uint64_t fleet_steps =
-      static_cast<std::uint64_t>(10 * core::kMinute / stand_config().worksite.step);
+      static_cast<std::uint64_t>(10 * core::kMinute / sim::kWorksiteStep);
   fleet.step_all(fleet_steps);
 
   for (const service::SessionId id : stands) {

@@ -37,9 +37,7 @@ absorb (a 2-core CI runner is not 30% slower than an 8-core dev box —
 it is several times slower). Serial rates, ray-cast throughput and the
 exact/mismatch counters are what the gate tracks; unknown keys in the
 output are printed but never gate, so the parallel rates remain visible
-in CI logs without failing them. Builds configured with
--DAGRARSEC_NATIVE=ON must never bless the baseline (FP contraction can
-shift *_exact metrics).
+in CI logs without failing them.
 
 Usage:
     bench_gate.py [--update] [--tolerance 0.30] BASELINE OUTPUT...

@@ -25,17 +25,11 @@
 
 namespace agrarsec::analysis {
 
+/// TA001: initial risk at or above this retained untreated is an error.
+/// CM004 reuses it as the bar a treatment must push residual risk under.
+inline constexpr risk::RiskValue kHighRisk = 4;
+
 struct AnalyzerConfig {
-  /// TA001: initial risk at or above this retained untreated is an error.
-  /// CM004 reuses it as the bar a treatment must push residual risk under.
-  risk::RiskValue high_risk = 4;
-  /// ZC003: SL-T gap between bridged zones that demands a compensating
-  /// conduit countermeasure.
-  int conduit_gap = 2;
-  /// SA001/SA003: lowest CAL whose assets get reachability/SL-floor
-  /// scrutiny (CAL3 per the certification argument: CAL3/CAL4 assets
-  /// carry the safety case).
-  risk::Cal reachability_min_cal = risk::Cal::kCal3;
   /// CM003: per-zone budget for the sum of residual risks of UNTREATED
   /// (retained) threat scenarios against the zone's assets. A zone
   /// accumulating more retained residual risk than this needs explicit

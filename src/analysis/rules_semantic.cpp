@@ -25,6 +25,11 @@ namespace agrarsec::analysis {
 
 namespace {
 
+/// SA001/SA003: lowest CAL whose assets get reachability/SL-floor
+/// scrutiny (CAL3 per the certification argument: CAL3/CAL4 assets
+/// carry the safety case).
+constexpr risk::Cal kReachabilityMinCal = risk::Cal::kCal3;
+
 /// FR that guards a security property (IEC 62443-3-3 FR <- 21434 asset
 /// property): losing confidentiality is an FR-DC failure, integrity
 /// FR-SI, availability FR-RA, authenticity FR-IAC.
@@ -58,8 +63,7 @@ std::unordered_map<std::uint64_t, risk::Cal> asset_cal_map(const risk::Tara& tar
 /// certification argument rides on).
 int required_sl(risk::Cal cal) { return static_cast<int>(cal) + 1; }
 
-void run_attack_path_rules(const Model& model, const AnalyzerConfig& config,
-                           std::vector<Diagnostic>& out) {
+void run_attack_path_rules(const Model& model, std::vector<Diagnostic>& out) {
   if (model.zones == nullptr || model.countermeasures == nullptr) return;
   const risk::ZoneModel& zones = *model.zones;
   const std::vector<ZoneReachability> reach =
@@ -81,7 +85,7 @@ void run_attack_path_rules(const Model& model, const AnalyzerConfig& config,
         const risk::Asset* asset = item->find(asset_id);
         if (asset == nullptr) continue;
         const auto it = cal.find(asset_id.value());
-        if (it == cal.end() || it->second < config.reachability_min_cal) continue;
+        if (it == cal.end() || it->second < kReachabilityMinCal) continue;
         critical.push_back(asset);
       }
     }
@@ -138,7 +142,7 @@ void run_attack_path_rules(const Model& model, const AnalyzerConfig& config,
         const risk::Asset* asset = item->find(asset_id);
         if (asset == nullptr) continue;
         const auto it = cal.find(asset_id.value());
-        if (it == cal.end() || it->second < config.reachability_min_cal) continue;
+        if (it == cal.end() || it->second < kReachabilityMinCal) continue;
         const int floor = required_sl(it->second);
         for (const risk::SecurityProperty property : asset->properties) {
           const risk::Fr fr = fr_for_property(property);
@@ -288,7 +292,7 @@ void run_consistency_rules(const Model& model, const AnalyzerConfig& config,
 
     // CM004: treatment applied, residual risk still at the high-risk
     // bar — controls were selected but did not move the needle.
-    if (claimed && result.residual_risk >= config.high_risk) {
+    if (claimed && result.residual_risk >= kHighRisk) {
       Diagnostic d;
       d.rule = "CM004";
       d.severity = Severity::kWarning;
@@ -297,7 +301,7 @@ void run_consistency_rules(const Model& model, const AnalyzerConfig& config,
                   std::string(risk::treatment_name(result.treatment)) +
                   ") but residual risk " + std::to_string(result.residual_risk) +
                   " still meets the high-risk bar " +
-                  std::to_string(config.high_risk);
+                  std::to_string(kHighRisk);
       d.hint = "add controls, redesign, or escalate to an avoid decision";
       out.push_back(std::move(d));
     }
@@ -343,7 +347,7 @@ void run_consistency_rules(const Model& model, const AnalyzerConfig& config,
 
 void run_semantic_rules(const Model& model, const AnalyzerConfig& config,
                         std::vector<Diagnostic>& out) {
-  run_attack_path_rules(model, config, out);
+  run_attack_path_rules(model, out);
   run_consistency_rules(model, config, out);
 }
 

@@ -12,6 +12,7 @@ namespace agrarsec::analysis {
 
 void run_tara_rules(const Model& model, const AnalyzerConfig& config,
                     std::vector<Diagnostic>& out) {
+  (void)config;
   if (model.tara == nullptr) return;
   const risk::Tara& tara = *model.tara;
 
@@ -29,7 +30,7 @@ void run_tara_rules(const Model& model, const AnalyzerConfig& config,
     // decision — 21434 demands reduce/avoid/share (or a documented
     // acceptance, which this model expresses as a lower risk value).
     if (result.treatment == risk::Treatment::kRetain &&
-        result.initial_risk >= config.high_risk) {
+        result.initial_risk >= kHighRisk) {
       Diagnostic d;
       d.rule = "TA001";
       d.severity = Severity::kError;

@@ -12,6 +12,10 @@ namespace agrarsec::analysis {
 
 namespace {
 
+/// ZC003: SL-T gap between bridged zones that demands a compensating
+/// conduit countermeasure.
+constexpr int kConduitGap = 2;
+
 const risk::Zone* zone_by_id(const risk::ZoneModel& zones, ZoneId id) {
   for (const risk::Zone& z : zones.zones()) {
     if (z.id == id) return &z;
@@ -40,6 +44,7 @@ void check_sl_gaps(const std::string& subject_entity, const risk::SlVector& targ
 
 void run_zone_rules(const Model& model, const AnalyzerConfig& config,
                     std::vector<Diagnostic>& out) {
+  (void)config;
   if (model.zones == nullptr || model.countermeasures == nullptr) return;
   const risk::ZoneModel& zones = *model.zones;
   const auto& catalogue = *model.countermeasures;
@@ -71,7 +76,7 @@ void run_zone_rules(const Model& model, const AnalyzerConfig& config,
                   zones.achieved(conduit, catalogue), out);
   }
 
-  // ZC003: a conduit bridging zones whose SL-T differ by >= conduit_gap in
+  // ZC003: a conduit bridging zones whose SL-T differ by >= kConduitGap in
   // some FR is a trust-gradient crossing; it needs a conduit-level
   // countermeasure contributing to that FR (the compensating control an
   // assessor looks for at every gradient crossing).
@@ -84,7 +89,7 @@ void run_zone_rules(const Model& model, const AnalyzerConfig& config,
       const int gap = from->target[fr] > to->target[fr]
                           ? from->target[fr] - to->target[fr]
                           : to->target[fr] - from->target[fr];
-      if (gap < config.conduit_gap || achieved[fr] > 0) continue;
+      if (gap < kConduitGap || achieved[fr] > 0) continue;
       Diagnostic d;
       d.rule = "ZC003";
       d.severity = Severity::kWarning;

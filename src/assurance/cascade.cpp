@@ -4,8 +4,15 @@
 
 namespace agrarsec::assurance {
 
-CascadeResult build_security_case(const risk::Tara& tara, EvidenceRegistry& registry,
-                                  CascadeConfig config) {
+namespace {
+/// Evidence confidence assigned to verified controls (tests green).
+constexpr double kControlConfidence = 0.9;
+/// Residual risk at or below this is argued acceptable without
+/// additional justification.
+constexpr risk::RiskValue kAcceptableRisk = 2;
+}  // namespace
+
+CascadeResult build_security_case(const risk::Tara& tara, EvidenceRegistry& registry) {
   CascadeResult out;
   ArgumentModel& arg = out.argument;
 
@@ -52,13 +59,13 @@ CascadeResult build_security_case(const risk::Tara& tara, EvidenceRegistry& regi
         GsnType::kGoal, label,
         "Residual risk of '" + t.scenario.name + "' is acceptable (risk " +
             std::to_string(t.residual_risk) + " <= " +
-            std::to_string(config.acceptable_risk) + ", " +
+            std::to_string(kAcceptableRisk) + ", " +
             std::string(risk::cal_name(t.cal)) + ")");
     arg.support(asset_goal->second, goal);
     out.threat_goals[t.scenario.id.value()] = goal;
 
     if (t.applied_controls.empty()) {
-      if (t.residual_risk <= config.acceptable_risk) {
+      if (t.residual_risk <= kAcceptableRisk) {
         // Retained low risk: justified acceptance, evidenced by the
         // assessment record itself.
         const GsnId sol =
@@ -92,7 +99,7 @@ CascadeResult build_security_case(const risk::Tara& tara, EvidenceRegistry& regi
       } else {
         ev = registry.add(EvidenceKind::kTestResult, "verify-" + control,
                           "verification results for control '" + control + "'",
-                          config.control_confidence);
+                          kControlConfidence);
         out.control_evidence[control] = ev;
       }
       const std::string sol_label = "Sn-" + control + "-" + t.scenario.name;

@@ -27,20 +27,11 @@ struct CascadeResult {
   GsnId top_goal;
 };
 
-struct CascadeConfig {
-  /// Evidence confidence assigned to verified controls (tests green).
-  double control_confidence = 0.9;
-  /// Residual risk at or below this is argued acceptable without
-  /// additional justification.
-  risk::RiskValue acceptable_risk = 2;
-};
-
 /// Builds the SAC for an assessed TARA. `registry` receives the generated
 /// evidence items (so callers can later update confidences from live
 /// artifacts and re-evaluate).
 [[nodiscard]] CascadeResult build_security_case(const risk::Tara& tara,
-                                                EvidenceRegistry& registry,
-                                                CascadeConfig config = {});
+                                                EvidenceRegistry& registry);
 
 /// Adds the safety-interplay argument leg from co-analysis verdicts:
 /// per hazard, a goal claiming the hazard stays controlled under the

@@ -6,6 +6,15 @@
 
 namespace agrarsec::ids {
 
+namespace {
+/// A plaintext message whose timestamp lags site time by more than this
+/// raises "stale-timestamp".
+constexpr core::SimDuration kMaxTimestampLag = 10 * core::kSecond;
+/// CUSUM drift allowance and alarm threshold of the rate detector.
+constexpr double kCusumSlack = 5.0;
+constexpr double kCusumThreshold = 120.0;
+}  // namespace
+
 std::string_view alert_severity_name(AlertSeverity severity) {
   switch (severity) {
     case AlertSeverity::kInfo: return "info";
@@ -19,7 +28,7 @@ IntrusionDetectionSystem::IntrusionDetectionSystem(IdsConfig config,
                                                    obs::Telemetry* telemetry)
     : config_(config),
       ewma_(config.ewma_alpha, config.ewma_k),
-      cusum_(0.0, config.cusum_slack, config.cusum_threshold),
+      cusum_(0.0, kCusumSlack, kCusumThreshold),
       control_command_rate_(
           config.control_flood_window >= 10 ? config.control_flood_window / 10 : 1,
           10) {
@@ -90,7 +99,7 @@ void IntrusionDetectionSystem::check_signatures(const net::MessageView& message,
       sender.seen_sequence = true;
     }
 
-    if (message.timestamp + config_.max_timestamp_lag < now) {
+    if (message.timestamp + kMaxTimestampLag < now) {
       raise(now, "stale-timestamp", AlertSeverity::kWarning, message.sender,
             "timestamp lags site time by " +
                 std::to_string(now - message.timestamp) + " ms");

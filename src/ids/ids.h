@@ -46,12 +46,9 @@ struct IdsConfig {
   bool enable_signatures = true;
   bool enable_anomaly = true;
   double max_speed_mps = 12.0;          ///< fastest credible machine speed
-  core::SimDuration max_timestamp_lag = 10 * core::kSecond;
   std::uint64_t flood_threshold = 60;    ///< frames / source / second
   double ewma_alpha = 0.05;
   double ewma_k = 6.0;
-  double cusum_slack = 5.0;
-  double cusum_threshold = 120.0;
 
   // Control-plane sensor thresholds (observe_control). The streak-based
   // rules are event-count triggers on purpose: they fire deterministically

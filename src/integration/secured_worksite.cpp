@@ -24,6 +24,23 @@ std::uint64_t forwarder_sender_id(std::size_t index) {
 // Distinct from the worksite's machine/human/weather domains, so sensing
 // never correlates with movement and never touches the shared stream.
 constexpr std::uint64_t kSenseStreamDomain = 0x53454E5345ULL;  // "SENSE"
+
+// The drone's flight: altitude above ground and orbit radius around the
+// primary forwarder.
+constexpr double kDroneAltitudeM = 45.0;
+constexpr double kDroneOrbitRadiusM = 25.0;
+
+/// Each forwarder broadcasts its telemetry once per this period.
+constexpr core::SimDuration kTelemetryPeriod = core::kSecond;
+
+/// Frequency hopping moves to the next channel of the hop sequence once
+/// per this period.
+constexpr core::SimDuration kHopPeriod = 200;
+
+/// Application-layer freshness: safety-relevant messages older than this
+/// are discarded even when cryptographically valid (defeats hold-back /
+/// delayed-release replay, which sequence monotonicity alone cannot).
+constexpr core::SimDuration kMaxMessageAge = 2 * core::kSecond;
 }  // namespace
 
 SecuredWorksiteConfig::SecuredWorksiteConfig() {
@@ -65,11 +82,10 @@ SecuredWorksite::SecuredWorksite(SecuredWorksiteConfig config)
   setup_units();
   harvester_id_ = worksite_->add_harvester("harvester-01", {250, 250});
   if (config_.drone_enabled) {
-    drone_id_ = worksite_->add_drone("drone-01", {60, 60}, config_.drone_altitude_m);
+    drone_id_ = worksite_->add_drone("drone-01", {60, 60}, kDroneAltitudeM);
     // The drone escorts the primary forwarder; its wide camera footprint
     // covers nearby fleet members as well.
-    worksite_->set_drone_orbit(drone_id_, units_[0]->machine,
-                               config_.drone_orbit_radius_m);
+    worksite_->set_drone_orbit(drone_id_, units_[0]->machine, kDroneOrbitRadiusM);
     drone_sensor_ = std::make_unique<sensors::PerceptionSensor>(
         SensorId{1000}, config_.drone_sensor);
     drone_sense_rng_ = core::Rng::fork_stream(config_.seed, kSenseStreamDomain,
@@ -238,13 +254,13 @@ void SecuredWorksite::attack_forwarder_sensor(const sensors::SensorAttack& attac
 }
 
 std::uint32_t SecuredWorksite::channel_at(core::SimTime time) const {
-  if (!config_.frequency_hopping) return config_.radio_channel;
+  if (!config_.frequency_hopping) return kRadioChannel;
   // Time-synchronized pseudo-random hop sequence (splitmix of the slot).
-  std::uint64_t slot = static_cast<std::uint64_t>(time / config_.hop_period);
+  std::uint64_t slot = static_cast<std::uint64_t>(time / kHopPeriod);
   slot += 0x9E3779B97F4A7C15ULL;
   slot = (slot ^ (slot >> 30)) * 0xBF58476D1CE4E5B9ULL;
   slot = (slot ^ (slot >> 27)) * 0x94D049BB133111EBULL;
-  return config_.radio_channel +
+  return kRadioChannel +
          static_cast<std::uint32_t>((slot ^ (slot >> 31)) % config_.hop_channels);
 }
 
@@ -355,7 +371,7 @@ void SecuredWorksite::on_forwarder_frame(ForwarderUnit& unit, const net::Frame& 
   if (message.type == net::MessageType::kDetectionReport ||
       message.type == net::MessageType::kHeartbeat ||
       message.type == net::MessageType::kEstopCommand) {
-    if (message.timestamp + config_.max_message_age < now) {
+    if (message.timestamp + kMaxMessageAge < now) {
       c_reports_rejected_->add();
       return;
     }
@@ -410,7 +426,7 @@ void SecuredWorksite::forwarder_sense_cycle(core::SimTime now) {
 
 void SecuredWorksite::telemetry_cycle(core::SimTime now) {
   for (auto& unit : units_) {
-    if (now - unit->last_telemetry < config_.telemetry_period) continue;
+    if (now - unit->last_telemetry < kTelemetryPeriod) continue;
     unit->last_telemetry = now;
     const sim::Machine* forwarder = worksite_->machine(unit->machine);
 
@@ -462,8 +478,7 @@ void SecuredWorksite::track_ground_truth(core::SimTime now) {
       ++outcome_.person_zone_steps;
       const bool covered = associated(hpos);
       if (covered) ++outcome_.person_covered_steps;
-      const bool fast =
-          forwarder->speed() > forwarder->config().degraded_speed_mps + 0.3;
+      const bool fast = forwarder->speed() > sim::kDegradedSpeedMps + 0.3;
       if (!covered && fast) ++outcome_.blind_fast_steps;
 
       // SOTIF: attribute every blind step to its triggering condition.
@@ -526,7 +541,7 @@ void SecuredWorksite::track_ground_truth(core::SimTime now) {
       ++outcome_.exposure_steps;
       // Hazardous only above the occlusion-safe speed: stopping distance at
       // degraded speed fits the machine's own (occludable) sensing.
-      if (forwarder->speed() > forwarder->config().degraded_speed_mps + 0.3) {
+      if (forwarder->speed() > sim::kDegradedSpeedMps + 0.3) {
         ++outcome_.hazardous_exposures;
       }
     }

@@ -49,6 +49,10 @@
 
 namespace agrarsec::integration {
 
+/// Radio channel of all site traffic (the first hop channel when
+/// frequency hopping is on).
+inline constexpr std::uint32_t kRadioChannel = 3;
+
 struct SecuredWorksiteConfig {
   sim::WorksiteConfig worksite;
   std::uint64_t seed = 1;
@@ -57,8 +61,6 @@ struct SecuredWorksiteConfig {
   std::size_t forwarder_count = 1;
 
   bool drone_enabled = true;
-  double drone_altitude_m = 45.0;
-  double drone_orbit_radius_m = 25.0;
 
   /// Link protection: false = plaintext messages (the attackable
   /// baseline), true = AEAD records over established sessions.
@@ -70,19 +72,13 @@ struct SecuredWorksiteConfig {
   sensors::PerceptionConfig forwarder_sensor;
   sensors::PerceptionConfig drone_sensor;
 
-  core::SimDuration telemetry_period = core::kSecond;
-  std::uint32_t radio_channel = 3;
   /// Channel agility: when enabled, all site traffic hops pseudo-randomly
-  /// over `hop_channels` channels per `hop_period` (time-synchronized
-  /// across machines), so a narrowband jammer only ever covers 1/N of the
-  /// traffic — the "frequency-hopping" countermeasure of the catalogue.
+  /// over `hop_channels` channels from kRadioChannel up, every 200 ms
+  /// (time-synchronized across machines), so a narrowband jammer only
+  /// ever covers 1/N of the traffic — the "frequency-hopping"
+  /// countermeasure of the catalogue.
   bool frequency_hopping = false;
   std::uint32_t hop_channels = 8;
-  core::SimDuration hop_period = 200;
-  /// Application-layer freshness: safety-relevant messages older than this
-  /// are discarded even when cryptographically valid (defeats hold-back /
-  /// delayed-release replay, which sequence monotonicity alone cannot).
-  core::SimDuration max_message_age = 2 * core::kSecond;
 
   /// Shape of the shared obs::Telemetry the full stack instruments into —
   /// notably flight_capacity, the flight-recorder ring size (long

@@ -13,6 +13,11 @@ namespace agrarsec::net {
 
 namespace {
 
+/// Poll tick of the server loop: stream pumps fire and the stop flag is
+/// observed at this cadence (also the upper bound on event-delivery
+/// latency for SSE).
+constexpr int kPollIntervalMs = 20;
+
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -167,9 +172,9 @@ HttpRequestParser::Status HttpRequestParser::poll(HttpRequest& request) {
   // Request line.
   const std::size_t line_end = buffer_.find("\r\n");
   if (line_end == std::string::npos) {
-    return buffer_.size() > limits_.max_request_line ? fail(414) : Status::kNeedMore;
+    return buffer_.size() > kMaxRequestLine ? fail(414) : Status::kNeedMore;
   }
-  if (line_end > limits_.max_request_line) return fail(414);
+  if (line_end > kMaxRequestLine) return fail(414);
 
   const std::string_view line{buffer_.data(), line_end};
   const std::size_t sp1 = line.find(' ');
@@ -280,8 +285,7 @@ void HttpServer::serve_loop() {
       if (conn->has_pending_out()) events |= POLLOUT;
       fds.push_back(pollfd{conn->stream.fd(), events, 0});
     }
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                          config_.poll_interval_ms);
+    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollIntervalMs);
     if (rc < 0 && errno != EINTR) break;
     const std::uint64_t now = wall_now_ns();
 

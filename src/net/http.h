@@ -86,10 +86,12 @@ struct HttpResponse {
   static HttpResponse event_stream(StreamPump pump);
 };
 
+/// Longest request line the parser accepts; a longer one is answered 414.
+inline constexpr std::size_t kMaxRequestLine = 4096;
+
 /// Hard limits the parser enforces. Defaults fit console traffic with an
 /// order of magnitude of slack.
 struct HttpLimits {
-  std::size_t max_request_line = 4096;
   std::size_t max_header_count = 64;
   std::size_t max_header_bytes = 16384;  ///< total, incl. terminators
   std::size_t max_body_bytes = 65536;
@@ -137,9 +139,6 @@ struct HttpServerConfig {
   /// Hard bound on concurrently served connections. Accepts beyond the
   /// bound are answered with a deterministic 503 and closed.
   std::size_t max_connections = 32;
-  /// Poll tick: stream pumps fire and the stop flag is observed at this
-  /// cadence (also the upper bound on event-delivery latency for SSE).
-  int poll_interval_ms = 20;
   /// Per-connection pending-output cap. A subscriber that reads slower
   /// than its stream produces is disconnected once this much output is
   /// queued — bounded subscriber lag, enforced at the transport.

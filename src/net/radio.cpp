@@ -6,6 +6,13 @@
 
 namespace agrarsec::net {
 
+namespace {
+/// Path loss starts growing past this distance.
+constexpr double kReferenceRangeM = 150.0;
+/// Terrain-dependent path-loss growth: (d / kReferenceRangeM)^kLossExponent.
+constexpr double kLossExponent = 2.2;
+}  // namespace
+
 std::string_view delivery_outcome_name(DeliveryOutcome outcome) {
   switch (outcome) {
     case DeliveryOutcome::kDelivered: return "delivered";
@@ -125,9 +132,9 @@ DeliveryOutcome RadioMedium::judge(const Frame& frame, const core::Vec2& src_pos
   // Log-distance style loss: base below reference range, growing with
   // (d/ref)^exponent above it, saturating at 1.
   double loss = config_.base_loss;
-  if (d > config_.reference_range_m) {
-    const double ratio = d / config_.reference_range_m;
-    loss = std::min(1.0, config_.base_loss * std::pow(ratio, config_.loss_exponent));
+  if (d > kReferenceRangeM) {
+    const double ratio = d / kReferenceRangeM;
+    loss = std::min(1.0, config_.base_loss * std::pow(ratio, kLossExponent));
   }
   if (rng_.chance(loss)) return DeliveryOutcome::kPathLoss;
   return DeliveryOutcome::kDelivered;
@@ -166,7 +173,7 @@ void RadioMedium::step(core::SimTime now) {
       const Frame& second = due_[order_[v]].frame;
       if (second.channel != first.channel) break;
       const double gap = static_cast<double>(second.sent_at - first.sent_at);
-      if (gap > config_.collision_window_ms) break;  // sorted: no later hit
+      if (gap > kCollisionWindowMs) break;  // sorted: no later hit
       if (second.src == first.src) continue;
       collided_[order_[u]] = collided_[order_[v]] = true;
     }

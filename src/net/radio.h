@@ -55,13 +55,14 @@ enum class DeliveryOutcome : std::uint8_t {
 
 [[nodiscard]] std::string_view delivery_outcome_name(DeliveryOutcome outcome);
 
+/// Two same-channel frames from different senders whose send times lie
+/// within this window (ms) may collide.
+inline constexpr double kCollisionWindowMs = 5.0;
+
 /// Physical-layer parameters.
 struct RadioConfig {
   double max_range_m = 600.0;        ///< hard connectivity limit
-  double reference_range_m = 150.0;  ///< loss starts growing past this
   double base_loss = 0.01;           ///< frame loss probability at close range
-  double loss_exponent = 2.2;        ///< terrain-dependent path loss growth
-  double collision_window_ms = 5.0;  ///< frames within this window may collide
   /// Probability that two overlapping same-channel frames actually destroy
   /// each other (CSMA/CA resolves most overlaps in practice).
   double collision_probability = 0.25;

@@ -6,6 +6,11 @@
 
 namespace agrarsec::safety {
 
+namespace {
+/// Detections within this distance of a track merge into it.
+constexpr double kAssociationRadiusM = 3.0;
+}  // namespace
+
 DetectionFusion::DetectionFusion(FusionConfig config) : config_(config) {}
 
 void DetectionFusion::add_local(const std::vector<sensors::Detection>& detections) {
@@ -31,7 +36,7 @@ const std::vector<FusedTrack>& DetectionFusion::fuse(core::SimTime now) {
     const double weight = remote ? config_.remote_weight : 1.0;
     const double score = d.confidence * weight;
     for (FusedTrack& t : tracks_) {
-      if (core::within(t.position, d.position, config_.association_radius_m)) {
+      if (core::within(t.position, d.position, kAssociationRadiusM)) {
         // Merge: keep the higher-confidence position, accumulate score
         // with a noisy-OR so two weak agreeing sources beat either alone.
         if (score > t.confidence) t.position = d.position;

@@ -19,7 +19,6 @@ enum class FusionPolicy : std::uint8_t { kUnion = 0, kConfidenceWeighted = 1 };
 struct FusionConfig {
   FusionPolicy policy = FusionPolicy::kUnion;
   core::SimDuration freshness_window = 1500;  ///< ms; older inputs are stale
-  double association_radius_m = 3.0;          ///< detections closer than this merge
   double confidence_gate = 0.5;               ///< weighted policy threshold
   double remote_weight = 0.8;                 ///< trust discount for radio reports
 };

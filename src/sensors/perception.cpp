@@ -5,6 +5,12 @@
 
 namespace agrarsec::sensors {
 
+namespace {
+/// Lowest confidence a genuine detection reports, however far or
+/// weather-degraded.
+constexpr double kConfidenceFloor = 0.55;
+}  // namespace
+
 std::string_view modality_name(Modality modality) {
   switch (modality) {
     case Modality::kLidar: return "lidar";
@@ -88,9 +94,8 @@ void PerceptionSensor::sense_into(const sim::Worksite& site, const sim::Machine&
       d.target = human->id();
       d.position = hpos + core::Vec2{rng.normal(0, config_.position_noise_m),
                                      rng.normal(0, config_.position_noise_m)};
-      d.confidence =
-          std::max(config_.confidence_floor, 1.0 - 0.4 * range_frac -
-                                                 wx.extra_miss_probability * 2.0);
+      d.confidence = std::max(kConfidenceFloor, 1.0 - 0.4 * range_frac -
+                                                    wx.extra_miss_probability * 2.0);
       d.source = id_;
       d.time = now;
       out.push_back(d);

@@ -33,7 +33,6 @@ struct PerceptionConfig {
   double range_m = 40.0;
   double fov_rad = 6.283185307179586;  ///< full circle for spinning lidar
   double base_detect_prob = 0.97;      ///< per frame, close range, clear LOS
-  double confidence_floor = 0.55;
   double position_noise_m = 0.35;
 };
 

@@ -15,6 +15,21 @@ namespace agrarsec::service {
 
 namespace {
 
+/// Sim time used to validate client certificate chains (the console has
+/// no sim clock of its own; operators enroll long-lived certs).
+constexpr std::int64_t kCertValidationTime = 0;
+/// Events returned by /flight/<session> when ?n= is absent.
+constexpr std::size_t kFlightTailDefault = 64;
+/// Hard cap on commands served over one control connection.
+constexpr int kMaxCommandsPerConnection = 1024;
+/// Concurrent HTTP connections served by the poll loop (beyond it,
+/// deterministic 503).
+constexpr std::size_t kMaxHttpConnections = 32;
+/// Snapshot cadence of the /stream/metrics SSE push.
+constexpr std::uint64_t kStreamIntervalMs = 200;
+/// Max flight events forwarded per SSE pump tick and per connection.
+constexpr std::size_t kStreamChunkEvents = 256;
+
 /// Wall-clock milliseconds for the control-plane sensor. The sensor's
 /// telemetry is private to the console and never part of a deterministic
 /// export, so wall time is the honest clock here.
@@ -122,7 +137,7 @@ ConsoleService::ConsoleService(FleetService& fleet, pki::Identity identity,
       http_(net::HttpServerConfig{.port = config_.http_port,
                                   .io_timeout_ms = config_.io_timeout_ms,
                                   .max_requests_per_connection = 128,
-                                  .max_connections = config_.max_http_connections,
+                                  .max_connections = kMaxHttpConnections,
                                   .limits = {}}),
       sensor_([&] {
         // Signature-only sensor with a private telemetry stack: its
@@ -212,7 +227,7 @@ net::HttpResponse ConsoleService::route_flight(const net::HttpRequest& request,
   if (!parse_session_id(id_text, id)) {
     return net::HttpResponse::error(400, "bad_session", "non-numeric session id");
   }
-  std::size_t n = config_.flight_tail_default;
+  std::size_t n = kFlightTailDefault;
   if (const std::string_view q = request.query_param("n"); !q.empty()) {
     SessionId parsed = 0;
     if (!parse_session_id(q, parsed) || parsed == 0) {
@@ -261,11 +276,10 @@ net::HttpResponse ConsoleService::route_stream_flight(
   // the data line is byte-identical to the polled JSONL export's line.
   // Ring overwrites are surfaced as an explicit "dropped" frame, so a
   // lagging subscriber sees its loss instead of a silent gap.
-  const std::size_t chunk_events = config_.stream_chunk_events;
   return net::HttpResponse::event_stream(
-      [this, id, cursor, chunk_events](std::string& out) mutable {
+      [this, id, cursor](std::string& out) mutable {
         const FleetService::FlightChunk chunk =
-            fleet_.flight_read(id, cursor, chunk_events);
+            fleet_.flight_read(id, cursor, kStreamChunkEvents);
         if (!chunk.ok) return false;  // session destroyed mid-stream
         if (chunk.dropped > 0) {
           append_sse_event(out, "dropped", nullptr,
@@ -287,12 +301,10 @@ net::HttpResponse ConsoleService::route_stream_flight(
 }
 
 net::HttpResponse ConsoleService::route_stream_metrics() {
-  const auto interval_ns =
-      static_cast<std::uint64_t>(config_.stream_interval_ms) * 1000000ull;
   return net::HttpResponse::event_stream(
-      [this, interval_ns, last_emit = std::uint64_t{0}](std::string& out) mutable {
+      [this, last_emit = std::uint64_t{0}](std::string& out) mutable {
         const std::uint64_t now = obs::Tracer::now_ns();
-        if (last_emit != 0 && now - last_emit < interval_ns) return true;
+        if (last_emit != 0 && now - last_emit < kStreamIntervalMs * 1000000) return true;
         last_emit = now;
         append_sse_event(out, "sessions", nullptr, fleet_.sessions_json());
         append_sse_event(out, "ids", nullptr, ids_json());
@@ -351,7 +363,7 @@ void ConsoleService::handle_control_connection(net::TcpStream stream) {
     sense(ids::ControlPlaneEvent::kHandshakeFailed);
     return;
   }
-  secure::Handshake handshake{identity_, trust_, config_.cert_validation_time};
+  secure::Handshake handshake{identity_, trust_, kCertValidationTime};
   auto msg2 = handshake.respond(*msg1, drbg_);
   if (!msg2.ok()) {
     records_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -382,7 +394,7 @@ void ConsoleService::handle_control_connection(net::TcpStream stream) {
 
   int commands = 0;
   while (!stop_.load(std::memory_order_relaxed) &&
-         commands < config_.max_commands_per_connection) {
+         commands < kMaxCommandsPerConnection) {
     const auto frame = net::read_frame(stream, timeout);
     if (!frame) return;  // orderly close, timeout or oversized prefix
     const auto record = secure::Record::decode(*frame);

@@ -75,27 +75,15 @@ struct ConsoleConfig {
   std::uint16_t http_port = 0;     ///< 0 = ephemeral
   std::uint16_t control_port = 0;  ///< 0 = ephemeral
   int io_timeout_ms = 2000;
-  /// Sim time used to validate client certificate chains (the console has
-  /// no sim clock of its own; operators enroll long-lived certs).
-  std::int64_t cert_validation_time = 0;
   /// Leaf subjects allowed on the control plane. Empty = any peer that
   /// validates against the trust store.
   std::vector<std::string> allowed_subjects;
-  /// Events returned by /flight/<session> when ?n= is absent.
-  std::size_t flight_tail_default = 64;
-  int max_commands_per_connection = 1024;
   /// Control-session rotation: after this many dispatched commands the
   /// server closes the control connection, forcing the operator client to
   /// re-run the PKI handshake (fresh session keys + replay window). 0
-  /// disables rotation; the hard cap above still applies.
+  /// disables rotation; the hard cap of 1024 commands per connection
+  /// still applies.
   int rotate_after_commands = 256;
-  /// Concurrent HTTP connections served by the poll loop (beyond it,
-  /// deterministic 503).
-  std::size_t max_http_connections = 32;
-  /// Snapshot cadence of the /stream/metrics SSE push.
-  int stream_interval_ms = 200;
-  /// Max flight events forwarded per SSE pump tick and per connection.
-  std::size_t stream_chunk_events = 256;
   /// Thresholds for the console's control-plane IDS sensor (anomaly
   /// detectors are forced off — the sensor is signature-only).
   ids::IdsConfig sensor;

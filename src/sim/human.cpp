@@ -12,7 +12,7 @@ Human::Human(HumanId id, std::string name, core::Vec2 position, core::Vec2 work_
 
 void Human::pick_waypoint(core::Rng& rng) {
   const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
-  const double radius = config_.work_area_radius * std::sqrt(rng.next_double());
+  const double radius = kWorkAreaRadiusM * std::sqrt(rng.next_double());
   waypoint_ = work_anchor_ + core::Vec2{std::cos(angle), std::sin(angle)} * radius;
 }
 
@@ -25,8 +25,7 @@ void Human::step(core::SimDuration dt_ms, core::Rng& rng) {
 
   const core::Vec2 delta = *waypoint_ - position_;
   const double dist = delta.norm();
-  const double step_len = config_.walk_speed_mps * static_cast<double>(dt_ms) /
-                          core::kSecond;
+  const double step_len = kWalkSpeedMps * static_cast<double>(dt_ms) / core::kSecond;
   if (dist <= step_len) {
     position_ = *waypoint_;
     waypoint_.reset();

@@ -15,12 +15,16 @@
 
 namespace agrarsec::sim {
 
+/// Walking speed of a worker.
+inline constexpr double kWalkSpeedMps = 1.3;
+/// Waypoints are drawn within this radius of the work anchor.
+inline constexpr double kWorkAreaRadiusM = 60.0;
+/// Body height of a worker (perception aims at 0.7 of it).
+inline constexpr double kBodyHeightM = 1.7;
+
 struct HumanConfig {
-  double walk_speed_mps = 1.3;
   double pause_probability = 0.3;    ///< chance of pausing at a waypoint
   core::SimDuration pause_mean = 20 * core::kSecond;
-  double work_area_radius = 60.0;    ///< waypoints drawn near the anchor
-  double body_height_m = 1.7;
 };
 
 class Human {
@@ -35,7 +39,7 @@ class Human {
   [[nodiscard]] HumanId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] core::Vec2 position() const { return position_; }
-  [[nodiscard]] double height() const { return config_.body_height_m; }
+  [[nodiscard]] double height() const { return kBodyHeightM; }
 
   /// Re-anchors the work area (e.g. following the harvester).
   void set_work_anchor(core::Vec2 anchor) { work_anchor_ = anchor; }

@@ -7,6 +7,15 @@
 
 namespace agrarsec::sim {
 
+namespace {
+/// E-stop deceleration; a controlled (soft) stop brakes at half of it.
+constexpr double kBrakeDecelMps2 = 3.0;
+/// Lazy re-planning: when a new goal lies within this distance of the
+/// goal the current route was planned for, the route is retargeted
+/// instead of re-planned (provided the remaining legs stay clear).
+constexpr double kReplanThresholdM = 6.0;
+}  // namespace
+
 std::string_view machine_kind_name(MachineKind kind) {
   switch (kind) {
     case MachineKind::kForwarder: return "forwarder";
@@ -21,8 +30,9 @@ Machine::Machine(MachineId id, MachineKind kind, std::string name, core::Vec2 po
     : id_(id), kind_(kind), name_(std::move(name)), position_(position),
       config_(config), rng_(rng) {}
 
-void Machine::set_route(std::deque<core::Vec2> waypoints) {
-  waypoints_ = std::move(waypoints);
+void Machine::head_to(core::Vec2 target) {
+  waypoints_.clear();
+  waypoints_.push_back(target);
   route_goal_ = std::nullopt;  // untracked route: nothing to lazily reuse
 }
 
@@ -44,7 +54,7 @@ bool Machine::try_reuse_route(core::Vec2 goal, const PathPlanner& planner) {
   // intermediate legs are not re-verified here, so any set_region_blocked
   // (a new hazard could cut a middle leg) declines reuse wholesale.
   if (planner.generation() != route_generation_) return false;
-  if (core::distance(*route_goal_, goal) > config_.replan_threshold_m) return false;
+  if (core::distance(*route_goal_, goal) > kReplanThresholdM) return false;
   // The leg currently being driven runs from the machine's live pose, which
   // is off the planned polyline — it was never verified by the search.
   if (!planner.segment_clear(position_, waypoints_.front())) return false;
@@ -55,7 +65,6 @@ bool Machine::try_reuse_route(core::Vec2 goal, const PathPlanner& planner) {
   if (!planner.segment_clear(tail_from, goal)) return false;
   waypoints_.back() = goal;
   route_goal_ = goal;
-  ++route_reuses_;
   return true;
 }
 
@@ -79,7 +88,7 @@ void Machine::set_degraded(bool degraded) {
 }
 
 void Machine::load_logs(double volume_m3) {
-  load_m3_ = std::min(config_.load_capacity_m3, load_m3_ + volume_m3);
+  load_m3_ = std::min(kLoadCapacityM3, load_m3_ + volume_m3);
 }
 
 double Machine::unload_logs() {
@@ -93,8 +102,7 @@ double Machine::step(core::SimDuration dt_ms) {
 
   if (mode_ == DriveMode::kStopped) {
     // Decelerate to rest.
-    const double decel =
-        hard_braking_ ? config_.brake_decel_mps2 : config_.brake_decel_mps2 * 0.5;
+    const double decel = hard_braking_ ? kBrakeDecelMps2 : kBrakeDecelMps2 * 0.5;
     speed_ = std::max(0.0, speed_ - decel * dt);
     const double travelled = speed_ * dt;
     position_ = position_ + core::Vec2{std::cos(heading_), std::sin(heading_)} * travelled;
@@ -127,16 +135,14 @@ double Machine::step(core::SimDuration dt_ms) {
   // (speed / turn_rate) below the waypoint tolerance — without it a fast
   // machine orbits a waypoint it can never turn tightly enough to hit.
   double target_speed =
-      (mode_ == DriveMode::kDegraded ? config_.degraded_speed_mps
-                                     : config_.max_speed_mps) *
+      (mode_ == DriveMode::kDegraded ? kDegradedSpeedMps : config_.max_speed_mps) *
       (std::abs(heading_error) > 0.7 ? 0.4 : 1.0);
   const double capture_speed = config_.turn_rate_rps * kWaypointTolerance * 0.8;
   if (dist < 8.0) {
     target_speed = std::min(target_speed, std::max(capture_speed, dist * 0.4));
   }
   // Simple first-order speed response.
-  speed_ += std::clamp(target_speed - speed_, -config_.brake_decel_mps2 * dt,
-                       config_.brake_decel_mps2 * dt);
+  speed_ += std::clamp(target_speed - speed_, -kBrakeDecelMps2 * dt, kBrakeDecelMps2 * dt);
 
   const double travelled = std::min(speed_ * dt, dist);
   position_ = position_ + core::Vec2{std::cos(heading_), std::sin(heading_)} * travelled;

@@ -28,19 +28,18 @@ enum class DriveMode : std::uint8_t {
   kStopped = 2,    ///< e-stop latched; needs explicit release
 };
 
+/// Speed cap in DriveMode::kDegraded.
+inline constexpr double kDegradedSpeedMps = 1.0;
+/// Height of a ground machine's cab-top sensor mast.
+inline constexpr double kSensorHeightM = 2.6;
+/// Forwarder bunk volume.
+inline constexpr double kLoadCapacityM3 = 14.0;
+
 struct MachineConfig {
   double max_speed_mps = 4.0;        ///< forwarder off-road speed
-  double degraded_speed_mps = 1.0;
   double turn_rate_rps = 0.6;        ///< yaw rate limit
-  double brake_decel_mps2 = 3.0;     ///< e-stop deceleration
   double body_radius_m = 1.8;
-  double sensor_height_m = 2.6;      ///< cab-top sensor mast
   double altitude_m = 0.0;           ///< >0 for drones (AGL)
-  double load_capacity_m3 = 14.0;    ///< forwarder bunk volume
-  /// Lazy re-planning: when a new goal lies within this distance of the
-  /// goal the current route was planned for, the route is retargeted
-  /// instead of re-planned (provided the remaining legs stay clear).
-  double replan_threshold_m = 6.0;
 };
 
 class Machine {
@@ -66,11 +65,14 @@ class Machine {
 
   /// Height of the machine's sensor origin above ground (drones: altitude).
   [[nodiscard]] double sensor_agl() const {
-    return kind_ == MachineKind::kDrone ? config_.altitude_m : config_.sensor_height_m;
+    return kind_ == MachineKind::kDrone ? config_.altitude_m : kSensorHeightM;
   }
 
   // --- routing ---
-  void set_route(std::deque<core::Vec2> waypoints);
+  /// Untracked single-waypoint route: replaces the route with `target`
+  /// in the existing waypoint storage, so a per-step retarget (the drone
+  /// orbit) allocates nothing, and drops the tracked goal.
+  void head_to(core::Vec2 target);
   /// Route with goal tracking: remembers the goal the route was planned
   /// for and the planner generation it was planned under, so later calls
   /// can lazily reuse it (try_reuse_route).
@@ -81,7 +83,7 @@ class Machine {
   [[nodiscard]] std::optional<core::Vec2> current_waypoint() const;
 
   /// Lazy re-planning: when the machine is mid-route towards a tracked
-  /// goal and the new goal moved less than config().replan_threshold_m,
+  /// goal and the new goal moved at most 6 m,
   /// the existing route is kept and only its final waypoint is retargeted.
   /// Reuse requires the planner's blocked-grid generation to match the one
   /// the route was planned under (any set_region_blocked since then
@@ -93,11 +95,9 @@ class Machine {
 
   /// Goal of the current tracked route (nullopt for untracked routes).
   [[nodiscard]] std::optional<core::Vec2> route_goal() const { return route_goal_; }
-  /// How many times try_reuse_route avoided a full re-plan.
-  [[nodiscard]] std::uint64_t route_reuses() const { return route_reuses_; }
 
   // --- safety interface ---
-  /// Latches an emergency stop. `hard` brakes at brake_decel, otherwise
+  /// Latches an emergency stop. `hard` brakes at 3 m/s², otherwise
   /// a controlled stop at twice the braking distance.
   void emergency_stop(bool hard = true);
   void release_stop();
@@ -108,7 +108,7 @@ class Machine {
   void load_logs(double volume_m3);
   double unload_logs();  ///< empties the bunk, returns volume removed
   [[nodiscard]] double load_m3() const { return load_m3_; }
-  [[nodiscard]] bool full() const { return load_m3_ >= config_.load_capacity_m3 - 1e-9; }
+  [[nodiscard]] bool full() const { return load_m3_ >= kLoadCapacityM3 - 1e-9; }
 
   /// Advances kinematics by dt. Returns distance travelled (m).
   double step(core::SimDuration dt_ms);
@@ -130,7 +130,6 @@ class Machine {
   std::deque<core::Vec2> waypoints_;
   std::optional<core::Vec2> route_goal_;
   std::uint64_t route_generation_ = 0;  ///< planner generation of the route
-  std::uint64_t route_reuses_ = 0;
   double load_m3_ = 0.0;
   double odometer_ = 0.0;
 

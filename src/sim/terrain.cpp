@@ -6,6 +6,15 @@
 
 namespace agrarsec::sim {
 
+namespace {
+// Generation parameters every stand shares; ForestConfig sets the rest.
+constexpr double kTreeRadiusMeanM = 0.18;  ///< stem radius
+constexpr double kTreeHeightMeanM = 16.0;
+constexpr double kBrushRadiusMeanM = 0.9;
+constexpr double kHillHeightMaxM = 8.0;
+constexpr double kHillRadiusMeanM = 60.0;  ///< Gaussian sigma
+}  // namespace
+
 Terrain::Terrain(core::Aabb bounds, std::vector<Obstacle> obstacles,
                  std::vector<Hill> hills)
     : bounds_(bounds), obstacles_(std::move(obstacles)), hills_(std::move(hills)) {
@@ -30,11 +39,11 @@ Terrain Terrain::generate(const ForestConfig& config, core::Rng& rng) {
       obstacles.push_back(o);
     }
   };
-  scatter(ObstacleKind::kTree, config.trees_per_hectare, config.tree_radius_mean,
-          config.tree_height_mean);
+  scatter(ObstacleKind::kTree, config.trees_per_hectare, kTreeRadiusMeanM,
+          kTreeHeightMeanM);
   scatter(ObstacleKind::kBoulder, config.boulders_per_hectare,
           config.boulder_radius_mean, config.boulder_height_mean);
-  scatter(ObstacleKind::kBrush, config.brush_per_hectare, config.brush_radius_mean,
+  scatter(ObstacleKind::kBrush, config.brush_per_hectare, kBrushRadiusMeanM,
           config.brush_height_mean);
 
   std::vector<Hill> hills;
@@ -42,9 +51,8 @@ Terrain Terrain::generate(const ForestConfig& config, core::Rng& rng) {
     Hill h;
     h.center = {rng.uniform(config.bounds.min.x, config.bounds.max.x),
                 rng.uniform(config.bounds.min.y, config.bounds.max.y)};
-    h.height_m = rng.uniform(0.5, config.hill_height_max);
-    h.radius_m = std::max(10.0, rng.normal(config.hill_radius_mean,
-                                           config.hill_radius_mean * 0.3));
+    h.height_m = rng.uniform(0.5, kHillHeightMaxM);
+    h.radius_m = std::max(10.0, rng.normal(kHillRadiusMeanM, kHillRadiusMeanM * 0.3));
     hills.push_back(h);
   }
 

@@ -35,17 +35,12 @@ struct Hill {
 struct ForestConfig {
   core::Aabb bounds{{0, 0}, {500, 500}};
   double trees_per_hectare = 400.0;  ///< typical managed Nordic forest
-  double tree_radius_mean = 0.18;    ///< stem radius, metres
-  double tree_height_mean = 16.0;
   double boulders_per_hectare = 8.0;
   double boulder_radius_mean = 1.1;
   double boulder_height_mean = 1.4;
   double brush_per_hectare = 40.0;
-  double brush_radius_mean = 0.9;
   double brush_height_mean = 1.2;
   std::size_t hill_count = 6;
-  double hill_height_max = 8.0;
-  double hill_radius_mean = 60.0;
 };
 
 class Terrain {

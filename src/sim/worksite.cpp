@@ -23,6 +23,16 @@ std::string_view task_name(ForwarderTask task) {
 /// compacted out of piles_ at the end of the step.
 constexpr double kPileExhaustedM3 = 0.5;
 
+/// Volume of one harvester pile: the harvester drops a new pile each time
+/// it has produced this much.
+constexpr double kPileCapacityM3 = 7.0;
+
+/// A forwarder closer than this to the landing area unloads there.
+constexpr double kLandingRadiusM = 15.0;
+
+/// Radius of the no-go disc one windthrow event blocks in the planner.
+constexpr double kWindthrowRadiusM = 12.0;
+
 /// Planning clearance = machine body radius + this margin. The default
 /// MachineConfig (body 1.8 m) lands exactly on the default
 /// PlannerConfig::clearance_m of 2.0 m.
@@ -78,7 +88,7 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
       seed_(seed),
       rng_(seed),
       hazard_rng_(core::Rng::fork_stream(seed, kWeatherStreamDomain, 0)),
-      clock_(config.step) {
+      clock_(kWorksiteStep) {
   // Telemetry first: the planner hangs off it.
   if (config_.telemetry != nullptr) {
     telemetry_ = config_.telemetry;
@@ -96,8 +106,7 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   // The one separation store, exported with every session; the step
   // wall-time histogram is excluded from the deterministic export by its
   // "wall." prefix.
-  h_separation_ = &reg.histogram("worksite.separation_m", 0.0,
-                                 std::max(config_.separation_tracking_m, 1e-6), 25);
+  h_separation_ = &reg.histogram("worksite.separation_m", 0.0, kSeparationTrackingM, 25);
   h_step_wall_ = &reg.histogram("wall.worksite_step_us", 0.0, 100000.0, 20);
   obs::Tracer& tracer = telemetry_->tracer();
   ph_step_ = tracer.phase("worksite.step");
@@ -321,14 +330,14 @@ void Worksite::compact_piles() {
 void Worksite::step_weather_hazards() {
   if (config_.windthrow_rate_per_hour > 0.0) {
     const double step_hours =
-        static_cast<double>(config_.step) / static_cast<double>(core::kHour);
+        static_cast<double>(kWorksiteStep) / static_cast<double>(core::kHour);
     const double p = config_.windthrow_rate_per_hour *
                      windthrow_weather_factor(config_.weather) * step_hours;
     if (hazard_rng_.chance(p)) {
       const core::Aabb& bounds = terrain_->bounds();
       const core::Vec2 center{hazard_rng_.uniform(bounds.min.x, bounds.max.x),
                               hazard_rng_.uniform(bounds.min.y, bounds.max.y)};
-      const double radius = config_.windthrow_radius_m;
+      const double radius = kWindthrowRadiusM;
       block_region(center, radius, true);
       c_windthrow_->add();
       telemetry_->recorder().record(clock_.now(), "worksite", "windthrow", 0,
@@ -357,19 +366,19 @@ void Worksite::step_weather_hazards() {
 
 void Worksite::decide_harvester(Machine& harvester, MachineEffects& fx) {
   // The harvester fells and processes continuously; every
-  // pile_capacity_m3 produced, a new pile appears beside it.
+  // kPileCapacityM3 produced, a new pile appears beside it.
   const double per_step = config_.harvester_output_m3_per_min *
-                          static_cast<double>(config_.step) / core::kMinute;
+                          static_cast<double>(kWorksiteStep) / core::kMinute;
   double& accum = harvester_accum_m3_.find(harvester.id().value())->second;
   accum += per_step;
-  if (accum >= config_.pile_capacity_m3) {
-    accum -= config_.pile_capacity_m3;
+  if (accum >= kPileCapacityM3) {
+    accum -= kPileCapacityM3;
     const double angle = harvester.rng().uniform(0.0, 2.0 * std::numbers::pi);
     LogPile pile;  // id assigned by the drain (serial allocation)
     pile.position = harvester.position() +
                     core::Vec2{std::cos(angle), std::sin(angle)} * 6.0;
     pile.position = terrain_->bounds().clamp(pile.position);
-    pile.volume_m3 = config_.pile_capacity_m3;
+    pile.volume_m3 = kPileCapacityM3;
     fx.spawn = pile;
   }
 
@@ -426,7 +435,7 @@ void Worksite::decide_forwarder(Machine& forwarder, ForwarderState& state,
     }
     case ForwarderTask::kLoading: {
       if (forwarder.stopped()) break;  // e-stop pauses work
-      state.action_remaining -= config_.step;
+      state.action_remaining -= kWorksiteStep;
       if (state.action_remaining <= 0) {
         // The take amount and the follow-on dispatch depend on the live
         // pile state, which other forwarders mutate this step — commit
@@ -438,11 +447,11 @@ void Worksite::decide_forwarder(Machine& forwarder, ForwarderState& state,
     case ForwarderTask::kToLanding: {
       const double landing_dist =
           core::distance(forwarder.position(), config_.landing_area);
-      if (landing_dist < config_.landing_radius) {
+      if (landing_dist < kLandingRadiusM) {
         state.task = ForwarderTask::kUnloading;
         state.action_remaining = config_.unload_time;
       } else if (forwarder.idle()) {
-        fx.action = landing_dist < config_.landing_radius + 20.0
+        fx.action = landing_dist < kLandingRadiusM + 20.0
                         ? MachineEffects::Action::kRouteDirect
                         : MachineEffects::Action::kRoutePlanned;
         fx.route_goal = config_.landing_area;
@@ -451,7 +460,7 @@ void Worksite::decide_forwarder(Machine& forwarder, ForwarderState& state,
     }
     case ForwarderTask::kUnloading: {
       if (forwarder.stopped()) break;
-      state.action_remaining -= config_.step;
+      state.action_remaining -= kWorksiteStep;
       if (state.action_remaining <= 0) {
         fx.unloaded_m3 = forwarder.unload_logs();
         state.task = ForwarderTask::kIdle;
@@ -472,11 +481,11 @@ void Worksite::decide_drone(Machine& drone) {
   // This reads the anchor's start-of-step pose: machine kinematics all
   // advance in the integrate phase after decide — a one-step lag on a
   // 100 ms orbit update, not observable beyond the orbit tolerance.
-  orbit.phase += 0.35 * static_cast<double>(config_.step) / core::kSecond;
+  orbit.phase += 0.35 * static_cast<double>(kWorksiteStep) / core::kSecond;
   const core::Vec2 target =
       anchor->position() +
       core::Vec2{std::cos(orbit.phase), std::sin(orbit.phase)} * orbit.radius;
-  drone.set_route({target});
+  drone.head_to(target);
 }
 
 void Worksite::decide_machine(std::size_t slot) {
@@ -503,7 +512,7 @@ void Worksite::commit_load(Machine& forwarder, ForwarderState& state) {
     return;
   }
   const double take = std::min(
-      pile->volume_m3, forwarder.config().load_capacity_m3 - forwarder.load_m3());
+      pile->volume_m3, kLoadCapacityM3 - forwarder.load_m3());
   // A pile left below kPileExhaustedM3 is invisible to nearest_pile at
   // once and compacted away at the end of the step.
   pile->volume_m3 -= take;
@@ -609,8 +618,8 @@ void Worksite::step() {
     // Integrate: machine kinematics, then human walks; each entity
     // touches only itself (humans draw from their own streams).
     obs::Tracer::Span span = tracer.scoped(ph_integrate_);
-    for (const auto& m : machines_) m->step(config_.step);
-    for (const auto& h : humans_) h->step(config_.step);
+    for (const auto& m : machines_) m->step(kWorksiteStep);
+    for (const auto& h : humans_) h->step(kWorksiteStep);
   }
 
   // Every decision of the step is made: drop the exhausted piles.
@@ -622,7 +631,7 @@ void Worksite::step() {
     // in slot order, then ascending human id order, which fixes its sum's
     // floating-point accumulation order.
     obs::Tracer::Span span = tracer.scoped(ph_separation_);
-    const double radius = config_.separation_tracking_m;
+    const double radius = kSeparationTrackingM;
     for (const auto& m : machines_) {
       if (m->kind() != MachineKind::kForwarder) continue;
       if (m->speed() < 0.3) continue;

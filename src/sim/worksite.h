@@ -52,30 +52,30 @@ struct LogPile {
   std::uint64_t id = 0;
 };
 
+/// The fixed simulation step, in ms.
+inline constexpr core::SimDuration kWorksiteStep = 100;
+
+/// Separation samples are streamed into the registry histogram
+/// "worksite.separation_m" (25 bins over [0, kSeparationTrackingM]);
+/// pairs farther apart than this are not safety-relevant and are not
+/// recorded.
+inline constexpr double kSeparationTrackingM = 50.0;
+
 struct WorksiteConfig {
   ForestConfig forest;
   core::Vec2 landing_area{30, 30};
-  double landing_radius = 15.0;
-  core::SimDuration step = 100;          ///< ms
   Weather weather = Weather::kClear;
   double harvester_output_m3_per_min = 1.2;
-  double pile_capacity_m3 = 7.0;
   core::SimDuration load_time = 90 * core::kSecond;
   core::SimDuration unload_time = 60 * core::kSecond;
-  /// Separation samples are streamed into the registry histogram
-  /// "worksite.separation_m" (25 bins over [0, separation_tracking_m]);
-  /// pairs farther apart than this are not safety-relevant and are not
-  /// recorded.
-  double separation_tracking_m = 50.0;
   /// Windthrow hazards: expected events per simulated hour at weather
   /// factor 1 (scaled by windthrow_weather_factor; storms fell trees,
   /// clear days rarely do). 0 disables the model. Each event blocks a
-  /// disc of windthrow_radius_m in the route planner (exercising the
-  /// cache generation-invalidation path) and publishes
-  /// "worksite/windthrow"; after windthrow_duration the debris is
-  /// cleared and "worksite/windthrow-cleared" is published (0 = never).
+  /// disc of 12 m in the route planner (exercising the cache
+  /// generation-invalidation path) and publishes "worksite/windthrow";
+  /// after windthrow_duration the debris is cleared and
+  /// "worksite/windthrow-cleared" is published (0 = never).
   double windthrow_rate_per_hour = 0.0;
-  double windthrow_radius_m = 12.0;
   core::SimDuration windthrow_duration = 10 * core::kMinute;
   /// Telemetry sink for the worksite's counters, step-phase spans and
   /// flight events. When null the worksite owns a private instance, so
@@ -197,7 +197,7 @@ class Worksite {
   [[nodiscard]] std::uint64_t completed_cycles() const { return c_cycles_->value(); }
   /// Minimum human–forwarder distance seen while the forwarder moved
   /// faster than 0.3 m/s (the safety-relevant exposure metric). Tracked
-  /// within separation_tracking_m; 1e9 when no such pair was ever seen.
+  /// within kSeparationTrackingM; 1e9 when no such pair was ever seen.
   [[nodiscard]] double min_human_separation() const {
     return h_separation_->count() > 0 ? h_separation_->min() : 1e9;
   }

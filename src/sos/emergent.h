@@ -23,17 +23,8 @@ struct EmergentFinding {
   std::string detail;
 };
 
-struct EmergentConfig {
-  std::size_t oscillation_count = 4;                     ///< stops within window
-  core::SimDuration oscillation_window = 60 * core::kSecond;
-  std::size_t cascade_count = 3;                         ///< distinct origins
-  core::SimDuration cascade_window = 10 * core::kSecond;
-};
-
 class EmergentBehaviorMonitor {
  public:
-  explicit EmergentBehaviorMonitor(EmergentConfig config = {});
-
   /// Subscribes to "safety/estop" and "machine/degraded" topics.
   void attach(core::EventBus& bus);
 
@@ -46,7 +37,6 @@ class EmergentBehaviorMonitor {
   void on_estop(const core::Event& event);
   void on_degraded(const core::Event& event);
 
-  EmergentConfig config_;
   std::deque<core::SimTime> estop_times_;
   std::deque<std::pair<std::uint64_t, core::SimTime>> degraded_events_;
   std::vector<EmergentFinding> findings_;

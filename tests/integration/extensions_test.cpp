@@ -144,8 +144,8 @@ TEST(Extensions, FrequencyHoppingChannelsVary) {
   }
   EXPECT_GE(seen.size(), 4u);
   for (std::uint32_t ch : seen) {
-    EXPECT_GE(ch, config.radio_channel);
-    EXPECT_LT(ch, config.radio_channel + config.hop_channels);
+    EXPECT_GE(ch, kRadioChannel);
+    EXPECT_LT(ch, kRadioChannel + config.hop_channels);
   }
   // Constant channel without hopping.
   SecuredWorksiteConfig fixed;
@@ -166,7 +166,7 @@ TEST(Extensions, HoppingDefeatsNarrowbandJammer) {
     jammer.position = {150, 150};
     jammer.radius_m = 1000.0;
     jammer.effectiveness = 1.0;
-    jammer.channel = config.radio_channel;
+    jammer.channel = kRadioChannel;
     jammer.active = true;
     site.radio().add_jammer(jammer);
     site.run_for(core::kMinute);

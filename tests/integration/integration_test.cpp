@@ -225,8 +225,7 @@ TEST(SecuredWorksite, IdsFlagsFloodAttack) {
     attacker.spoof(site.radio(), site.worksite().clock().now(), 2,
                    net::MessageType::kHeartbeat, {}, NodeId::invalid());
   }
-  attacker.flood(site.radio(), site.worksite().clock().now(), config.radio_channel,
-                 300);
+  attacker.flood(site.radio(), site.worksite().clock().now(), kRadioChannel, 300);
   site.run_for(5 * core::kSecond);
   EXPECT_GT(site.ids().total_alerts(), 0u);
 }

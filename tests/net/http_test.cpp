@@ -61,7 +61,7 @@ TEST(HttpParser, OversizedRequestLineRejectedEvenWithoutTerminator) {
   HttpRequest request;
   // No CRLF yet, but the line already exceeds the limit: a peer cannot
   // force unbounded buffering by never terminating the request line.
-  parser.append("GET /" + std::string(HttpLimits{}.max_request_line, 'a'));
+  parser.append("GET /" + std::string(kMaxRequestLine, 'a'));
   EXPECT_EQ(parser.poll(request), Status::kError);
   EXPECT_EQ(parser.error_status(), 414);
 }

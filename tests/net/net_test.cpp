@@ -324,7 +324,7 @@ TEST(Radio, CollisionOnSameChannelCloseInTime) {
 
 TEST(Radio, CollisionMarksOnlySameChannelPairsInWindow) {
   // Collisions pair frames due in the same step on the same channel from
-  // different senders whose send times lie within collision_window_ms
+  // different senders whose send times lie within kCollisionWindowMs
   // (inclusive). Three senders on two channels, interleaved in send time:
   //   A ch1 src1 t=0   collides with C (gap 3)
   //   B ch2 src2 t=1   same sender as D: no collision
@@ -333,7 +333,7 @@ TEST(Radio, CollisionMarksOnlySameChannelPairsInWindow) {
   //   G ch1 src2 t=8   collides with C
   //   E ch2 src3 t=10  nothing on ch2 within 5 ms from another sender
   const RadioConfig config = TwoNodes::perfect_config();  // loss 0, no jitter
-  ASSERT_EQ(config.collision_window_ms, 5.0);
+  ASSERT_EQ(kCollisionWindowMs, 5.0);
   ASSERT_EQ(config.collision_probability, 1.0);
   RadioMedium medium{core::Rng{11}, config};
   for (std::uint64_t id = 1; id <= 3; ++id) {

@@ -29,7 +29,7 @@ struct Fixture {
 TEST(Monitor, StopsOnCriticalZone) {
   Fixture f;
   SafetyMonitor monitor{f.forwarder, f.config, &f.bus};
-  f.forwarder.set_route({{100, 0}});
+  f.forwarder.head_to({100, 0});
   monitor.update({f.track_at(5.0)}, 0);
   EXPECT_TRUE(f.forwarder.stopped());
   EXPECT_EQ(monitor.last_reason(), EstopReason::kPersonInCriticalZone);
@@ -40,7 +40,7 @@ TEST(Monitor, StopsOnCriticalZone) {
 TEST(Monitor, DegradesOnWarningZone) {
   Fixture f;
   SafetyMonitor monitor{f.forwarder, f.config, &f.bus};
-  f.forwarder.set_route({{100, 0}});
+  f.forwarder.head_to({100, 0});
   monitor.update({f.track_at(15.0)}, 0);
   EXPECT_FALSE(f.forwarder.stopped());
   EXPECT_EQ(f.forwarder.mode(), sim::DriveMode::kDegraded);

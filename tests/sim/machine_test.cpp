@@ -19,7 +19,7 @@ TEST(Machine, IdleWithoutRoute) {
 
 TEST(Machine, DrivesTowardWaypoint) {
   Machine m = forwarder_at({0, 0});
-  m.set_route({{100, 0}});
+  m.head_to({100, 0});
   double travelled = 0;
   for (int i = 0; i < 100; ++i) travelled += m.step(100);  // 10 s
   EXPECT_GT(travelled, 20.0);
@@ -29,7 +29,8 @@ TEST(Machine, DrivesTowardWaypoint) {
 
 TEST(Machine, ReachesAndPopsWaypoints) {
   Machine m = forwarder_at({0, 0});
-  m.set_route({{10, 0}, {10, 10}});
+  m.head_to({10, 0});
+  m.push_waypoint({10, 10});
   for (int i = 0; i < 600; ++i) m.step(100);
   EXPECT_TRUE(m.idle());
   EXPECT_NEAR(m.position().x, 10.0, 2.0);
@@ -38,7 +39,7 @@ TEST(Machine, ReachesAndPopsWaypoints) {
 
 TEST(Machine, SpeedIsLimited) {
   Machine m = forwarder_at({0, 0});
-  m.set_route({{1000, 0}});
+  m.head_to({1000, 0});
   for (int i = 0; i < 200; ++i) {
     m.step(100);
     EXPECT_LE(m.speed(), m.config().max_speed_mps + 1e-9);
@@ -47,7 +48,7 @@ TEST(Machine, SpeedIsLimited) {
 
 TEST(Machine, EstopStopsQuickly) {
   Machine m = forwarder_at({0, 0});
-  m.set_route({{1000, 0}});
+  m.head_to({1000, 0});
   for (int i = 0; i < 100; ++i) m.step(100);  // reach cruise speed
   ASSERT_GT(m.speed(), 3.0);
 
@@ -68,7 +69,7 @@ TEST(Machine, SoftStopTakesLonger) {
   Machine hard = forwarder_at({0, 0});
   Machine soft = forwarder_at({0, 0});
   for (Machine* m : {&hard, &soft}) {
-    m->set_route({{1000, 0}});
+    m->head_to({1000, 0});
     for (int i = 0; i < 100; ++i) m->step(100);
   }
   hard.emergency_stop(true);
@@ -83,7 +84,7 @@ TEST(Machine, SoftStopTakesLonger) {
 
 TEST(Machine, ReleaseResumesDriving) {
   Machine m = forwarder_at({0, 0});
-  m.set_route({{1000, 0}});
+  m.head_to({1000, 0});
   for (int i = 0; i < 50; ++i) m.step(100);
   m.emergency_stop(true);
   for (int i = 0; i < 50; ++i) m.step(100);
@@ -96,15 +97,15 @@ TEST(Machine, ReleaseResumesDriving) {
 TEST(Machine, DegradedModeSlower) {
   Machine normal = forwarder_at({0, 0});
   Machine degraded = forwarder_at({0, 0});
-  normal.set_route({{1000, 0}});
-  degraded.set_route({{1000, 0}});
+  normal.head_to({1000, 0});
+  degraded.head_to({1000, 0});
   degraded.set_degraded(true);
   for (int i = 0; i < 100; ++i) {
     normal.step(100);
     degraded.step(100);
   }
   EXPECT_GT(normal.position().x, degraded.position().x * 2);
-  EXPECT_LE(degraded.speed(), degraded.config().degraded_speed_mps + 1e-9);
+  EXPECT_LE(degraded.speed(), kDegradedSpeedMps + 1e-9);
 }
 
 TEST(Machine, StopOverridesDegraded) {
@@ -121,15 +122,15 @@ TEST(Machine, LoadAndUnload) {
   EXPECT_DOUBLE_EQ(m.load_m3(), 10.0);
   EXPECT_FALSE(m.full());
   m.load_logs(100.0);  // clamped at capacity
-  EXPECT_DOUBLE_EQ(m.load_m3(), m.config().load_capacity_m3);
+  EXPECT_DOUBLE_EQ(m.load_m3(), kLoadCapacityM3);
   EXPECT_TRUE(m.full());
-  EXPECT_DOUBLE_EQ(m.unload_logs(), m.config().load_capacity_m3);
+  EXPECT_DOUBLE_EQ(m.unload_logs(), kLoadCapacityM3);
   EXPECT_DOUBLE_EQ(m.load_m3(), 0.0);
 }
 
 TEST(Machine, OdometerAccumulates) {
   Machine m = forwarder_at({0, 0});
-  m.set_route({{50, 0}});
+  m.head_to({50, 0});
   for (int i = 0; i < 300; ++i) m.step(100);
   EXPECT_NEAR(m.odometer(), 50.0, 3.0);
 }
@@ -140,7 +141,7 @@ TEST(Machine, DroneSensorHeightIsAltitude) {
   Machine drone{MachineId{2}, MachineKind::kDrone, "d1", {0, 0}, config};
   EXPECT_DOUBLE_EQ(drone.sensor_agl(), 42.0);
   Machine fw = forwarder_at({0, 0});
-  EXPECT_DOUBLE_EQ(fw.sensor_agl(), fw.config().sensor_height_m);
+  EXPECT_DOUBLE_EQ(fw.sensor_agl(), kSensorHeightM);
 }
 
 TEST(Human, WalksTowardWaypointsWithinWorkArea) {
@@ -150,8 +151,7 @@ TEST(Human, WalksTowardWaypointsWithinWorkArea) {
   core::Rng rng{3};
   for (int i = 0; i < 5000; ++i) h.step(100, rng);
   // Must be inside (or near) the work area around the anchor.
-  EXPECT_LT(core::distance(h.position(), {50, 50}),
-            config.work_area_radius + 5.0);
+  EXPECT_LT(core::distance(h.position(), {50, 50}), kWorkAreaRadiusM + 5.0);
   EXPECT_GT(core::distance(h.position(), {0, 0}), 1.0);  // moved at all
 }
 
@@ -163,8 +163,7 @@ TEST(Human, WalkSpeedBounded) {
   core::Vec2 prev = h.position();
   for (int i = 0; i < 200; ++i) {
     h.step(100, rng);
-    EXPECT_LE(core::distance(prev, h.position()),
-              config.walk_speed_mps * 0.1 + 1e-9);
+    EXPECT_LE(core::distance(prev, h.position()), kWalkSpeedMps * 0.1 + 1e-9);
     prev = h.position();
   }
 }
@@ -192,12 +191,12 @@ TEST(Machine, NoWaypointOrbiting) {
   // speed turning radius) must still be captured — the approach slowdown
   // shrinks the turn radius below the waypoint tolerance.
   Machine m = forwarder_at({0, 0});
-  m.set_route({{100, 0}});
+  m.head_to({100, 0});
   for (int i = 0; i < 100; ++i) m.step(100);  // cruise at full speed east
   ASSERT_GT(m.speed(), 3.5);
   // Next waypoint is 4 m to the side and slightly behind.
   const core::Vec2 side{m.position().x - 2.0, m.position().y + 4.0};
-  m.set_route({side});
+  m.head_to(side);
   int steps = 0;
   while (!m.idle() && steps < 600) {
     m.step(100);
@@ -210,7 +209,7 @@ TEST(Machine, NoWaypointOrbiting) {
 TEST(Machine, ApproachSlowdownOnlyNearWaypoint) {
   // Far from the waypoint the machine still cruises at full speed.
   Machine m = forwarder_at({0, 0});
-  m.set_route({{500, 0}});
+  m.head_to({500, 0});
   for (int i = 0; i < 150; ++i) m.step(100);
   EXPECT_GT(m.speed(), 3.5);
 }

@@ -186,15 +186,14 @@ TEST(LazyReplan, ReusesRouteForNearbyGoal) {
   m.set_route({route->begin(), route->end()}, {150, 150}, planner.generation());
   ASSERT_TRUE(m.route_goal().has_value());
 
-  // Goal moved 3 m (< replan_threshold_m = 6): reuse, retargeting the tail.
+  // Goal moved 3 m (within the 6 m replan threshold): reuse, retargeting
+  // the tail.
   EXPECT_TRUE(m.try_reuse_route({153, 150}, planner));
-  EXPECT_EQ(m.route_reuses(), 1u);
   ASSERT_FALSE(m.idle());
   EXPECT_EQ(m.route_goal()->x, 153.0);
 
   // Goal moved far: must decline so the caller re-plans.
   EXPECT_FALSE(m.try_reuse_route({10, 150}, planner));
-  EXPECT_EQ(m.route_reuses(), 1u);
 }
 
 TEST(LazyReplan, DeclinesWhenRouteNoLongerClear) {
@@ -242,7 +241,7 @@ TEST(LazyReplan, UntrackedRouteIsNeverReused) {
   const Terrain t = empty_terrain();
   const PathPlanner planner{t};
   Machine m{MachineId{1}, MachineKind::kForwarder, "f1", {10, 10}, {}};
-  m.set_route({{50, 50}});  // untracked overload
+  m.head_to({50, 50});  // untracked route
   EXPECT_FALSE(m.route_goal().has_value());
   EXPECT_FALSE(m.try_reuse_route({50, 50}, planner));
   // push_waypoint also clears tracking.

@@ -128,7 +128,7 @@ FollowTrace run_follow_trace(int steps) {
   site.route_machine(f, {300, 300});  // keep the anchor moving
 
   FollowTrace trace;
-  trace.step_ms = config.step;
+  trace.step_ms = kWorksiteStep;
   for (int i = 0; i < steps; ++i) {
     trace.anchor_pre.push_back(site.machine(f)->position());
     site.step();
@@ -249,7 +249,7 @@ TEST(WorksiteParallel, WindthrowFactorOrdering) {
 // The "worksite.separation_m" histogram is the one separation store. The
 // samples, recomputed here from the entities after every step (each moving
 // forwarder in slot order against every human within
-// separation_tracking_m in id order), must match it exactly: count, min,
+// kSeparationTrackingM in id order), must match it exactly: count, min,
 // max, overflow, each bin (so the close-encounter count below every 2 m
 // bin edge), and the sum, accumulated in the same order.
 TEST(WorksiteParallel, CloseEncountersMatchBruteForceAtBinEdges) {
@@ -272,7 +272,7 @@ TEST(WorksiteParallel, CloseEncountersMatchBruteForceAtBinEdges) {
       if (m->kind() != MachineKind::kForwarder || m->speed() < 0.3) continue;
       for (const Human* h : site.humans()) {
         const double d = core::distance(m->position(), h->position());
-        if (d > config.separation_tracking_m) continue;
+        if (d > kSeparationTrackingM) continue;
         samples.push_back(d);
         sum += d;
       }
@@ -283,7 +283,7 @@ TEST(WorksiteParallel, CloseEncountersMatchBruteForceAtBinEdges) {
   const obs::Histogram& sep =
       site.telemetry().registry().histogram("worksite.separation_m", 0, 1, 1);
   ASSERT_EQ(sep.bins(), 25u);
-  ASSERT_EQ(sep.hi(), config.separation_tracking_m);
+  ASSERT_EQ(sep.hi(), kSeparationTrackingM);
   EXPECT_EQ(sep.count(), samples.size());
   EXPECT_EQ(site.metrics().separation_samples, samples.size());
   EXPECT_EQ(sep.sum(), sum);
@@ -296,10 +296,10 @@ TEST(WorksiteParallel, CloseEncountersMatchBruteForceAtBinEdges) {
   std::vector<std::uint64_t> bins(25, 0);
   std::uint64_t overflow = 0;
   for (const double d : samples) {
-    if (d >= config.separation_tracking_m) {
+    if (d >= kSeparationTrackingM) {
       ++overflow;
     } else {
-      ++bins[static_cast<std::size_t>(d / config.separation_tracking_m * 25.0)];
+      ++bins[static_cast<std::size_t>(d / kSeparationTrackingM * 25.0)];
     }
   }
   EXPECT_EQ(sep.underflow(), 0u);

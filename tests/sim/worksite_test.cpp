@@ -184,9 +184,9 @@ TEST(Worksite, SeparationStatsStreamed) {
   EXPECT_EQ(sep.min(), site.min_human_separation());
   EXPECT_EQ(sep.count(), site.metrics().separation_samples);
   EXPECT_LE(sep.min(), sep.sum() / static_cast<double>(sep.count()));
-  // Every sample lies in [0, separation_tracking_m]: the bins and the
+  // Every sample lies in [0, kSeparationTrackingM]: the bins and the
   // overflow (a sample at exactly the range) account for all of them.
-  EXPECT_EQ(sep.hi(), small_site().separation_tracking_m);
+  EXPECT_EQ(sep.hi(), kSeparationTrackingM);
   std::uint64_t binned = sep.overflow();
   for (std::size_t i = 0; i < sep.bins(); ++i) binned += sep.bin_count(i);
   EXPECT_EQ(sep.underflow(), 0u);
