@@ -119,7 +119,11 @@ echo "== sanitizers: TSan over the threaded paths =="
 # (B's odd multiples for verify, the base-point table for keys and
 # signatures) are first used by four threads at once. The pool's shards
 # claim indices from each other's home ranges (DESIGN.md §27), so which
-# claims race differs from run to run: its suite runs 25 times over.
+# claims race differs from run to run: its suite runs 25 times over. A
+# session's first step enrols its drone, runs its handshakes and builds its
+# planner grid (DESIGN.md §31), so FleetServiceParallel's 8-session runs at
+# threads 2 and 8 run that PKI, crypto and grid work on several shards at
+# once.
 cmake -B build-tsan -S . -DAGRARSEC_TSAN=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-tsan -j "$JOBS" --target core_test crypto_test net_test service_test
 run_filtered ./build-tsan/tests/core_test 'ThreadPool*' --gtest_repeat=25

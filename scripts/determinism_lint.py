@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Source-level determinism lint for the simulation/service/observability tree.
+"""Source-level determinism lint for every layer a session step runs.
 
 The repo's replay and semantic-diff gates depend on src/sim, src/service,
-src/obs, src/net and src/integration being bit-deterministic for a pinned
-(config, seed) (src/net's transport loop is wall-side, but its deadlines
-must use the annotated "wall." convention so accidental clock reads cannot
-leak into exports; src/integration's SecuredWorksite is the full-stack
-session step the golden exports pin). This lint flags the source patterns
-that historically break that property:
+src/obs, src/net, src/integration and the layers a secured step calls
+(src/secure, src/pki, src/crypto, src/ids, src/safety, src/sensors) being
+bit-deterministic for a pinned (config, seed) (src/net's transport loop is
+wall-side, but its deadlines must use the annotated "wall." convention so
+accidental clock reads cannot leak into exports; src/integration's
+SecuredWorksite is the full-stack session step the golden exports pin, and
+its first step enrols the drone and runs the handshakes through pki,
+secure and crypto). This lint flags the source patterns that historically
+break that property:
 
   DL001  wall-clock reads: std::chrono::system_clock anywhere; std::time /
          gettimeofday / localtime; steady_clock outside wall-instrumented
@@ -41,7 +44,9 @@ import re
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCAN_DIRS = ("src/sim", "src/service", "src/obs", "src/net", "src/integration")
+SCAN_DIRS = ("src/sim", "src/service", "src/obs", "src/net", "src/integration",
+             "src/secure", "src/pki", "src/crypto", "src/ids", "src/safety",
+             "src/sensors")
 BASELINE_PATH = REPO_ROOT / ".determinism-lint-baseline.json"
 
 WALL_CLOCK_PATTERNS = (

@@ -13,6 +13,9 @@ constexpr core::SimDuration kMaxTimestampLag = 10 * core::kSecond;
 /// CUSUM drift allowance and alarm threshold of the rate detector.
 constexpr double kCusumSlack = 5.0;
 constexpr double kCusumThreshold = 120.0;
+/// Fastest credible machine speed: telemetry implying more than twice it
+/// raises "spoofed-position".
+constexpr double kMaxSpeedMps = 12.0;
 }  // namespace
 
 std::string_view alert_severity_name(AlertSeverity severity) {
@@ -115,7 +118,7 @@ void IntrusionDetectionSystem::check_signatures(const net::MessageView& message,
           const double dist = core::distance(
               core::Vec2{body->x, body->y},
               core::Vec2{sender.last_telemetry->x, sender.last_telemetry->y});
-          if (dist / dt > config_.max_speed_mps * 2.0) {
+          if (dist / dt > kMaxSpeedMps * 2.0) {
             raise(now, "spoofed-position", AlertSeverity::kCritical, message.sender,
                   "implied speed " + std::to_string(dist / dt) + " m/s");
           }

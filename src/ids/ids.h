@@ -45,7 +45,6 @@ namespace agrarsec::ids {
 struct IdsConfig {
   bool enable_signatures = true;
   bool enable_anomaly = true;
-  double max_speed_mps = 12.0;          ///< fastest credible machine speed
   std::uint64_t flood_threshold = 60;    ///< frames / source / second
   double ewma_alpha = 0.05;
   double ewma_k = 6.0;

@@ -78,6 +78,7 @@ SecuredWorksite::SecuredWorksite(SecuredWorksiteConfig config)
   h_step_wall_ = &reg.histogram("wall.secured_step_us", 0.0, 100000.0, 20);
 
   worksite_ = std::make_unique<sim::Worksite>(config_.worksite, config_.seed);
+  ph_establish_ = telemetry_->tracer().phase("secured.establish");
 
   setup_units();
   harvester_id_ = worksite_->add_harvester("harvester-01", {250, 250});
@@ -161,28 +162,31 @@ void SecuredWorksite::setup_pki() {
     if (!id.ok()) throw std::logic_error("forwarder enrollment failed");
     unit->identity = std::move(id).take();
   }
+}
 
-  if (config_.drone_enabled) {
-    auto drn = pki::enroll(*ca_, *drbg_, "drone-01", pki::CertRole::kDrone, 0,
-                           1000 * core::kHour);
-    if (!drn.ok()) throw std::logic_error("drone enrollment failed");
-    drone_identity_ = std::move(drn).take();
+void SecuredWorksite::establish() {
+  if (established_) return;
+  established_ = true;
+  if (!config_.drone_enabled) return;
+  const obs::Tracer::Span span{telemetry_->tracer(), ph_establish_};
 
-    if (config_.secure_links) {
-      for (auto& unit : units_) {
-        auto pair = secure::establish(*drone_identity_, *unit->identity, trust_, 0,
-                                      *drbg_);
-        telemetry_->recorder().record(
-            0, "secure", pair.ok() ? "handshake-ok" : "handshake-fail",
-            unit->sender_id, kDroneSender);
-        if (!pair.ok()) {
-          throw std::logic_error("session establishment failed: " +
-                                 pair.error().to_string());
-        }
-        unit->drone_tx = std::move(pair.value().initiator);
-        unit->rx_session = std::move(pair.value().responder);
-      }
+  auto drn = pki::enroll(*ca_, *drbg_, "drone-01", pki::CertRole::kDrone, 0,
+                         1000 * core::kHour);
+  if (!drn.ok()) throw std::logic_error("drone enrollment failed");
+  drone_identity_ = std::move(drn).take();
+  if (!config_.secure_links) return;
+
+  for (auto& unit : units_) {
+    auto pair = secure::establish(*drone_identity_, *unit->identity, trust_, 0, *drbg_);
+    telemetry_->recorder().record(0, "secure",
+                                  pair.ok() ? "handshake-ok" : "handshake-fail",
+                                  unit->sender_id, kDroneSender);
+    if (!pair.ok()) {
+      throw std::logic_error("session establishment failed: " +
+                             pair.error().to_string());
     }
+    unit->drone_tx = std::move(pair.value().initiator);
+    unit->rx_session = std::move(pair.value().responder);
   }
 }
 
@@ -549,6 +553,9 @@ void SecuredWorksite::track_ground_truth(core::SimTime now) {
 }
 
 void SecuredWorksite::step() {
+  // The links first, timed under their own phase, not in this step's
+  // sample.
+  establish();
   // Full-stack step wall time (sim + radio + IDS + safety); the "wall."
   // prefix keeps this timing histogram out of the deterministic export.
   const std::uint64_t step_start_ns = obs::Tracer::now_ns();

@@ -20,6 +20,14 @@
 // its own perception, fusion, safety monitor, identity and (in secure
 // mode) its own session with the drone. Single-forwarder accessors
 // (forwarder_id(), monitor(), ...) refer to the primary (first) machine.
+//
+// Set-up is split in two (DESIGN.md §31). The constructor builds the
+// worksite and terrain, the units, the site CA and the forwarders'
+// enrolment (the audit log signs with forwarder 0's key), the radio, the
+// IDS and the audit log. establish() enrols the drone and runs the
+// drone-forwarder handshakes; the first step() calls it, so in a
+// FleetService that work runs on the session's home shard. The planner
+// builds its blocked grid on first use in the same way.
 #pragma once
 
 #include <memory>
@@ -138,7 +146,18 @@ class SecuredWorksite {
   SecuredWorksite(const SecuredWorksite&) = delete;
   SecuredWorksite& operator=(const SecuredWorksite&) = delete;
 
-  /// Advances one fixed step.
+  /// Enrols the drone and establishes one mutually authenticated session
+  /// per forwarder, recording a "handshake-ok" flight event at t = 0 for
+  /// each in unit order. step() calls it first; every later call does
+  /// nothing. Runs under the tracer phase "secured.establish", outside
+  /// that step's wall.secured_step_us sample. It draws from the set-up
+  /// DRBG in the order construction left it, so the sessions are the ones
+  /// the constructor used to build. A failed handshake throws
+  /// std::logic_error once and is not retried (it cannot happen with the
+  /// site's own root and a 1000 h certificate window).
+  void establish();
+
+  /// Advances one fixed step (establishing the links first).
   void step();
   void run_for(core::SimDuration duration);
 
@@ -179,7 +198,10 @@ class SecuredWorksite {
 
   /// The shared telemetry for the full stack: worksite counters and step
   /// spans, planner/radio/IDS instruments, and the flight recorder all
-  /// land here. Benches export it via obs::write_bench_artifact.
+  /// land here. Benches export it via obs::write_bench_artifact. Until
+  /// establish() has run (the first step() runs it) the recorder holds no
+  /// "secure" handshake event; FleetService's export and flight reads run
+  /// it first.
   [[nodiscard]] obs::Telemetry& telemetry() { return *telemetry_; }
   [[nodiscard]] const obs::Telemetry& telemetry() const { return *telemetry_; }
   [[nodiscard]] const SecuredWorksiteConfig& config() const { return config_; }
@@ -269,7 +291,8 @@ class SecuredWorksite {
   std::unique_ptr<ids::IntrusionDetectionSystem> ids_;
   ids::AlertCorrelator correlator_;
 
-  // PKI
+  // PKI. drbg_ serves set-up only: the constructor's root CA and forwarder
+  // enrolment, then establish()'s drone enrolment and handshakes.
   std::unique_ptr<crypto::Drbg> drbg_;
   std::unique_ptr<pki::CertificateAuthority> ca_;
   pki::TrustStore trust_;
@@ -308,6 +331,9 @@ class SecuredWorksite {
   obs::Counter* c_out_of_order_accepted_ = nullptr;
   /// Full-stack step wall time ("wall." prefix: full artifact only).
   obs::Histogram* h_step_wall_ = nullptr;
+  /// Tracer phase of establish()'s one run.
+  obs::PhaseId ph_establish_ = 0;
+  bool established_ = false;
 
   SafetyOutcome outcome_;
   safety::SotifAnalysis sotif_;

@@ -49,9 +49,12 @@ SessionId FleetService::insert_session(integration::SecuredWorksiteConfig config
   // config.telemetry, so sessions share nothing observable — that
   // isolation is the determinism contract.
   config.worksite.telemetry = nullptr;
-  // Built before the lock: construction (terrain, planner grids, PKI,
-  // handshakes) touches no service state, so step_all and console reads
-  // proceed meanwhile, and a constructor that throws consumes no id.
+  // Built before the lock: construction (terrain, site CA, forwarder
+  // enrolment) touches no service state, so step_all and console reads
+  // proceed meanwhile, and a constructor that throws consumes no id. The
+  // drone's enrolment, the handshakes and the planner grid wait for the
+  // session's first step, which step_all runs on its home shard
+  // (DESIGN.md §31).
   auto session = std::make_unique<Session>();
   session->site = std::make_unique<integration::SecuredWorksite>(std::move(config));
 
@@ -183,6 +186,8 @@ std::string FleetService::session_deterministic_json(SessionId id) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return {};
+  // A never-stepped session exports its handshakes too.
+  it->second->site->establish();
   return it->second->site->telemetry().deterministic_json();
 }
 
@@ -271,6 +276,7 @@ FleetService::FlightChunk FleetService::flight_read(SessionId id,
   FlightChunk chunk;
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return chunk;
+  it->second->site->establish();
   const obs::FlightRecorder& recorder = it->second->site->telemetry().recorder();
   const auto result = recorder.read_since(cursor, max_events, chunk.jsonl);
   chunk.ok = true;

@@ -61,6 +61,10 @@ class FleetService {
   /// given). The session always gets a private telemetry instance
   /// (config.worksite.telemetry is ignored). When the session's
   /// constructor throws, the exception propagates and no id is consumed.
+  /// The drone's enrolment and handshakes are not part of construction:
+  /// they run in the session's first step (SecuredWorksite::establish),
+  /// so a handshake failure surfaces from that step_all or step_session
+  /// call, not from here.
   SessionId create_session(integration::SecuredWorksiteConfig config);
   /// Creates a session whose seed is derived from (fleet_seed, key) by
   /// stateless fork — the same key always yields the same session stream,
@@ -80,7 +84,11 @@ class FleetService {
   /// stays thread-local for the whole batch. A session usually steps on
   /// its home shard, but may step on a different worker in the next batch
   /// when an idle shard steals it; the pool's mutex handoff between
-  /// batches orders those accesses. No-op while paused.
+  /// batches orders those accesses. A session's first step also runs its
+  /// set-up (drone enrolment, handshakes, planner grid) on that shard.
+  /// When sessions throw, every other session still steps and the error
+  /// of the lowest failing index in id order is rethrown
+  /// (core::ThreadPool). No-op while paused.
   void step_all(std::uint64_t steps = 1);
   /// Advances one session serially (false when the id is unknown).
   /// No-op (returning true) while paused.
@@ -125,7 +133,8 @@ class FleetService {
 
   /// One cursor-sequenced read from a session's flight recorder. The
   /// JSONL payload is produced by FlightRecorder::read_since, so its
-  /// bytes match the polled to_jsonl() export line-for-line.
+  /// bytes match the polled to_jsonl() export line-for-line. Runs the
+  /// session's establish() first, as session_deterministic_json does.
   struct FlightChunk {
     bool ok = false;               ///< false: unknown session id
     std::uint64_t first_seq = 0;   ///< seq of the first event in `jsonl`
@@ -159,7 +168,8 @@ class FleetService {
   [[nodiscard]] integration::SecurityMetrics aggregate_security_metrics() const;
   /// Per-session deterministic export (empty string when unknown) — the
   /// artifact the fleet determinism suite compares byte-for-byte and the
-  /// console's export verb returns.
+  /// console's export verb returns. Runs the session's establish() first,
+  /// so a never-stepped session exports its handshake events.
   [[nodiscard]] std::string session_deterministic_json(SessionId id) const;
 
   /// Service-level telemetry: fleet counters, batch phase spans, shard

@@ -34,7 +34,12 @@ PathPlanner::PathPlanner(const Terrain& terrain, PlannerConfig config)
   width_ = std::max(1, static_cast<int>(std::ceil(bounds.width() / config_.cell_size_m)));
   height_ =
       std::max(1, static_cast<int>(std::ceil(bounds.height() / config_.cell_size_m)));
-  blocked_ = derive_blocked(0, 0, width_ - 1, height_ - 1);
+}
+
+void PathPlanner::ensure_grid() const {
+  // The grid has width_ x height_ >= 1 cells once built, so empty means
+  // not yet built.
+  if (blocked_.empty()) blocked_ = derive_blocked(0, 0, width_ - 1, height_ - 1);
 }
 
 std::vector<std::uint8_t> PathPlanner::derive_blocked(int x0, int y0, int x1,
@@ -144,6 +149,11 @@ std::pair<int, int> PathPlanner::cell_of(core::Vec2 p) const {
 }
 
 bool PathPlanner::cell_free(int cx, int cy) const {
+  ensure_grid();
+  return free_at(cx, cy);
+}
+
+bool PathPlanner::free_at(int cx, int cy) const {
   if (cx < 0 || cy < 0 || cx >= width_ || cy >= height_) return false;
   return blocked_[static_cast<std::size_t>(cy) * width_ + cx] == 0;
 }
@@ -152,7 +162,10 @@ void PathPlanner::set_region_blocked(core::Vec2 center, double radius, bool bloc
   const auto [cx0, cy0] = cell_of({center.x - radius, center.y - radius});
   const auto [cx1, cy1] = cell_of({center.x + radius, center.y + radius});
   if (cx1 < cx0 || cy1 < cy0) return;
-  // Freeing re-derives the window's terrain flags with the construction
+  // Windthrow can block a region before the first plan: build the grid
+  // under the disc, not over it.
+  ensure_grid();
+  // Freeing re-derives the window's terrain flags with the build
   // routine, so it never opens a cell the terrain itself blocks.
   const std::vector<std::uint8_t> terrain =
       blocked ? std::vector<std::uint8_t>{} : derive_blocked(cx0, cy0, cx1, cy1);
@@ -175,12 +188,12 @@ void PathPlanner::set_region_blocked(core::Vec2 center, double radius, bool bloc
 }
 
 std::optional<std::pair<int, int>> PathPlanner::nearest_free(int cx, int cy) const {
-  if (cell_free(cx, cy)) return std::make_pair(cx, cy);
+  if (free_at(cx, cy)) return std::make_pair(cx, cy);
   for (int radius = 1; radius <= 8; ++radius) {
     for (int dy = -radius; dy <= radius; ++dy) {
       for (int dx = -radius; dx <= radius; ++dx) {
         if (std::max(std::abs(dx), std::abs(dy)) != radius) continue;
-        if (cell_free(cx + dx, cy + dy)) return std::make_pair(cx + dx, cy + dy);
+        if (free_at(cx + dx, cy + dy)) return std::make_pair(cx + dx, cy + dy);
       }
     }
   }
@@ -188,6 +201,7 @@ std::optional<std::pair<int, int>> PathPlanner::nearest_free(int cx, int cy) con
 }
 
 bool PathPlanner::segment_clear(core::Vec2 a, core::Vec2 b) const {
+  ensure_grid();
   // Clearance against obstacles (early-exit: smoothing probes thousands
   // of segments and only needs clear/not-clear, not the blocker list).
   if (terrain_.segment_blocked(a, b, config_.clearance_m)) return false;
@@ -197,7 +211,7 @@ bool PathPlanner::segment_clear(core::Vec2 a, core::Vec2 b) const {
   for (int i = 0; i <= samples; ++i) {
     const double t = static_cast<double>(i) / samples;
     const auto [cx, cy] = cell_of(a + (b - a) * t);
-    if (!cell_free(cx, cy)) return false;
+    if (!free_at(cx, cy)) return false;
   }
   return true;
 }
@@ -227,7 +241,7 @@ std::optional<std::pair<int, int>> PathPlanner::jump(int x, int y, int dx, int d
   if (dx != 0 && dy != 0) {
     // Diagonal ray: a jump point is where a cardinal sub-ray finds one.
     while (true) {
-      if (!cell_free(x, y)) return std::nullopt;
+      if (!free_at(x, y)) return std::nullopt;
       if (x == goal_x && y == goal_y) return std::make_pair(x, y);
       if (jump(x + dx, y, dx, 0, goal_x, goal_y) ||
           jump(x, y + dy, 0, dy, goal_x, goal_y)) {
@@ -235,7 +249,7 @@ std::optional<std::pair<int, int>> PathPlanner::jump(int x, int y, int dx, int d
       }
       // Corner cutting forbidden: both orthogonals must be open to
       // continue diagonally.
-      if (!cell_free(x + dx, y) || !cell_free(x, y + dy)) return std::nullopt;
+      if (!free_at(x + dx, y) || !free_at(x, y + dy)) return std::nullopt;
       x += dx;
       y += dy;
     }
@@ -243,29 +257,29 @@ std::optional<std::pair<int, int>> PathPlanner::jump(int x, int y, int dx, int d
   if (dx != 0) {
     // Horizontal ray.
     while (true) {
-      if (!cell_free(x, y)) return std::nullopt;
+      if (!free_at(x, y)) return std::nullopt;
       if (x == goal_x && y == goal_y) return std::make_pair(x, y);
       // Forced neighbour (no-corner-cutting variant): an opening beside
       // the ray that was walled off behind us forces a turning decision.
       // Checked before the dead-end test — the last cell of a corridor
       // with a side exit is blocked ahead yet still a jump point.
-      if ((cell_free(x, y + 1) && !cell_free(x - dx, y + 1)) ||
-          (cell_free(x, y - 1) && !cell_free(x - dx, y - 1))) {
+      if ((free_at(x, y + 1) && !free_at(x - dx, y + 1)) ||
+          (free_at(x, y - 1) && !free_at(x - dx, y - 1))) {
         return std::make_pair(x, y);
       }
-      if (!cell_free(x + dx, y)) return std::nullopt;  // dead end
+      if (!free_at(x + dx, y)) return std::nullopt;  // dead end
       x += dx;
     }
   }
   // Vertical ray.
   while (true) {
-    if (!cell_free(x, y)) return std::nullopt;
+    if (!free_at(x, y)) return std::nullopt;
     if (x == goal_x && y == goal_y) return std::make_pair(x, y);
-    if ((cell_free(x + 1, y) && !cell_free(x + 1, y - dy)) ||
-        (cell_free(x - 1, y) && !cell_free(x - 1, y - dy))) {
+    if ((free_at(x + 1, y) && !free_at(x + 1, y - dy)) ||
+        (free_at(x - 1, y) && !free_at(x - 1, y - dy))) {
       return std::make_pair(x, y);
     }
-    if (!cell_free(x, y + dy)) return std::nullopt;
+    if (!free_at(x, y + dy)) return std::nullopt;
     y += dy;
   }
 }
@@ -354,19 +368,19 @@ std::optional<std::vector<core::Vec2>> PathPlanner::search(int start_cx, int sta
         add(0, -1);
         for (const int ddx : {1, -1}) {
           for (const int ddy : {1, -1}) {
-            if (cell_free(cx + ddx, cy) && cell_free(cx, cy + ddy)) add(ddx, ddy);
+            if (free_at(cx + ddx, cy) && free_at(cx, cy + ddy)) add(ddx, ddy);
           }
         }
       } else if (pdx != 0 && pdy != 0) {
-        const bool horiz = cell_free(cx + pdx, cy);
-        const bool vert = cell_free(cx, cy + pdy);
+        const bool horiz = free_at(cx + pdx, cy);
+        const bool vert = free_at(cx, cy + pdy);
         if (vert) add(0, pdy);
         if (horiz) add(pdx, 0);
         if (horiz && vert) add(pdx, pdy);
       } else if (pdx != 0) {
-        const bool next = cell_free(cx + pdx, cy);
-        const bool up = cell_free(cx, cy + 1);
-        const bool down = cell_free(cx, cy - 1);
+        const bool next = free_at(cx + pdx, cy);
+        const bool up = free_at(cx, cy + 1);
+        const bool down = free_at(cx, cy - 1);
         if (next) {
           add(pdx, 0);
           if (up) add(pdx, 1);
@@ -375,9 +389,9 @@ std::optional<std::vector<core::Vec2>> PathPlanner::search(int start_cx, int sta
         if (up) add(0, 1);
         if (down) add(0, -1);
       } else {
-        const bool next = cell_free(cx, cy + pdy);
-        const bool right = cell_free(cx + 1, cy);
-        const bool left = cell_free(cx - 1, cy);
+        const bool next = free_at(cx, cy + pdy);
+        const bool right = free_at(cx + 1, cy);
+        const bool left = free_at(cx - 1, cy);
         if (next) {
           add(0, pdy);
           if (right) add(1, pdy);
@@ -443,6 +457,7 @@ std::optional<std::vector<core::Vec2>> PathPlanner::search(int start_cx, int sta
 
 std::optional<std::vector<core::Vec2>> PathPlanner::plan(core::Vec2 start,
                                                          core::Vec2 goal) const {
+  ensure_grid();
   ++stats_.plans;
   if (c_plans_) c_plans_->add();
   const auto [scx, scy] = cell_of(start);

@@ -22,7 +22,7 @@
 //     pops than A* for the same optimal octile-metric path.
 //
 // Grid build (DESIGN.md §21): every session builds one blocked grid (its
-// worksite owns one planner, DESIGN.md §22), so construction walks each
+// worksite owns one planner, DESIGN.md §22), so the build walks each
 // obstacle once, marking the cells whose centres lie within radius +
 // clearance, instead of querying the obstacle index at every cell. The slope test runs per 8x8-cell tile
 // only where Terrain::gradient_bound cannot rule it out; the cells it does
@@ -30,6 +30,10 @@
 // below Terrain's 10 m index cell the grid equals, cell for cell, the one
 // the old per-cell rule built (tests/sim/planner_grid_test.cpp keeps that
 // rule as its reference); beyond it the old 3x3 query missed obstacles.
+// The grid is built on first use, not in the constructor (DESIGN.md §31):
+// every public entry point that reads or writes it builds it first, so a
+// session's grid is built by the step that first plans, on the thread
+// that steps the session.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +84,8 @@ class PathPlanner {
   /// and stays on passable slopes (used for route smoothing).
   [[nodiscard]] bool segment_clear(core::Vec2 a, core::Vec2 b) const;
 
-  /// Whether a planning cell is traversable.
+  /// Whether a planning cell is traversable (builds the grid first, so a
+  /// fresh planner reads the same cells as one that has planned).
   [[nodiscard]] bool cell_free(int cx, int cy) const;
 
   /// Marks (blocked=true) or frees every planning cell whose center lies
@@ -112,6 +117,11 @@ class PathPlanner {
     std::vector<core::Vec2> route;
   };
 
+  /// Derives the whole blocked grid unless a call already has.
+  void ensure_grid() const;
+  /// cell_free without the build check: for reads made after an entry
+  /// point has built the grid (JPS reads every cell it crosses).
+  [[nodiscard]] bool free_at(int cx, int cy) const;
   [[nodiscard]] core::Vec2 cell_center(int cx, int cy) const;
   [[nodiscard]] std::pair<int, int> cell_of(core::Vec2 p) const;
   [[nodiscard]] std::optional<std::pair<int, int>> nearest_free(int cx, int cy) const;
@@ -132,7 +142,7 @@ class PathPlanner {
                                                         int goal_x, int goal_y) const;
   /// Terrain-derived blocked flags (obstacle clearance, then slope) of
   /// the cell window [x0, x1] x [y0, y1], row-major over the window: the
-  /// construction rule, also used when set_region_blocked frees a region.
+  /// build rule, also used when set_region_blocked frees a region.
   [[nodiscard]] std::vector<std::uint8_t> derive_blocked(int x0, int y0, int x1,
                                                          int y1) const;
   /// The per-cell slope test: central differences of ground_height across
@@ -143,12 +153,13 @@ class PathPlanner {
   PlannerConfig config_;
   int width_ = 0;
   int height_ = 0;
-  std::vector<std::uint8_t> blocked_;  ///< precomputed occupancy
   std::uint64_t generation_ = 0;
 
+  // Mutable: plan() and cell_free() are logically const. The occupancy
+  // grid is empty until ensure_grid() derives it; the route cache and
+  // counters are bookkeeping (same convention as Terrain's query scratch).
+  mutable std::vector<std::uint8_t> blocked_;
   // Route cache: (start_idx << 32 | goal_idx) -> generation-stamped route.
-  // Mutable: plan() is logically const, the cache and counters are
-  // bookkeeping (same convention as Terrain's query scratch).
   mutable std::unordered_map<std::uint64_t, CacheEntry> cache_;
   mutable PlannerStats stats_;
 

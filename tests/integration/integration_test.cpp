@@ -4,6 +4,8 @@
 // security controls restore safety.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "integration/secured_worksite.h"
 
 namespace agrarsec::integration {
@@ -242,6 +244,60 @@ TEST(SecuredWorksite, GhostDetectionsCauseSpuriousStops) {
   site.attack_forwarder_sensor(attack);
   site.run_for(10 * core::kSecond);
   EXPECT_GT(site.monitor().stats().estops, stops_before);
+}
+
+// The drone's enrolment and the handshakes wait for the first step
+// (DESIGN.md §31). Construction records no flight event; the first step
+// records one "handshake-ok" per forwarder at t = 0, in unit order, as
+// the first events of the session, where construction used to put them.
+TEST(SecuredWorksite, FirstStepEstablishesLinks) {
+  SecuredWorksiteConfig config = base_config(12);
+  config.forwarder_count = 3;
+  SecuredWorksite site{config};
+  add_workers(site, 2);
+  const obs::FlightRecorder& rec = site.telemetry().recorder();
+  EXPECT_EQ(rec.total_recorded(), 0u);
+
+  site.step();
+  std::vector<obs::FlightEvent> events;
+  rec.for_each([&](const obs::FlightEvent& e) { events.push_back(e); });
+  ASSERT_GE(events.size(), config.forwarder_count);
+  const std::uint64_t senders[] = {1, 11, 12};
+  for (std::size_t i = 0; i < config.forwarder_count; ++i) {
+    SCOPED_TRACE("unit " + std::to_string(i));
+    EXPECT_EQ(events[i].seq, i);
+    EXPECT_EQ(events[i].time, 0);
+    EXPECT_EQ(events[i].category, "secure");
+    EXPECT_EQ(events[i].code, "handshake-ok");
+    EXPECT_EQ(events[i].subject, senders[i]);
+    EXPECT_EQ(events[i].a, 2u);  // the drone
+  }
+  std::size_t secure_events = 0;
+  for (const obs::FlightEvent& e : events) secure_events += e.category == "secure";
+  EXPECT_EQ(secure_events, config.forwarder_count);
+
+  // Later steps establish nothing more.
+  site.run_for(5 * core::kSecond);
+  secure_events = 0;
+  rec.for_each([&](const obs::FlightEvent& e) { secure_events += e.category == "secure"; });
+  EXPECT_EQ(secure_events, config.forwarder_count);
+}
+
+// establish() is idempotent: calling it before the first step changes no
+// byte of what the session exports.
+TEST(SecuredWorksite, EarlyEstablishExportsSameBytes) {
+  SecuredWorksiteConfig config = base_config(13);
+  config.forwarder_count = 2;
+  SecuredWorksite early{config};
+  SecuredWorksite lazy{config};
+  add_workers(early, 2);
+  add_workers(lazy, 2);
+  early.establish();
+  early.establish();
+  early.run_for(20 * core::kSecond);
+  lazy.run_for(20 * core::kSecond);
+  EXPECT_GT(early.security_metrics().detection_reports_accepted, 0u);
+  EXPECT_EQ(early.telemetry().deterministic_json(), lazy.telemetry().deterministic_json());
 }
 
 TEST(SecuredWorksite, DeterministicAcrossRuns) {

@@ -245,6 +245,34 @@ TEST(FleetServiceCreate, ThrowingConstructorConsumesNoId) {
             2u);
 }
 
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// Handshakes run in a session's first step (DESIGN.md §31), but the
+// service's export and flight reads establish the links first, so a
+// never-stepped session shows them as it did when construction ran them.
+TEST(FleetServiceCreate, NeverSteppedSessionExportsItsHandshakes) {
+  FleetServiceConfig config;
+  config.fleet_seed = kFleetSeed;
+  FleetService fleet{config};
+  integration::SecuredWorksiteConfig session = session_config(0);
+  session.forwarder_count = 4;
+  const SessionId exported = fleet.create_session_keyed(session, 0);
+  const SessionId read = fleet.create_session_keyed(session, 1);
+  EXPECT_EQ(fleet.session(exported)->telemetry().recorder().total_recorded(), 0u);
+
+  EXPECT_EQ(count_of(fleet.session_deterministic_json(exported), "handshake-ok"), 4u);
+  EXPECT_EQ(count_of(fleet.flight_since_json(read, 0), "handshake-ok"), 4u);
+  EXPECT_EQ(fleet.session_steps(exported), 0u);
+  EXPECT_EQ(fleet.session_steps(read), 0u);
+}
+
 TEST(FleetService, DerivedSeedsAreStableAndDistinct) {
   const std::uint64_t s0 = FleetService::derive_session_seed(kFleetSeed, 0);
   EXPECT_EQ(s0, FleetService::derive_session_seed(kFleetSeed, 0));  // pure

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -315,6 +317,101 @@ TEST(PlannerGrid, ReachBeyondIndexCellMarksEveryCellInReach) {
   EXPECT_EQ(mismatches(planner_grid(PathPlanner{wide, config}, wide),
                        reference_grid(wide, config)),
             0u);
+}
+
+bool same_route(const std::optional<std::vector<core::Vec2>>& a,
+                const std::optional<std::vector<core::Vec2>>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a) return true;
+  if (a->size() != b->size()) return false;
+  for (std::size_t i = 0; i < a->size(); ++i) {
+    if ((*a)[i].x != (*b)[i].x || (*a)[i].y != (*b)[i].y) return false;
+  }
+  return true;
+}
+
+TEST(PlannerGrid, FirstCallOfEveryEntryPointBuildsTheGrid) {
+  // The grid is built on first use (DESIGN.md §31). Whichever entry point
+  // a fresh planner sees first must answer as a planner that has already
+  // planned, and leave the reference grid behind.
+  const double cell = 3.7;
+  const Terrain t = forest(91, 120.0, {{0.3, -7.1}, {301.1, 288.4}}, cell, true);
+  PlannerConfig config;
+  config.cell_size_m = cell;
+  const auto expected = reference_grid(t, config);
+  const int w = grid_width(t, config);
+
+  // Short legs between cell centres one or two cells apart: too short to
+  // meet a stem in most cases, so the grid read decides them, and the
+  // steep flanks block some.
+  core::Rng rng{17};
+  std::vector<std::pair<core::Vec2, core::Vec2>> legs;
+  for (int i = 0; i < 400; ++i) {
+    const int cx = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(w - 4))) + 2;
+    const int cy = static_cast<int>(rng.next_below(
+                       static_cast<std::uint64_t>(grid_height(t, config) - 4))) +
+                   2;
+    legs.emplace_back(cell_center(t, config, cx, cy),
+                      cell_center(t, config, cx + static_cast<int>(rng.next_below(5)) - 2,
+                                  cy + static_cast<int>(rng.next_below(5)) - 2));
+  }
+  const core::Vec2 from{40.0, 40.0};
+  const core::Vec2 to{260.0, 230.0};
+
+  PathPlanner planned{t, config};
+  const auto route = planned.plan(from, to);
+  ASSERT_TRUE(route.has_value());
+  ASSERT_EQ(mismatches(planner_grid(planned, t), expected), 0u);
+  std::size_t clear = 0;
+  std::size_t grid_blocked = 0;
+  for (const auto& [a, b] : legs) {
+    if (planned.segment_clear(a, b)) {
+      ++clear;
+    } else if (!t.segment_blocked(a, b, config.clearance_m)) {
+      ++grid_blocked;
+    }
+  }
+  ASSERT_GT(clear, 0u);
+  ASSERT_GT(grid_blocked, 0u);
+
+  {
+    const PathPlanner fresh{t, config};
+    EXPECT_EQ(mismatches(planner_grid(fresh, t), expected), 0u) << "cell_free first";
+  }
+  {
+    const PathPlanner fresh{t, config};
+    for (const auto& [a, b] : legs) {
+      EXPECT_EQ(fresh.segment_clear(a, b), planned.segment_clear(a, b));
+    }
+    EXPECT_EQ(mismatches(planner_grid(fresh, t), expected), 0u) << "segment_clear first";
+  }
+  {
+    const PathPlanner fresh{t, config};
+    EXPECT_TRUE(same_route(fresh.plan(from, to), route));
+    EXPECT_EQ(mismatches(planner_grid(fresh, t), expected), 0u) << "plan first";
+  }
+  {
+    // Freeing re-derives the disc from the terrain, so it changes no cell
+    // of a built grid and bumps no generation.
+    PathPlanner fresh{t, config};
+    fresh.set_region_blocked({150.0, 140.0}, 40.0, false);
+    EXPECT_EQ(fresh.generation(), 0u);
+    EXPECT_EQ(mismatches(planner_grid(fresh, t), expected), 0u) << "free first";
+  }
+  {
+    // A windthrow disc before the first plan lands on the built grid.
+    PathPlanner fresh{t, config};
+    const core::Vec2 center{150.0, 140.0};
+    fresh.set_region_blocked(center, 20.0, true);
+    std::vector<std::uint8_t> blocked = expected;
+    for (std::size_t i = 0; i < blocked.size(); ++i) {
+      const int cx = static_cast<int>(i % static_cast<std::size_t>(w));
+      const int cy = static_cast<int>(i / static_cast<std::size_t>(w));
+      if (core::distance(cell_center(t, config, cx, cy), center) <= 20.0) blocked[i] = 1;
+    }
+    EXPECT_EQ(fresh.generation(), 1u);
+    EXPECT_EQ(mismatches(planner_grid(fresh, t), blocked), 0u) << "block first";
+  }
 }
 
 TEST(PlannerGrid, ReferenceBlockedDetectsOverlap) {
