@@ -69,10 +69,10 @@ RunResult run(AttackKind attack, bool secure, std::uint64_t seed,
   net::AttackerNode* attacker = nullptr;
   if (attack == AttackKind::kCoverForgery || attack == AttackKind::kStaleReplay) {
     attacker = &site.add_attacker({110, 110}, 3);
-    site.radio().add_drop_rule(net::DropRule{site.drone_node(), 1.0, true});
+    site.radio().add_drop_rule(net::DropRule{site.drone_node(), 1.0});
   }
   if (attack == AttackKind::kDeauthDrop) {
-    site.radio().add_drop_rule(net::DropRule{site.drone_node(), 1.0, true});
+    site.radio().add_drop_rule(net::DropRule{site.drone_node(), 1.0});
   }
   if (attack == AttackKind::kJamming) {
     net::Jammer jammer;

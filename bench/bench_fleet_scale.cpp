@@ -121,9 +121,20 @@ integration::SecuredWorksiteConfig fleet_session_config() {
 
 struct FleetRunResult {
   double rate = 0.0;  ///< aggregate session-steps/sec across the fleet
+  /// Shard busy time over the timed step_all, divided by wall time times
+  /// shards (fleetbench's service.shard_busy_ratio).
+  double busy_ratio = 0.0;
   std::vector<std::string> session_exports;  ///< deterministic, key order
   std::uint64_t sessions_stepped = 0;
 };
+
+/// Sum of the service pool's shard busy lanes.
+std::uint64_t shard_busy_ns(const service::FleetService& fleet) {
+  const obs::Tracer& tracer = fleet.telemetry().tracer();
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < tracer.shard_count(); ++s) total += tracer.shard_busy_ns(s);
+  return total;
+}
 
 FleetRunResult run_fleet(std::size_t threads, std::size_t sessions,
                          std::uint64_t steps, std::size_t artifact_count) {
@@ -149,6 +160,7 @@ FleetRunResult run_fleet(std::size_t threads, std::size_t sessions,
     static_cast<void>(site.worksite().planner().cell_free(0, 0));
   }
 
+  const std::uint64_t busy0 = shard_busy_ns(fleet);
   const auto t0 = std::chrono::steady_clock::now();
   fleet.step_all(steps);
   const auto t1 = std::chrono::steady_clock::now();
@@ -156,6 +168,8 @@ FleetRunResult run_fleet(std::size_t threads, std::size_t sessions,
 
   FleetRunResult r;
   r.rate = static_cast<double>(sessions) * static_cast<double>(steps) / secs;
+  r.busy_ratio = static_cast<double>(shard_busy_ns(fleet) - busy0) /
+                 (secs * 1e9 * static_cast<double>(fleet.shard_count()));
   r.sessions_stepped = steps == 0 ? 0 : fleet.total_session_steps() / steps;
   for (std::size_t k = 0; k < ids.size(); ++k) {
     r.session_exports.push_back(fleet.session_deterministic_json(ids[k]));
@@ -332,8 +346,8 @@ int main(int argc, char** argv) {
   const FleetRunResult fleet_sharded =
       run_fleet(threads, sessions, fleet_steps, std::min<std::size_t>(sessions, 8));
   const double fleet_speedup = fleet_sharded.rate / fleet_serial.rate;
-  std::printf("  threads=%zu: %.0f session-steps/sec (%.2fx)\n", threads,
-              fleet_sharded.rate, fleet_speedup);
+  std::printf("  threads=%zu: %.0f session-steps/sec (%.2fx), shard busy ratio %.3f\n",
+              threads, fleet_sharded.rate, fleet_speedup, fleet_sharded.busy_ratio);
   const FleetRunResult fleet_solo = run_fleet(1, 1, fleet_steps, 0);
 
   int fleet_mismatches = 0;
@@ -373,6 +387,8 @@ int main(int argc, char** argv) {
   std::printf("BENCH fleet_session_steps_per_sec=%.0f\n", fleet_serial.rate);
   std::printf("BENCH fleet_session_steps_per_sec_parallel=%.0f\n",
               fleet_sharded.rate);
+  // Report-only: bench_gate.py gates no key the baseline lacks.
+  std::printf("BENCH fleet_shard_busy_ratio=%.3f\n", fleet_sharded.busy_ratio);
   std::printf("BENCH fleet_parity_mismatches=%d\n", fleet_mismatches);
   std::printf("BENCH radio_steps_per_sec=%.0f\n", radio.rate);
   if (!quick) {

@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   uncached_cfg.cache_enabled = false;
   sim::PathPlanner cached{terrain, cached_cfg};
   const sim::PathPlanner uncached{terrain, uncached_cfg};
-  cached.set_telemetry(&telemetry.registry());
+  cached.set_telemetry(&telemetry);
 
   // Parity first (also warms the cache for the timed run).
   std::vector<Plan> cached_plans, uncached_plans;

@@ -104,8 +104,8 @@ fi
 
 echo "== sanitizers: TSan over the threaded paths =="
 # The suites that actually run threads: the thread pool itself, the fleet
-# service batching whole sessions across the pool (the only level of
-# simulation parallelism) and building sessions outside its lock while
+# service batching sessions across the pool in one-second slices (the only
+# level of simulation parallelism) and building sessions outside its lock while
 # another thread steps and reads the fleet, and the console's HTTP + control server
 # threads snapshotting and pausing against concurrent step_all batches.
 # A data race between sessions fails here even though the parity tests
@@ -119,7 +119,11 @@ echo "== sanitizers: TSan over the threaded paths =="
 # (B's odd multiples for verify, the base-point table for keys and
 # signatures) are first used by four threads at once. The pool's shards
 # claim indices from each other's home ranges (DESIGN.md §27), so which
-# claims race differs from run to run: its suite runs 25 times over. A
+# claims race differs from run to run: its suite runs 25 times over. Since
+# DESIGN.md §32 a session also changes shards within a batch, at slice
+# boundaries, ordered only by the pool's per-index claim flag: the pool
+# suite's plain per-index counter and FleetServiceParallel's 8 sessions x
+# 40 steps (four slices each) at threads 2 and 8 cross those handoffs. A
 # session's first step enrols its drone, runs its handshakes and builds its
 # planner grid (DESIGN.md §31), so FleetServiceParallel's 8-session runs at
 # threads 2 and 8 run that PKI, crypto and grid work on several shards at

@@ -26,7 +26,8 @@
 // enrolment (the audit log signs with forwarder 0's key), the radio, the
 // IDS and the audit log. establish() enrols the drone and runs the
 // drone-forwarder handshakes; the first step() calls it, so in a
-// FleetService that work runs on the session's home shard. The planner
+// FleetService that work runs on a pool shard, usually the session's home
+// shard. The planner
 // builds its blocked grid on first use in the same way.
 #pragma once
 

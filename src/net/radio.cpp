@@ -92,7 +92,6 @@ bool RadioMedium::jammed_at(const core::Vec2& pos, std::uint32_t channel) {
 
 bool RadioMedium::dropped(const Frame& frame) {
   for (const DropRule& r : drop_rules_) {
-    if (!r.active) continue;
     if ((frame.src == r.victim || frame.dst == r.victim) && rng_.chance(r.probability)) {
       return true;
     }
@@ -242,10 +241,6 @@ void RadioMedium::set_jammer_active(std::size_t index, bool active) {
 std::size_t RadioMedium::add_drop_rule(DropRule rule) {
   drop_rules_.push_back(rule);
   return drop_rules_.size() - 1;
-}
-
-void RadioMedium::set_drop_rule_active(std::size_t index, bool active) {
-  drop_rules_.at(index).active = active;
 }
 
 std::uint64_t RadioMedium::count(DeliveryOutcome outcome) const {

@@ -84,7 +84,6 @@ struct Jammer {
 struct DropRule {
   NodeId victim;
   double probability = 1.0;
-  bool active = true;
 };
 
 /// The shared medium. Nodes register with a position provider so mobility
@@ -121,7 +120,6 @@ class RadioMedium {
   std::size_t add_jammer(Jammer jammer);
   void set_jammer_active(std::size_t index, bool active);
   std::size_t add_drop_rule(DropRule rule);
-  void set_drop_rule_active(std::size_t index, bool active);
 
   /// Counters per outcome since construction (registry-backed views).
   [[nodiscard]] std::uint64_t count(DeliveryOutcome outcome) const;

@@ -1,5 +1,7 @@
 #include "service/fleet_service.h"
 
+#include <algorithm>
+
 #include "core/json.h"
 #include "core/rng.h"
 
@@ -10,6 +12,11 @@ namespace {
 /// from every per-entity domain the worksite uses, so a derived session
 /// seed never correlates with any entity stream of any session.
 constexpr std::uint64_t kSessionSeedDomain = 0x464C454554ULL;
+
+/// Steps in one slice of a step_all batch: one simulated second. A session
+/// hands its shard back after each slice, so an idle shard can take the
+/// next slice of a session that is not running (DESIGN.md §32).
+constexpr std::uint64_t kSliceSteps = 10;
 }  // namespace
 
 FleetService::FleetService(FleetServiceConfig config) : config_(config) {
@@ -53,8 +60,8 @@ SessionId FleetService::insert_session(integration::SecuredWorksiteConfig config
   // enrolment) touches no service state, so step_all and console reads
   // proceed meanwhile, and a constructor that throws consumes no id. The
   // drone's enrolment, the handshakes and the planner grid wait for the
-  // session's first step, which step_all runs on its home shard
-  // (DESIGN.md §31).
+  // session's first step, which step_all runs on a shard, usually its
+  // home shard (DESIGN.md §31).
   auto session = std::make_unique<Session>();
   session->site = std::make_unique<integration::SecuredWorksite>(std::move(config));
 
@@ -101,19 +108,35 @@ void FleetService::step_batch_locked(std::uint64_t steps) {
   if (steps == 0 || sessions_.empty()) return;
   const std::uint64_t batch_start_ns = obs::Tracer::now_ns();
   batch_.clear();
-  for (auto& [id, session] : sessions_) batch_.push_back(session.get());
+  std::uint64_t stepped_before = 0;
+  for (auto& [id, session] : sessions_) {
+    batch_.push_back(session.get());
+    stepped_before += session->steps;
+  }
 
   obs::Tracer::Span span{telemetry_->tracer(), ph_batch_};
-  const auto body = [this, steps](std::size_t index, std::size_t) {
+  const auto body = [this, steps](std::size_t index, std::size_t slice, std::size_t) {
     Session& session = *batch_[index];
-    // The whole session steps on the shard that claimed it: no other
-    // thread touches any of its state for the duration of the batch.
-    for (std::uint64_t s = 0; s < steps; ++s) session.site->step();
-    session.steps += steps;
+    // A slice steps on the shard that claimed it, and the pool orders it
+    // after the session's previous slice, whichever shard ran that.
+    const std::uint64_t count = std::min(kSliceSteps, steps - slice * kSliceSteps);
+    for (std::uint64_t s = 0; s < count; ++s) session.site->step();
+    session.steps += count;
   };
-  pool_->parallel_for(batch_.size(), body);
-  // Serial again: the service registry has one writer.
-  c_session_steps_->add(steps * batch_.size());
+  // Serial again, after a throw too: the service registry has one writer,
+  // and the counter takes the steps whose slices ran.
+  const auto count_steps = [this, stepped_before] {
+    std::uint64_t stepped = 0;
+    for (const Session* session : batch_) stepped += session->steps;
+    c_session_steps_->add(stepped - stepped_before);
+  };
+  try {
+    pool_->parallel_for(batch_.size(), (steps + kSliceSteps - 1) / kSliceSteps, body);
+  } catch (...) {
+    count_steps();
+    throw;
+  }
+  count_steps();
   h_batch_wall_->add(
       static_cast<double>(obs::Tracer::now_ns() - batch_start_ns) / 1000.0);
 }

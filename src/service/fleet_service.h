@@ -4,9 +4,10 @@
 // therefore means running MANY independent worksite configurations
 // concurrently, not one. The service owns N SecuredWorksite sessions
 // behind a create/step/teardown/query API and batches session stepping
-// across a core::ThreadPool at one-worksite-per-task granularity. This is
-// the only level of parallelism in the stack: a worksite steps on the
-// thread that runs its session (DESIGN.md §17).
+// across a core::ThreadPool, one worksite per work item in one-second
+// slices (DESIGN.md §32). This is the only level of parallelism in the
+// stack: a worksite steps on the thread that runs its slice (DESIGN.md
+// §17).
 //
 // Determinism contract (DESIGN.md §12): a session is fully self-contained
 // — its SecuredWorksite owns its RNG streams, radio, PKI and a private
@@ -80,15 +81,18 @@ class FleetService {
   // --- stepping ---
   /// Advances every live session by `steps` full-stack steps. Sessions
   /// are batched across the pool in ascending id order, one session per
-  /// work item; a session never splits across shards, so all its state
-  /// stays thread-local for the whole batch. A session usually steps on
-  /// its home shard, but may step on a different worker in the next batch
-  /// when an idle shard steals it; the pool's mutex handoff between
-  /// batches orders those accesses. A session's first step also runs its
-  /// set-up (drone enrolment, handshakes, planner grid) on that shard.
-  /// When sessions throw, every other session still steps and the error
-  /// of the lowest failing index in id order is rethrown
-  /// (core::ThreadPool). No-op while paused.
+  /// work item, in slices of 10 steps (one simulated second; the last
+  /// slice takes the remainder). A slice runs on one shard, and
+  /// consecutive slices of a session may run on different shards: the
+  /// pool's claim flag orders each slice after the session's previous
+  /// one, so its state is only ever touched by one thread at a time. A
+  /// session usually steps on its home shard, and an idle shard takes the
+  /// next slice of a session that is not running. A session's first step
+  /// also runs its set-up (drone enrolment, handshakes, planner grid) on
+  /// the shard that runs it. session_steps() advances after each slice.
+  /// When a session throws, its remaining slices are skipped, every other
+  /// session still steps, and the error of the lowest failing index in id
+  /// order is rethrown (core::ThreadPool). No-op while paused.
   void step_all(std::uint64_t steps = 1);
   /// Advances one session serially (false when the id is unknown).
   /// No-op (returning true) while paused.

@@ -39,7 +39,10 @@ PathPlanner::PathPlanner(const Terrain& terrain, PlannerConfig config)
 void PathPlanner::ensure_grid() const {
   // The grid has width_ x height_ >= 1 cells once built, so empty means
   // not yet built.
-  if (blocked_.empty()) blocked_ = derive_blocked(0, 0, width_ - 1, height_ - 1);
+  if (!blocked_.empty()) return;
+  const std::uint64_t start_ns = tracer_ != nullptr ? obs::Tracer::now_ns() : 0;
+  blocked_ = derive_blocked(0, 0, width_ - 1, height_ - 1);
+  if (tracer_ != nullptr) tracer_->record(ph_grid_, obs::Tracer::now_ns() - start_ns);
 }
 
 std::vector<std::uint8_t> PathPlanner::derive_blocked(int x0, int y0, int x1,
@@ -119,17 +122,21 @@ bool PathPlanner::too_steep(int cx, int cy) const {
   return std::hypot(gx, gy) > config_.max_slope;
 }
 
-void PathPlanner::set_telemetry(obs::Registry* registry) {
-  if (registry == nullptr) {
+void PathPlanner::set_telemetry(obs::Telemetry* telemetry) {
+  if (telemetry == nullptr) {
+    tracer_ = nullptr;
     c_plans_ = c_cache_hits_ = c_cache_misses_ = c_invalidations_ = c_jps_expansions_ =
         nullptr;
     return;
   }
-  c_plans_ = &registry->counter("planner.plans");
-  c_cache_hits_ = &registry->counter("planner.cache_hits");
-  c_cache_misses_ = &registry->counter("planner.cache_misses");
-  c_invalidations_ = &registry->counter("planner.invalidations");
-  c_jps_expansions_ = &registry->counter("planner.jps_expansions");
+  tracer_ = &telemetry->tracer();
+  ph_grid_ = tracer_->phase("planner.grid");
+  obs::Registry& registry = telemetry->registry();
+  c_plans_ = &registry.counter("planner.plans");
+  c_cache_hits_ = &registry.counter("planner.cache_hits");
+  c_cache_misses_ = &registry.counter("planner.cache_misses");
+  c_invalidations_ = &registry.counter("planner.invalidations");
+  c_jps_expansions_ = &registry.counter("planner.jps_expansions");
 }
 
 core::Vec2 PathPlanner::cell_center(int cx, int cy) const {

@@ -33,7 +33,8 @@
 // The grid is built on first use, not in the constructor (DESIGN.md §31):
 // every public entry point that reads or writes it builds it first, so a
 // session's grid is built by the step that first plans, on the thread
-// that steps the session.
+// that steps the session, inside the tracer phase "planner.grid" when
+// telemetry is attached.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,7 @@
 
 #include "core/geometry.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "sim/terrain.h"
 
 namespace agrarsec::sim {
@@ -106,9 +108,11 @@ class PathPlanner {
   /// Mirrors every PlannerStats increment into registry counters
   /// ("planner.plans", "planner.cache_hits", ...), so a shared telemetry
   /// export always carries live planner numbers (summed over every
-  /// instance wired to the same registry). nullptr detaches. The registry
-  /// must outlive the planner; plan() is called from serial contexts only.
-  void set_telemetry(obs::Registry* registry);
+  /// instance wired to the same registry), and times the first full grid
+  /// build under the tracer phase "planner.grid". nullptr detaches. The
+  /// telemetry must outlive the planner; plan() is called from serial
+  /// contexts only.
+  void set_telemetry(obs::Telemetry* telemetry);
 
  private:
   struct CacheEntry {
@@ -163,7 +167,10 @@ class PathPlanner {
   mutable std::unordered_map<std::uint64_t, CacheEntry> cache_;
   mutable PlannerStats stats_;
 
-  // Optional registry mirrors (see set_telemetry); null when detached.
+  // Optional registry mirrors and grid-build phase (see set_telemetry);
+  // null when detached.
+  obs::Tracer* tracer_ = nullptr;
+  obs::PhaseId ph_grid_ = 0;
   obs::Counter* c_plans_ = nullptr;
   obs::Counter* c_cache_hits_ = nullptr;
   obs::Counter* c_cache_misses_ = nullptr;

@@ -121,7 +121,7 @@ Worksite::Worksite(WorksiteConfig config, std::uint64_t seed)
   terrain_ = std::make_unique<Terrain>(Terrain::generate(config_.forest, terrain_rng));
 
   planner_ = std::make_unique<PathPlanner>(*terrain_);
-  planner_->set_telemetry(&reg);
+  planner_->set_telemetry(telemetry_);
 }
 
 void Worksite::block_region(core::Vec2 center, double radius, bool blocked) {

@@ -293,7 +293,7 @@ TEST(Radio, JammerCanBeDeactivated) {
 
 TEST(Radio, DropRuleTargetsVictim) {
   TwoNodes net;
-  net.medium.add_drop_rule(DropRule{net.b, 1.0, true});
+  net.medium.add_drop_rule(DropRule{net.b, 1.0});
   Frame f;
   f.src = net.a;
   f.dst = net.b;

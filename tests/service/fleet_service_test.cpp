@@ -169,6 +169,44 @@ TEST(FleetService, LifecycleCountsAndQueries) {
     EXPECT_EQ(reg.find_counter("fleet.sessions_created")->value(), 3u);
     EXPECT_EQ(reg.find_counter("fleet.sessions_destroyed")->value(), 1u);
     EXPECT_EQ(reg.find_counter("fleet.session_steps")->value(), 8u);
+
+    // 23 steps run as slices of 10, 10 and 3 (DESIGN.md §32); the counts
+    // must agree across the slice boundaries.
+    fleet.step_all(23);
+    EXPECT_EQ(fleet.session_steps(b), 26u);
+    EXPECT_EQ(fleet.session_steps(c), 23u);
+    EXPECT_EQ(fleet.total_session_steps(), 54u);
+    EXPECT_EQ(reg.find_counter("fleet.session_steps")->value(), 54u);
+  }
+}
+
+// A session that throws mid-batch keeps the slices it finished and skips
+// the rest; the others step the whole batch. The counter must still agree
+// with the per-session totals after the rethrow.
+TEST(FleetService, ThrowingBatchCountsTheStepsThatRan) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetServiceConfig config;
+    config.threads = threads;
+    FleetService fleet{config};
+    const SessionId a = fleet.create_session(session_config(1));
+    const SessionId b = fleet.create_session(session_config(2));
+    bool thrown = false;
+    fleet.session(b)->worksite().bus().subscribe("worksite/pile", [&thrown](const core::Event&) {
+      if (!thrown) {
+        thrown = true;
+        throw std::runtime_error("pile handler");
+      }
+    });
+    EXPECT_THROW(fleet.step_all(400), std::runtime_error);
+    ASSERT_TRUE(thrown);
+    EXPECT_EQ(fleet.session_steps(a), 400u);
+    EXPECT_LT(fleet.session_steps(b), 400u);
+    EXPECT_EQ(fleet.session_steps(b) % 10, 0u);
+    EXPECT_EQ(fleet.total_session_steps(),
+              fleet.session_steps(a) + fleet.session_steps(b));
+    EXPECT_EQ(fleet.telemetry().registry().find_counter("fleet.session_steps")->value(),
+              fleet.total_session_steps());
   }
 }
 

@@ -15,6 +15,7 @@
 #include "core/rng.h"
 #include "sim/pathfinding.h"
 #include "sim/terrain.h"
+#include "sim/worksite.h"
 
 namespace agrarsec::sim {
 namespace {
@@ -412,6 +413,31 @@ TEST(PlannerGrid, FirstCallOfEveryEntryPointBuildsTheGrid) {
     EXPECT_EQ(fresh.generation(), 1u);
     EXPECT_EQ(mismatches(planner_grid(fresh, t), blocked), 0u) << "block first";
   }
+}
+
+TEST(PlannerGrid, FirstBuildRunsUnderItsOwnPhase) {
+  // A worksite's one-off grid build is timed under "planner.grid" rather
+  // than inside whichever step first plans (DESIGN.md §32). Windthrow
+  // marks and frees discs of the built grid, which is no second build.
+  WorksiteConfig config;
+  config.forest.bounds = {{0, 0}, {400, 400}};
+  config.forest.trees_per_hectare = 200;
+  config.landing_area = {40, 40};
+  config.harvester_output_m3_per_min = 30.0;
+  config.weather = Weather::kSnow;
+  config.windthrow_rate_per_hour = 2000.0;
+  config.windthrow_duration = 5 * core::kSecond;
+  Worksite site{config, 5};
+  site.add_harvester("h1", {200, 200});
+  site.add_forwarder("f1", {60, 60});
+  obs::Tracer& tracer = site.telemetry().tracer();
+  const obs::PhaseId grid = tracer.phase("planner.grid");
+  EXPECT_EQ(tracer.stats(grid).calls, 0u);
+
+  for (int i = 0; i < 1200; ++i) site.step();
+  EXPECT_GT(site.metrics().planner.plans, 0u);
+  EXPECT_GT(site.metrics().windthrow_events, 1u);
+  EXPECT_EQ(tracer.stats(grid).calls, 1u);
 }
 
 TEST(PlannerGrid, ReferenceBlockedDetectsOverlap) {
